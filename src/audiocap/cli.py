@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from . import data, decoder, fluency, frontend, lora, metrics, nn
+from . import data, decoder, fluency, frontend, metrics, nn
 from .bridge import output_count
 from .model import PipelineConfig, build_model
 
@@ -25,18 +25,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
 EXIT_EXTERNAL = 4
-
-DATA_ERRORS = (
-    frontend.UnsupportedFormat, frontend.CorruptHeader, frontend.InputTooShort,
-    data.MalformedLine, data.DuplicateId, data.MissingField, data.IoError,
-    metrics.EmptyCorpus, metrics.IdMismatch, metrics.MissingSpice,
-    decoder.EmptyCorpus, decoder.SequenceTooLong,
-    ckpt.CorruptCheckpoint, ckpt.VersionMismatch,
-    lora.UnknownComponent, lora.RankTooLarge,
-    FileNotFoundError, IsADirectoryError, PermissionError,
-)
-
-RUNTIME_ERRORS = (data.NonFiniteLoss, nn.NonFiniteValue, FloatingPointError)
 
 
 class UsageError(Exception):
@@ -172,13 +160,11 @@ def _cmd_train(args) -> int:
 
 
 def _corrector_config(args) -> fluency.CorrectorConfig:
-    endpoint = getattr(args, "endpoint", "") or ""
-    mode = getattr(args, "mode", None)
+    mode = args.mode
     if mode is None:
-        mode = "external_with_rules_fallback" if endpoint else "rules"
-    threshold = getattr(args, "threshold", 0.90)
-    return fluency.CorrectorConfig(threshold=threshold, mode=mode,
-                                   endpoint=endpoint)
+        mode = "external_with_rules_fallback" if args.endpoint else "rules"
+    return fluency.CorrectorConfig(threshold=args.threshold, mode=mode,
+                                   endpoint=args.endpoint)
 
 
 def _cmd_caption(args) -> int:
@@ -186,19 +172,19 @@ def _cmd_caption(args) -> int:
     wav = frontend.load_wav(args.wav)
     text = model.caption_wave(wav, beam=args.beam)
     if args.correct:
-        text = fluency.correction_pipeline(text, _corrector_config(args)).text
+        text = fluency.correction_pipeline(text, fluency.CorrectorConfig()).text
     print(text)
     return EXIT_OK
 
 
-def _decode_manifest(model, entries, manifest_dir, beam, correct, cc=None):
+def _decode_manifest(model, entries, manifest_dir, beam, correct):
     feats = data.extract_features(entries, manifest_dir, model.cfg.frontend)
     out = []
     for e in entries:
         text = model.caption_patches(feats[e.id], beam=beam)
         if correct:
             text = fluency.correction_pipeline(
-                text, cc or fluency.CorrectorConfig()).text
+                text, fluency.CorrectorConfig()).text
         out.append(text)
     return out
 
@@ -225,26 +211,16 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _read_jsonl(path, required: tuple[str, ...]) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise data.MalformedLine(lineno, f"invalid JSON ({e.msg})") from e
-            for key in required:
-                if key not in obj:
-                    raise data.MissingField(f"line {lineno}: missing {key!r}")
-            rows.append(obj)
-    return rows
-
-
 def _cmd_score(args) -> int:
-    cand_rows = _read_jsonl(args.candidates, ("id", "caption"))
-    ref_rows = _read_jsonl(args.references, ("id", "captions"))
+    cand_rows = [r for _, r in data.read_jsonl(args.candidates, ("id", "caption"))]
+    ref_rows = []
+    for lineno, r in data.read_jsonl(args.references, ("id", "captions")):
+        refs = r["captions"]
+        if (not isinstance(refs, list) or not refs
+                or not all(isinstance(c, str) for c in refs)):
+            raise data.MissingField(f"line {lineno}: captions must be a "
+                                    "non-empty list of strings")
+        ref_rows.append(r)
     cands = {str(r["id"]): str(r["caption"]) for r in cand_rows}
     if len(cands) != len(cand_rows):
         raise data.DuplicateId("duplicate candidate ids")
@@ -254,7 +230,7 @@ def _cmd_score(args) -> int:
     if set(cands) != set(ref_ids):
         raise metrics.IdMismatch("candidate and reference ids differ")
     items = [metrics.ScoredItem(id=str(r["id"]), candidate=cands[str(r["id"])],
-                                references=[str(c) for c in r["captions"]])
+                                references=r["captions"])
              for r in ref_rows]
     spice = metrics.read_spice_sidecar(args.spice) if args.spice else None
     detector = lambda t: fluency.detect_errors(t).probability
@@ -354,13 +330,10 @@ def main(argv=None) -> int:
     except fluency.CorrectorError as e:
         print(f"external service error: {e}", file=sys.stderr)
         return EXIT_EXTERNAL
-    except RUNTIME_ERRORS as e:
+    except FloatingPointError as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
-    except DATA_ERRORS as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except (json.JSONDecodeError, ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
 

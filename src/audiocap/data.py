@@ -13,6 +13,7 @@ import math
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -51,10 +52,12 @@ class ManifestEntry:
     captions: list[str]
 
 
-def parse_manifest(path) -> list[ManifestEntry]:
-    """JSON Lines, one object per line: {"id", "audio", "captions"}."""
-    entries: list[ManifestEntry] = []
-    seen: set[str] = set()
+def read_jsonl(path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) per non-blank line of a JSON Lines file.
+
+    Raises IoError if the file cannot be opened, MalformedLine on bad JSON
+    or a row that is not an object, and MissingField on a missing key.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -69,9 +72,17 @@ def parse_manifest(path) -> list[ManifestEntry]:
             raise MalformedLine(lineno, f"invalid JSON ({e.msg})") from e
         if not isinstance(obj, dict):
             raise MalformedLine(lineno, "record is not an object")
-        for key in ("id", "audio", "captions"):
+        for key in required:
             if key not in obj:
                 raise MissingField(f"line {lineno}: missing {key!r}")
+        yield lineno, obj
+
+
+def parse_manifest(path) -> list[ManifestEntry]:
+    """JSON Lines, one object per line: {"id", "audio", "captions"}."""
+    entries: list[ManifestEntry] = []
+    seen: set[str] = set()
+    for lineno, obj in read_jsonl(path, ("id", "audio", "captions")):
         captions = obj["captions"]
         if (not isinstance(captions, list) or not captions
                 or not all(isinstance(c, str) and c.strip() for c in captions)):

@@ -117,12 +117,6 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     return fb
 
 
-def mel_center_frequencies(cfg: FrontendConfig) -> np.ndarray:
-    pts = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max),
-                                cfg.n_mels + 2))
-    return pts[1:-1]
-
-
 def frame_count(n_samples: int, cfg: FrontendConfig) -> int:
     return 1 + (n_samples - cfg.window) // cfg.hop
 
@@ -158,17 +152,6 @@ def patchify(m: LogMelSpectrogram, cfg: FrontendConfig | None = None) -> PatchSe
         for f in range(freq_patches):
             patches[t * freq_patches + f] = tile_rows[:, f * p:(f + 1) * p].reshape(-1)
     return PatchSequence(patches=patches, grid=(time_patches, freq_patches))
-
-
-def unpatchify(p: PatchSequence, patch: int = 16) -> np.ndarray:
-    """Inverse raster: rebuild the padded spectrogram from patches."""
-    tp, fp = p.grid
-    out = np.empty((tp * patch, fp * patch))
-    for t in range(tp):
-        for f in range(fp):
-            tile = p.patches[t * fp + f].reshape(patch, patch)
-            out[t * patch:(t + 1) * patch, f * patch:(f + 1) * patch] = tile
-    return out
 
 
 def wave_to_patches(w: Waveform, cfg: FrontendConfig | None = None) -> PatchSequence:

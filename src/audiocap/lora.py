@@ -70,79 +70,49 @@ class LoraLinear(Module):
         self.lora_b = nn.parameter(np.zeros((d_out, rank)), dtype)
         self.rank = rank
         self.alpha = alpha
-        self.enabled = True
-        freeze(base)
+        set_trainable(base, False)
 
     @property
     def scaling(self) -> float:
         return self.alpha / self.rank
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = self.base(x)
-        if not self.enabled:
-            return y
         low = nn.matmul(x, nn.transpose(self.lora_a, (1, 0)))
         residual = nn.matmul(low, nn.transpose(self.lora_b, (1, 0)))
-        return y + residual * self.scaling
+        return self.base(x) + residual * self.scaling
 
     def merge(self) -> Linear:
         """Fold the adapter into a plain layer: W' = W + (alpha/r) * B A."""
-        w = self.base.weight.data
-        if self.enabled:
-            w = w + self.scaling * (self.lora_b.data @ self.lora_a.data)
-        bias = getattr(self.base, "bias", None)
-        return Linear.from_weights(
-            w.copy(), None if bias is None else bias.data.copy())
+        delta = self.scaling * (self.lora_b.data @ self.lora_a.data)
+        return Linear.from_weights(self.base.weight.data + delta,
+                                   self.base.bias.data.copy())
 
 
 def wrap_linear(layer: Linear, rank: int, alpha: float, seed) -> LoraLinear:
     return LoraLinear(layer, rank, alpha, nn.rng_from_seed(seed))
 
 
-def iter_modules(root: Module):
-    yield root
-    for v in vars(root).values():
-        if isinstance(v, Module):
-            yield from iter_modules(v)
-        elif isinstance(v, (list, tuple)):
-            for item in v:
-                if isinstance(item, Module):
-                    yield from iter_modules(item)
+def iter_attention_layers(root: Module) -> list[MultiHeadAttention]:
+    return [m for m in root.modules() if isinstance(m, MultiHeadAttention)]
 
 
-def iter_attention_layers(root: Module):
-    for m in iter_modules(root):
-        if isinstance(m, MultiHeadAttention):
-            yield m
-
-
-def freeze(module: Module):
+def set_trainable(module: Module, flag: bool) -> None:
     for p in module.parameters():
-        p.requires_grad = False
-
-
-def unfreeze(module: Module):
-    for p in module.parameters():
-        p.requires_grad = True
+        p.requires_grad = flag
 
 
 def apply_mode(component: Module, mode: str, cfg: LoraConfig, seed) -> None:
     """Set requires_grad flags for one component, wrapping q/v under lora."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "frozen":
-        freeze(component)
+    set_trainable(component, mode == "full_finetune")
+    if mode != "lora":
         return
-    if mode == "full_finetune":
-        unfreeze(component)
-        return
-    freeze(component)
     for i, attn in enumerate(iter_attention_layers(component)):
         for j, name in enumerate(("q", "v")):
             layer = getattr(attn, name)
             if isinstance(layer, LoraLinear):
-                layer.lora_a.requires_grad = True
-                layer.lora_b.requires_grad = True
+                layer.lora_a.requires_grad = layer.lora_b.requires_grad = True
             else:
                 setattr(attn, name, LoraLinear(
                     layer, cfg.rank, cfg.alpha,
@@ -158,12 +128,9 @@ def apply_strategy(model, strategy: TrainStrategy, cfg: LoraConfig | None = None
         if module is None:
             raise UnknownComponent(f"model has no component {component!r}")
         apply_mode(module, mode, cfg, [seed, component == "decoder"])
-    unfreeze(model.bridge)
+    set_trainable(model.bridge, True)
 
 
 def trainable_parameters(model) -> dict[str, Tensor]:
     return {k: p for k, p in model.named_parameters().items() if p.requires_grad}
 
-
-def parameter_count(params: dict[str, Tensor]) -> int:
-    return sum(p.data.size for p in params.values())

@@ -69,15 +69,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.ndim != 0:
             raise ShapeMismatch("backward() requires a scalar output")
@@ -254,15 +245,6 @@ def tsum(t: Tensor) -> Tensor:
     return out
 
 
-def tmean(t: Tensor) -> Tensor:
-    n = t.data.size
-    out = Tensor(t.data.mean(), t.requires_grad, (t,))
-    if t.requires_grad:
-        out._backward = lambda: t._accum(
-            np.broadcast_to(out.grad / n, t.data.shape))
-    return out
-
-
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of `table` (V, d) by an integer id array."""
     ids = np.asarray(ids)
@@ -346,14 +328,6 @@ def rms_norm(t: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     return out
 
 
-def add_const(t: Tensor, arr: np.ndarray) -> Tensor:
-    """Add a constant array (no gradient into it); used for attention masks."""
-    out = Tensor(t.data + arr, t.requires_grad, (t,))
-    if t.requires_grad:
-        out._backward = lambda: t._accum(_unbroadcast(out.grad, t.data.shape))
-    return out
-
-
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                          mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention over token matrices (..., T, d).
@@ -379,7 +353,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                                   (kh.data.ndim - 1, kh.data.ndim - 2)))
     scores = scores * (1.0 / math.sqrt(dh))
     if mask is not None:
-        scores = add_const(scores, mask)
+        scores = scores + mask
     attn = softmax(scores, axis=-1)
     ctx = matmul(attn, vh)  # (..., heads, Tq, dh)
     nd = ctx.data.ndim
@@ -436,42 +410,45 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
 # -- modules ---------------------------------------------------------------
 
 class Module:
-    """Parameter container with recursive named traversal."""
+    """Parameter container; `_walk` is the one traversal of the tree."""
+
+    def _walk(self, prefix: str = ""):
+        """Pre-order (name, node) pairs in attribute order, self first.
+
+        Nodes are sub-Modules and Tensors; list and tuple items are named
+        `name.i`. A module's name keeps its trailing dot.
+        """
+        yield prefix, self
+        for name, value in vars(self).items():
+            children = ([(f"{name}.{i}", v) for i, v in enumerate(value)]
+                        if isinstance(value, (list, tuple)) else [(name, value)])
+            for key, child in children:
+                if isinstance(child, Module):
+                    yield from child._walk(f"{prefix}{key}.")
+                elif isinstance(child, Tensor):
+                    yield prefix + key, child
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for name, value in vars(self).items():
-            key = f"{prefix}{name}"
-            if isinstance(value, Tensor):
-                out[key] = value
-            elif isinstance(value, Module):
-                out.update(value.named_parameters(f"{key}."))
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        out.update(item.named_parameters(f"{key}.{i}."))
-                    elif isinstance(item, Tensor):
-                        out[f"{key}.{i}"] = item
-        return out
+        return {k: v for k, v in self._walk(prefix) if isinstance(v, Tensor)}
 
     def parameters(self) -> list[Tensor]:
-        return list(self.named_parameters().values())
+        return [v for _, v in self._walk() if isinstance(v, Tensor)]
+
+    def modules(self) -> list["Module"]:
+        return [v for _, v in self._walk() if isinstance(v, Module)]
 
 
 class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 bias: bool = True, init_std: float = 0.02, dtype=np.float32):
+                 init_std: float = 0.02, dtype=np.float32):
         self.weight = parameter(rng.normal(0.0, init_std, (d_out, d_in)), dtype)
-        self.bias = parameter(np.zeros(d_out), dtype) if bias else None
-        if self.bias is None:
-            del self.bias  # keep named_parameters free of None entries
+        self.bias = parameter(np.zeros(d_out), dtype)
 
     @classmethod
-    def from_weights(cls, weight: np.ndarray, bias: np.ndarray | None = None) -> "Linear":
+    def from_weights(cls, weight: np.ndarray, bias: np.ndarray) -> "Linear":
         layer = cls.__new__(cls)
         layer.weight = Tensor(np.ascontiguousarray(weight), requires_grad=True)
-        if bias is not None:
-            layer.bias = Tensor(np.ascontiguousarray(bias), requires_grad=True)
+        layer.bias = Tensor(np.ascontiguousarray(bias), requires_grad=True)
         return layer
 
     @property
@@ -486,11 +463,7 @@ class Linear(Module):
         if x.data.shape[-1] != self.d_in:
             raise DimensionMismatch(
                 f"linear expects last dim {self.d_in}, got {x.data.shape}")
-        y = matmul(x, transpose(self.weight, (1, 0)))
-        b = getattr(self, "bias", None)
-        if b is not None:
-            y = y + b
-        return y
+        return matmul(x, transpose(self.weight, (1, 0))) + self.bias
 
 
 class MultiHeadAttention(Module):

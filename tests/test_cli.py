@@ -173,6 +173,22 @@ class TestScore:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("which,row", [
+        ("cands", "5"),
+        ("refs", '{"id": "a", "captions": "a dog"}'),
+    ])
+    def test_malformed_row_is_data_error(self, tmp_path, capsys, which, row):
+        cands, refs = self.write_corpus(tmp_path)
+        path = cands if which == "cands" else refs
+        path.write_text(path.read_text() + row + "\n")
+        rc = cli.main(["score", "--candidates", str(cands),
+                       "--references", str(refs),
+                       "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 3:")
+        assert "Traceback" not in err
+
     def test_empty_corpus_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

@@ -115,7 +115,10 @@ class TestMelAnalysis:
         w = Waveform(0.5 * np.sin(2 * np.pi * 1000.0 * t), 16000)
         m = frontend.compute_log_mel(w)
         band = int(np.argmax(m.values.mean(axis=0)))
-        centers = frontend.mel_center_frequencies(FrontendConfig())
+        cfg = FrontendConfig()
+        edges = np.linspace(frontend.hz_to_mel(cfg.f_min),
+                            frontend.hz_to_mel(cfg.f_max), cfg.n_mels + 2)
+        centers = frontend.mel_to_hz(edges[1:-1])
         assert band == 22
         assert abs(centers[band] - 1000.0) < 120.0
 
@@ -140,7 +143,9 @@ class TestPatchify:
         assert p.count == 4 * tp
         assert p.grid == (tp, 4)
         assert p.patches.shape == (4 * tp, 256)
-        rebuilt = frontend.unpatchify(p)
+        # undo the time-major raster of 16x16 tiles
+        rebuilt = (p.patches.reshape(tp, 4, 16, 16).transpose(0, 2, 1, 3)
+                   .reshape(tp * 16, 64))
         assert np.array_equal(rebuilt[:frames], values)
         assert np.all(rebuilt[frames:] == math.log(1e-10))
 

@@ -246,10 +246,14 @@ class TestModule:
     def test_named_parameters_nested_dotted(self):
         r = rng()
         block = nn.TransformerBlock(8, 2, 2, r)
-        names = set(block.named_parameters())
-        assert "attn.q.weight" in names
-        assert "ffn.up.bias" in names
-        assert "attn_gain" in names
+        # pre-order, attribute order: AdamW sums its clipping norm this way
+        assert list(block.named_parameters()) == [
+            "attn_gain",
+            "attn.q.weight", "attn.q.bias", "attn.k.weight", "attn.k.bias",
+            "attn.v.weight", "attn.v.bias", "attn.o.weight", "attn.o.bias",
+            "ffn_gain",
+            "ffn.up.weight", "ffn.up.bias", "ffn.down.weight", "ffn.down.bias",
+        ]
 
     def test_linear_from_weights(self):
         w = np.eye(3, dtype=np.float32)
