@@ -215,11 +215,7 @@ def _cmd_score(args) -> int:
     cand_rows = [r for _, r in data.read_jsonl(args.candidates, ("id", "caption"))]
     ref_rows = []
     for lineno, r in data.read_jsonl(args.references, ("id", "captions")):
-        refs = r["captions"]
-        if (not isinstance(refs, list) or not refs
-                or not all(isinstance(c, str) for c in refs)):
-            raise data.MissingField(f"line {lineno}: captions must be a "
-                                    "non-empty list of strings")
+        data.check_captions(lineno, r["captions"])
         ref_rows.append(r)
     cands = {str(r["id"]): str(r["caption"]) for r in cand_rows}
     if len(cands) != len(cand_rows):

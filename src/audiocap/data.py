@@ -78,16 +78,24 @@ def read_jsonl(path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
+def check_captions(lineno: int, captions) -> list[str]:
+    """Return `captions` if it is a non-empty list of non-blank strings.
+
+    Raises MissingField naming the line otherwise.
+    """
+    if (not isinstance(captions, list) or not captions
+            or not all(isinstance(c, str) and c.strip() for c in captions)):
+        raise MissingField(f"line {lineno}: captions must be a non-empty "
+                           "list of non-empty strings")
+    return captions
+
+
 def parse_manifest(path) -> list[ManifestEntry]:
     """JSON Lines, one object per line: {"id", "audio", "captions"}."""
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
     for lineno, obj in read_jsonl(path, ("id", "audio", "captions")):
-        captions = obj["captions"]
-        if (not isinstance(captions, list) or not captions
-                or not all(isinstance(c, str) and c.strip() for c in captions)):
-            raise MissingField(f"line {lineno}: captions must be a non-empty "
-                               "list of non-empty strings")
+        captions = check_captions(lineno, obj["captions"])
         if len(captions) > 5:
             raise MalformedLine(lineno, "more than 5 captions")
         ident = str(obj["id"])

@@ -170,23 +170,29 @@ class CaptionDecoder(Module):
         return self.embed.data.shape[0]
 
     def embed_splice(self, s: SpliceSequence, pad_to: int | None = None) -> Tensor:
+        """Token and acoustic embeddings of the stream, (T, d), no positions."""
         segments = [nn.embedding(self.embed, s.prefix_ids), s.acoustic,
                     nn.embedding(self.embed, s.suffix_ids)]
         if len(s.caption_ids):
             segments.append(nn.embedding(self.embed, s.caption_ids))
-        total = s.length
-        if pad_to is not None and pad_to > total:
-            pad_ids = np.full(pad_to - total, Vocabulary.PAD, dtype=np.int64)
+        if pad_to is not None and pad_to > s.length:
+            pad_ids = np.full(pad_to - s.length, Vocabulary.PAD, dtype=np.int64)
             segments.append(nn.embedding(self.embed, pad_ids))
-            total = pad_to
-        x = nn.concat(segments, axis=0)
-        return x + self.pos[:total]
+        return nn.concat(segments, axis=0)
 
-    def logits(self, x: Tensor) -> Tensor:
+    def logits(self, x: Tensor, caches: list[nn.KVCache] | None = None,
+               start: int = 0) -> Tensor:
+        """Logits for embeddings x (..., n, d) at positions start..start+n-1.
+
+        With one cache per block, the rows attend causally over the keys
+        and values the caches hold (`start` of them) plus their own, and
+        the caches keep theirs; without, start is 0 and x is the stream.
+        """
         n = x.data.shape[-2]
-        mask = nn.causal_mask(n, x.dtype)
-        for block in self.blocks:
-            x = block(x, mask=mask)
+        x = x + self.pos[start:start + n]
+        mask = nn.causal_mask(n, x.dtype, start)
+        for block, cache in zip(self.blocks, caches or [None] * len(self.blocks)):
+            x = block(x, mask=mask, cache=cache)
         return self.head(nn.rms_norm(x, self.out_gain))
 
     def forward_loss(self, splices: list[SpliceSequence]) -> Tensor:
@@ -207,32 +213,40 @@ class CaptionDecoder(Module):
         shifted = logits[:, :-1, :]
         return nn.cross_entropy(shifted, ids[:, 1:], ignore_mask=~keep[:, 1:])
 
-    def _step_logits(self, acoustic: Tensor, generated: list[int],
-                     vocab: Vocabulary) -> np.ndarray:
-        seq = assemble_sequence(acoustic, None, vocab, self.cfg.max_seq)
-        seq = SpliceSequence(seq.prefix_ids, seq.acoustic, seq.suffix_ids,
-                             np.array(generated, dtype=np.int64))
-        if seq.length >= self.cfg.max_seq:
-            raise SequenceTooLong(f"decode length {seq.length} hit the cap")
-        x = self.embed_splice(seq)
-        return self.logits(x).data[-1]
+    def _prompt(self, acoustic: Tensor, vocab: Vocabulary) -> Tensor:
+        """The inference splice, <bos> + head + acoustic + tail, as (1, T, d)."""
+        x = self.embed_splice(assemble_sequence(acoustic, None, vocab,
+                                                self.cfg.max_seq))
+        return nn.reshape(x, (1,) + x.data.shape)
+
+    def _next_logits(self, x: Tensor, caches: list[nn.KVCache],
+                     start: int) -> np.ndarray:
+        """Next-token logits (B, V) after feeding x (B, n, d) at `start`."""
+        length = start + x.data.shape[1]
+        if length >= self.cfg.max_seq:
+            raise SequenceTooLong(f"decode length {length} hit the cap")
+        return self.logits(x, caches, start).data[:, -1]
 
     def greedy_decode(self, acoustic: Tensor, vocab: Vocabulary,
                       max_caption: int | None = None) -> str:
         limit = max_caption if max_caption is not None else self.cfg.max_caption
+        caches = [nn.KVCache() for _ in self.blocks]
+        x, start = self._prompt(acoustic, vocab), 0
         generated: list[int] = []
         for _ in range(limit):
-            row = self._step_logits(acoustic, generated, vocab)
+            row = self._next_logits(x, caches, start)[0]
+            start += x.data.shape[1]
             tok = int(np.argmax(row))  # ties resolve to the lowest id
             if tok == vocab.EOS:
                 break
             generated.append(tok)
+            x = nn.embedding(self.embed, np.array([[tok]]))
         return vocab.decode(generated)
 
     def beam_decode(self, acoustic: Tensor, vocab: Vocabulary, beam: int = 4,
                     max_caption: int | None = None,
                     length_norm: float = 0.75) -> str:
-        """Beam search over token ids.
+        """Beam search over token ids, the live hypotheses run as one batch.
 
         Hypothesis score is total log-prob divided by length**length_norm
         (length counts <eos>); ties break lexicographically on token ids,
@@ -241,30 +255,49 @@ class CaptionDecoder(Module):
         if beam < 1:
             raise ValueError("beam width must be >= 1")
         limit = max_caption if max_caption is not None else self.cfg.max_caption
-        live: list[tuple[list[int], float]] = [([], 0.0)]
+        caches = [nn.KVCache() for _ in self.blocks]
+        x, start = self._prompt(acoustic, vocab), 0
+        live: list[list[int]] = [[]]
+        totals = np.zeros(1)  # float64 log-prob of each live hypothesis
         done: list[tuple[list[int], float]] = []
 
         def norm(total: float, length: int) -> float:
             return total / (max(length, 1) ** length_norm)
 
-        for _ in range(limit):
+        for step in range(limit):
             if not live:
                 break
-            candidates: list[tuple[float, list[int], float]] = []
-            for ids, total in live:
-                row = self._step_logits(acoustic, ids, vocab)
-                m = row.max()
-                logp = row - (m + math.log(np.exp(row - m).sum()))
-                for tok in range(len(logp)):
-                    t2 = total + float(logp[tok])
-                    candidates.append((norm(t2, len(ids) + 1), ids + [tok], t2))
-            candidates.sort(key=lambda c: (-c[0], c[1]))
-            live = []
-            for score, ids, total in candidates[:beam]:
+            rows = self._next_logits(x, caches, start)
+            start += x.data.shape[1]
+            logp = np.stack([_log_softmax(row) for row in rows])
+            cand_totals = (totals[:, None] + logp).ravel()
+            scores = cand_totals / ((step + 1) ** length_norm)
+            # every candidate tying the k-th best score, then the exact order
+            k = min(beam, scores.size)
+            kth = scores[np.argpartition(scores, -k)[-k:]].min()
+            width = logp.shape[1]
+            ranked = [(live[c // width] + [c % width], c)
+                      for c in np.flatnonzero(scores >= kth).tolist()]
+            ranked.sort(key=lambda r: (-scores[r[1]], r[0]))
+            survivors = []
+            for ids, c in ranked[:beam]:
                 if ids[-1] == vocab.EOS:
-                    done.append((ids, total))
+                    done.append((ids, float(cand_totals[c])))
                 else:
-                    live.append((ids, total))
-        done.extend(live)  # length-capped hypotheses compete as-is
-        best = min(done, key=lambda d: (-norm(d[1], len(d[0])), d[0]))
-        return vocab.decode(best[0])
+                    survivors.append(c)
+            kept = np.array(survivors, dtype=np.int64)
+            live = [live[c // width] + [c % width] for c in kept.tolist()]
+            totals = cand_totals[kept]
+            if live:
+                for cache in caches:
+                    cache.select(kept // width)  # each survivor's parent row
+                x = nn.embedding(self.embed, (kept % width)[:, None])
+        done.extend(zip(live, totals.tolist()))  # length-capped ones compete as-is
+        best_ids, _ = min(done, key=lambda d: (-norm(d[1], len(d[0])), d[0]))
+        return vocab.decode(best_ids)
+
+
+def _log_softmax(row: np.ndarray) -> np.ndarray:
+    # one 1-D row at a time: batching the reduction could round differently
+    m = row.max()
+    return row - (m + math.log(np.exp(row - m).sum()))

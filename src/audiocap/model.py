@@ -79,10 +79,13 @@ class CaptionModel(Module):
 
     def caption_patches(self, patches: PatchSequence, beam: int = 1,
                         max_caption: int | None = None) -> str:
-        acoustic = self.acoustic_tokens(patches)
-        if beam == 1:
-            return self.decoder.greedy_decode(acoustic, self.vocab, max_caption)
-        return self.decoder.beam_decode(acoustic, self.vocab, beam, max_caption)
+        with nn.no_grad():
+            acoustic = self.acoustic_tokens(patches)
+            if beam == 1:
+                return self.decoder.greedy_decode(acoustic, self.vocab,
+                                                  max_caption)
+            return self.decoder.beam_decode(acoustic, self.vocab, beam,
+                                            max_caption)
 
     def caption_wave(self, wave: Waveform, beam: int = 1,
                      max_caption: int | None = None) -> str:

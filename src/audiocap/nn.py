@@ -9,6 +9,7 @@ in float64 for gradient checks.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -102,9 +103,7 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other, self.dtype)
-        out_data = self.data + other.data
-        req = self.requires_grad or other.requires_grad
-        out = Tensor(out_data, req, (self, other))
+        out = _result(self.data + other.data, self, other)
 
         def backward():
             if self.requires_grad:
@@ -112,15 +111,15 @@ class Tensor:
             if other.requires_grad:
                 other._accum(_unbroadcast(out.grad, other.data.shape))
 
-        if req:
+        if out.requires_grad:
             out._backward = backward
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, self.requires_grad, (self,))
-        if self.requires_grad:
+        out = _result(-self.data, self)
+        if out.requires_grad:
             out._backward = lambda: self._accum(-out.grad)
         return out
 
@@ -132,8 +131,7 @@ class Tensor:
 
     def __mul__(self, other):
         other = _as_tensor(other, self.dtype)
-        out = Tensor(self.data * other.data,
-                     self.requires_grad or other.requires_grad, (self, other))
+        out = _result(self.data * other.data, self, other)
 
         def backward():
             if self.requires_grad:
@@ -151,16 +149,44 @@ class Tensor:
         return matmul(self, other)
 
     def __getitem__(self, key):
-        out = Tensor(self.data[key], self.requires_grad, (self,))
+        out = _result(self.data[key], self)
 
         def backward():
             g = np.zeros_like(self.data)
             np.add.at(g, key, out.grad)
             self._accum(g)
 
-        if self.requires_grad:
+        if out.requires_grad:
             out._backward = backward
         return out
+
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Inside the block, op results need no gradient and record no parents.
+
+    Inference runs under it so that no autograd graph is built. The mode
+    is process-wide; blocks nest, and leaving one, by an exception too,
+    restores the mode it found.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def _result(data, *parents: Tensor) -> Tensor:
+    """An op's output: a graph node only if grad is on and a parent needs it."""
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                return Tensor(data, True, parents)
+    return Tensor(data)
 
 
 def _as_tensor(x, dtype) -> Tensor:
@@ -181,7 +207,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionMismatch(
             f"matmul inner dims disagree: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad, (a, b))
+    out = _result(a.data @ b.data, a, b)
 
     def backward():
         if a.requires_grad:
@@ -197,8 +223,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(t: Tensor, shape) -> Tensor:
-    out = Tensor(t.data.reshape(shape), t.requires_grad, (t,))
-    if t.requires_grad:
+    out = _result(t.data.reshape(shape), t)
+    if out.requires_grad:
         out._backward = lambda: t._accum(out.grad.reshape(t.data.shape))
     return out
 
@@ -206,17 +232,16 @@ def reshape(t: Tensor, shape) -> Tensor:
 def transpose(t: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    out = Tensor(np.transpose(t.data, axes), t.requires_grad, (t,))
-    if t.requires_grad:
+    out = _result(np.transpose(t.data, axes), t)
+    if out.requires_grad:
         out._backward = lambda: t._accum(np.transpose(out.grad, inv))
     return out
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
-    req = any(t.requires_grad for t in tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 req, tuple(tensors))
+    out = _result(np.concatenate([t.data for t in tensors], axis=axis),
+                  *tensors)
 
     def backward():
         sizes = [t.data.shape[axis] for t in tensors]
@@ -227,7 +252,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 idx[axis] = slice(lo, hi)
                 t._accum(out.grad[tuple(idx)])
 
-    if req:
+    if out.requires_grad:
         out._backward = backward
     return out
 
@@ -239,8 +264,8 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def tsum(t: Tensor) -> Tensor:
-    out = Tensor(t.data.sum(), t.requires_grad, (t,))
-    if t.requires_grad:
+    out = _result(t.data.sum(), t)
+    if out.requires_grad:
         out._backward = lambda: t._accum(np.broadcast_to(out.grad, t.data.shape))
     return out
 
@@ -248,14 +273,14 @@ def tsum(t: Tensor) -> Tensor:
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of `table` (V, d) by an integer id array."""
     ids = np.asarray(ids)
-    out = Tensor(table.data[ids], table.requires_grad, (table,))
+    out = _result(table.data[ids], table)
 
     def backward():
         g = np.zeros_like(table.data)
         np.add.at(g, ids, out.grad)
         table._accum(g)
 
-    if table.requires_grad:
+    if out.requires_grad:
         out._backward = backward
     return out
 
@@ -269,16 +294,16 @@ _GELU_A = 0.044715
 def gelu(t: Tensor) -> Tensor:
     """Tanh-form GELU; the backward differentiates the same expression."""
     x = t.data
-    inner = _GELU_C * (x + _GELU_A * x ** 3)
+    inner = _GELU_C * (x + _GELU_A * (x * x * x))
     th = np.tanh(inner)
-    out = Tensor(0.5 * x * (1.0 + th), t.requires_grad, (t,))
+    out = _result(0.5 * x * (1.0 + th), t)
 
     def backward():
         sech2 = 1.0 - th * th
         d = 0.5 * (1.0 + th) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
         t._accum(out.grad * d)
 
-    if t.requires_grad:
+    if out.requires_grad:
         out._backward = backward
     return out
 
@@ -291,14 +316,14 @@ def softmax(t, axis: int = -1) -> Tensor:
     m = np.max(x, axis=axis, keepdims=True)
     e = np.exp(x - m)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, t.requires_grad, (t,))
+    out = _result(y, t)
 
     def backward():
         g = out.grad
         dot = np.sum(g * y, axis=axis, keepdims=True)
         t._accum(y * (g - dot))
 
-    if t.requires_grad:
+    if out.requires_grad:
         out._backward = backward
     return out
 
@@ -312,7 +337,7 @@ def rms_norm(t: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
     inv = inv.astype(x.dtype, copy=False)
     y = x * inv * gain.data
-    out = Tensor(y, t.requires_grad or gain.requires_grad, (t, gain))
+    out = _result(y, t, gain)
 
     def backward():
         g = out.grad
@@ -361,10 +386,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     return reshape(ctx, ctx.data.shape[:-2] + (d,))
 
 
-def causal_mask(n: int, dtype=np.float32) -> np.ndarray:
-    m = np.zeros((n, n), dtype=dtype)
-    m[np.triu_indices(n, k=1)] = -np.inf
-    return m
+def causal_mask(n: int, dtype=np.float32, start: int = 0) -> np.ndarray:
+    """Additive mask for n queries at positions start.. over start + n keys."""
+    return np.triu(np.full((n, start + n), -np.inf, dtype=dtype), k=start + 1)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,
@@ -391,8 +415,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     lse = m[:, 0] + np.log(np.exp(rows - m).sum(axis=-1))
     picked = rows[np.arange(idx.size), tgt[idx]]
     loss = (lse - picked).mean()
-    out = Tensor(np.asarray(loss, dtype=logits.dtype), logits.requires_grad,
-                 (logits,))
+    out = _result(np.asarray(loss, dtype=logits.dtype), logits)
 
     def backward():
         probs = np.exp(rows - m)
@@ -402,7 +425,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
         g[idx] = probs * (out.grad / idx.size)
         logits._accum(g.reshape(logits.data.shape))
 
-    if logits.requires_grad:
+    if out.requires_grad:
         out._backward = backward
     return out
 
@@ -466,11 +489,37 @@ class Linear(Module):
         return matmul(x, transpose(self.weight, (1, 0))) + self.bias
 
 
+class KVCache:
+    """The projected keys and values one attention layer has seen so far.
+
+    Both are (batch, T, d). Incremental decoding feeds only new rows;
+    `extend` appends their keys and values along the time axis.
+    """
+
+    def __init__(self):
+        self.keys: Tensor | None = None
+        self.values: Tensor | None = None
+
+    def extend(self, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
+        """Append new rows; return all keys and values seen so far."""
+        if self.keys is not None:
+            keys = concat([self.keys, keys], axis=-2)
+            values = concat([self.values, values], axis=-2)
+        self.keys, self.values = keys, values
+        return keys, values
+
+    def select(self, rows: np.ndarray) -> None:
+        """Keep batch rows `rows` in that order; a row may repeat."""
+        self.keys = self.keys[rows]
+        self.values = self.values[rows]
+
+
 class MultiHeadAttention(Module):
     """q/k/v/o projections around scaled dot-product attention.
 
     kv_dim lets the key/value input live in a different width than the
-    query input (used by the bridge's cross-attention).
+    query input (used by the bridge's cross-attention). With a `cache`,
+    the queries attend over the cached keys and values plus the new ones.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator,
@@ -485,10 +534,13 @@ class MultiHeadAttention(Module):
         self.o = Linear(d_model, d_model, rng, dtype=dtype)
 
     def __call__(self, query_input: Tensor, kv_input: Tensor,
-                 mask: np.ndarray | None = None) -> Tensor:
+                 mask: np.ndarray | None = None,
+                 cache: KVCache | None = None) -> Tensor:
         qp = self.q(query_input)
         kp = self.k(kv_input)
         vp = self.v(kv_input)
+        if cache is not None:
+            kp, vp = cache.extend(kp, vp)
         ctx = multi_head_attention(qp, kp, vp, self.n_heads, mask)
         return self.o(ctx)
 
@@ -515,10 +567,11 @@ class TransformerBlock(Module):
         self.ffn = FeedForward(d_model, ffn_mult, rng, dtype)
 
     def __call__(self, x: Tensor, context: Tensor | None = None,
-                 mask: np.ndarray | None = None) -> Tensor:
+                 mask: np.ndarray | None = None,
+                 cache: KVCache | None = None) -> Tensor:
         h = rms_norm(x, self.attn_gain)
         kv = h if context is None else context
-        x = x + self.attn(h, kv, mask)
+        x = x + self.attn(h, kv, mask, cache)
         x = x + self.ffn(rms_norm(x, self.ffn_gain))
         return x
 

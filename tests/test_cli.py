@@ -176,6 +176,8 @@ class TestScore:
     @pytest.mark.parametrize("which,row", [
         ("cands", "5"),
         ("refs", '{"id": "a", "captions": "a dog"}'),
+        ("refs", '{"id": "a", "captions": [""]}'),
+        ("refs", '{"id": "a", "captions": ["  "]}'),
     ])
     def test_malformed_row_is_data_error(self, tmp_path, capsys, which, row):
         cands, refs = self.write_corpus(tmp_path)

@@ -11,8 +11,9 @@ from audiocap.decoder import (ACOUSTIC_SLOT, CAPTION_INSTRUCTION,
                               CaptionDecoder, DecoderConfig, SpliceSequence,
                               Vocabulary, assemble_sequence, build_vocab,
                               tokenize)
+from audiocap.model import build_model
 from audiocap.nn import Tensor
-from conftest import tiny_vocab
+from conftest import random_patches, tiny_config, tiny_vocab
 
 
 def acoustic_block(n=3, d=32, seed=0):
@@ -23,6 +24,60 @@ def make_decoder(vocab, seed=0, layers=1, max_seq=128):
     cfg = DecoderConfig(d_dec=32, layers=layers, heads=2, ffn_mult=2,
                         max_seq=max_seq, max_caption=30)
     return CaptionDecoder(cfg, len(vocab), nn.rng_from_seed(seed))
+
+
+# -- reference decoding: full recompute, one hypothesis at a time -----------
+
+def reference_step_logits(model, acoustic, generated, vocab):
+    """Next-token logits from re-splicing and re-running the whole stream."""
+    seq = assemble_sequence(acoustic, None, vocab, model.cfg.max_seq)
+    seq = SpliceSequence(seq.prefix_ids, seq.acoustic, seq.suffix_ids,
+                         np.array(generated, dtype=np.int64))
+    if seq.length >= model.cfg.max_seq:
+        raise dec.SequenceTooLong(f"decode length {seq.length} hit the cap")
+    return model.logits(model.embed_splice(seq)).data[-1]
+
+
+def reference_greedy(model, acoustic, vocab, max_caption):
+    generated = []
+    for _ in range(max_caption):
+        tok = int(np.argmax(reference_step_logits(model, acoustic, generated,
+                                                  vocab)))
+        if tok == vocab.EOS:
+            break
+        generated.append(tok)
+    return vocab.decode(generated)
+
+
+def reference_beam(model, acoustic, vocab, beam, max_caption,
+                   length_norm=0.75):
+    live, done = [([], 0.0)], []
+
+    def norm(total, length):
+        return total / (max(length, 1) ** length_norm)
+
+    for _ in range(max_caption):
+        if not live:
+            break
+        candidates = []
+        for ids, total in live:
+            row = reference_step_logits(model, acoustic, ids, vocab)
+            m = row.max()
+            logp = row - (m + math.log(np.exp(row - m).sum()))
+            for tok in range(len(logp)):
+                t2 = total + float(logp[tok])
+                candidates.append((norm(t2, len(ids) + 1), ids + [tok], t2))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        live = []
+        for _, ids, total in candidates[:beam]:
+            (done if ids[-1] == vocab.EOS else live).append((ids, total))
+    done.extend(live)
+    best = min(done, key=lambda d: (-norm(d[1], len(d[0])), d[0]))
+    return vocab.decode(best[0])
+
+
+def relative_error(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 class TestTokenizer:
@@ -182,8 +237,8 @@ class TestCausality:
         vocab = tiny_vocab()
         model = make_decoder(vocab)
         acoustic = acoustic_block()
-        a = model._step_logits(acoustic, vocab.encode("a low"), vocab)
-        b = model._step_logits(acoustic, vocab.encode("a low"), vocab)
+        a = reference_step_logits(model, acoustic, vocab.encode("a low"), vocab)
+        b = reference_step_logits(model, acoustic, vocab.encode("a low"), vocab)
         assert np.array_equal(a, b)
         # extending the sequence must not alter the logits at earlier steps
         seq = assemble_sequence(acoustic, "a low tone", vocab)
@@ -216,7 +271,7 @@ class TestDecoding:
             ids = vocab.encode(text) + [vocab.EOS]
             total, prefix = 0.0, []
             for tok in ids:
-                row = model._step_logits(acoustic, prefix, vocab)
+                row = reference_step_logits(model, acoustic, prefix, vocab)
                 m = row.max()
                 total += float(row[tok] - m - math.log(np.exp(row - m).sum()))
                 prefix.append(tok)
@@ -258,5 +313,83 @@ class TestDecoding:
         model.head.weight.data[:] = 0.0
         model.head.bias.data[:] = 0.0
         model.head.bias.data[Vocabulary.UNK] = 5.0
+        acoustic = acoustic_block(n=5)  # 8 + 5 + 5 = 18 prompt positions
+        decoders = [
+            lambda cap: model.greedy_decode(acoustic, vocab, max_caption=cap),
+            lambda cap: model.beam_decode(acoustic, vocab, beam=2,
+                                          max_caption=cap),
+            lambda cap: reference_greedy(model, acoustic, vocab, cap),
+            lambda cap: reference_beam(model, acoustic, vocab, 2, cap)]
+        for decode in decoders:
+            assert decode(2) == "<unk> <unk>"  # the third step would hit 20
+            with pytest.raises(dec.SequenceTooLong):
+                decode(3)
         with pytest.raises(dec.SequenceTooLong):
-            model.greedy_decode(acoustic_block(n=5), vocab, max_caption=30)
+            model.greedy_decode(acoustic, vocab, max_caption=30)
+
+
+class TestCachedDecoding:
+    CAPTION = "a low tone followed by silence"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cached_logits_match_full_recompute(self, seed):
+        vocab = tiny_vocab()
+        model = make_decoder(vocab, seed=seed, layers=2)
+        acoustic = acoustic_block(n=4, seed=seed)
+        caches = [nn.KVCache() for _ in model.blocks]
+        prompt = model.embed_splice(assemble_sequence(acoustic, None, vocab))
+        start = prompt.shape[0]
+        rows = model.logits(nn.reshape(prompt, (1,) + prompt.shape), caches)
+        want = reference_step_logits(model, acoustic, [], vocab)
+        assert relative_error(rows.data[0, -1], want) < 1e-5
+        ids = vocab.encode(self.CAPTION)
+        for i, tok in enumerate(ids):
+            x = nn.embedding(model.embed, np.array([[tok]]))
+            row = model.logits(x, caches, start).data[0, -1]
+            start += 1
+            want = reference_step_logits(model, acoustic, ids[:i + 1], vocab)
+            assert relative_error(row, want) < 1e-5
+        # fan the one row out into three hypotheses with different next tokens
+        for cache in caches:
+            cache.select(np.array([0, 0, 0]))
+        branch = [vocab.EOS, ids[0], ids[-1]]
+        x = nn.embedding(model.embed, np.array(branch)[:, None])
+        rows = model.logits(x, caches, start).data[:, -1]
+        for row, tok in zip(rows, branch):
+            want = reference_step_logits(model, acoustic, ids + [tok], vocab)
+            assert relative_error(row, want) < 1e-5
+
+    @pytest.mark.parametrize("seed,zero_head", [
+        (0, False), (1, False), (2, False), (3, False), (4, False),
+        (0, True)])
+    def test_captions_match_reference(self, seed, zero_head):
+        vocab = tiny_vocab()
+        model = make_decoder(vocab, seed=seed, layers=2)
+        if zero_head:  # every logit ties at every step
+            model.head.weight.data[:] = 0.0
+            model.head.bias.data[:] = 0.0
+        acoustic = acoustic_block(n=3 + seed, seed=seed)
+        assert (model.greedy_decode(acoustic, vocab, max_caption=8)
+                == reference_greedy(model, acoustic, vocab, 8))
+        for beam in (1, 2, 3, 4):
+            assert (model.beam_decode(acoustic, vocab, beam=beam, max_caption=8)
+                    == reference_beam(model, acoustic, vocab, beam, 8))
+
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_caption_patches_builds_no_graph(self, monkeypatch, beam):
+        model = build_model(tiny_config(), tiny_vocab())
+        seen = []
+        for name in ("greedy_decode", "beam_decode"):
+            real = getattr(CaptionDecoder, name)
+
+            def spy(self, acoustic, *args, real=real, **kwargs):
+                seen.append(acoustic)
+                return real(self, acoustic, *args, **kwargs)
+
+            monkeypatch.setattr(CaptionDecoder, name, spy)
+        model.caption_patches(random_patches(), beam=beam, max_caption=4)
+        (acoustic,) = seen
+        assert acoustic._parents == () and not acoustic.requires_grad
+        # grad mode is back on afterwards: a training loss builds its graph
+        loss = model.loss_on_batch([(random_patches(), "a low tone")])
+        assert loss.requires_grad and loss._backward is not None

@@ -260,3 +260,43 @@ class TestModule:
         layer = nn.Linear.from_weights(w, np.zeros(3, dtype=np.float32))
         x = nn.Tensor(np.array([[1.0, 2.0, 3.0]], dtype=np.float32))
         assert np.array_equal(layer(x).data, x.data)
+
+
+class TestNoGrad:
+    def block_and_input(self):
+        r = rng()
+        block = nn.TransformerBlock(8, 2, 2, r)
+        return block, nn.Tensor(r.normal(0, 1, (3, 8)).astype(np.float32))
+
+    def test_forward_records_no_graph(self):
+        block, x = self.block_and_input()
+        with nn.no_grad():
+            out = block(x, mask=nn.causal_mask(3))
+        assert out._parents == ()
+        assert out.requires_grad is False
+        assert out._backward is None
+
+    def test_nests_and_restores(self):
+        block, x = self.block_and_input()
+        with nn.no_grad():
+            with nn.no_grad():
+                inner = block(x)
+            after_inner = block(x)
+        outside = block(x)
+        assert inner._parents == () and after_inner._parents == ()
+        assert outside.requires_grad and outside._backward is not None
+
+    def test_restores_after_exception(self):
+        block, x = self.block_and_input()
+        with pytest.raises(nn.DimensionMismatch):
+            with nn.no_grad():
+                block(nn.Tensor(np.zeros((3, 5), dtype=np.float32)))
+        assert block(x).requires_grad
+
+    def test_backward_after_block_fills_every_grad(self):
+        block, x = self.block_and_input()
+        with nn.no_grad():
+            block(x)
+        nn.tsum(block(x)).backward()
+        for name, p in block.named_parameters().items():
+            assert p.grad is not None and p.grad.shape == p.data.shape, name
