@@ -3,7 +3,9 @@
 The token stream is cut into consecutive windows of 17 (the last one may
 be short). Each window gets a single learned query, offset by a learned
 window-index embedding, which cross-attends over that window's tokens
-(plus within-window position embeddings). A self-attention stage then
+(plus within-window position embeddings). All windows attend in one call:
+the tokens are zero-padded to whole windows, stacked as a batch, and the
+padding is masked out of the last window. A self-attention stage then
 mixes the per-window queries before projection to decoder width, so the
 output length is always ceil(T / window).
 """
@@ -64,9 +66,9 @@ class QueryBridge(Module):
         self.out_proj = Linear(cfg.d_q, cfg.d_dec, rng, dtype=dtype)
         self.cfg = cfg
 
-    def window_queries(self, acoustic: Tensor) -> Tensor:
-        """Per-window cross-attention stage only: (L, d_q), window-local."""
-        n = acoustic.data.shape[0]
+    def __call__(self, acoustic: Tensor) -> Tensor:
+        """(n, d_enc) acoustic tokens -> (ceil(n / window), d_dec)."""
+        n, d_enc = acoustic.data.shape
         if n == 0:
             raise EmptyInput("no acoustic tokens")
         w = self.cfg.window
@@ -74,19 +76,18 @@ class QueryBridge(Module):
         if count > self.cfg.max_windows:
             raise ValueError(f"{count} windows exceeds max_windows "
                              f"{self.cfg.max_windows}")
-        rows = []
-        for i in range(count):
-            tokens = acoustic[i * w:min((i + 1) * w, n)]
-            size = tokens.data.shape[0]
-            kv = tokens + self.token_pos[:size]
-            q = self.query + self.window_pos[i:i + 1]
-            for block in self.cross_blocks:
-                q = block(q, context=kv)
-            rows.append(q)
-        return nn.concat(rows, axis=0)
-
-    def __call__(self, acoustic: Tensor) -> Tensor:
-        q = self.window_queries(acoustic)
+        pad = count * w - n
+        mask = None
+        if pad:
+            zeros = Tensor(np.zeros((pad, d_enc), dtype=acoustic.dtype))
+            acoustic = nn.concat([acoustic, zeros], axis=0)
+            mask = np.zeros((count, 1, 1, w), dtype=acoustic.dtype)
+            mask[-1, ..., w - pad:] = -np.inf
+        kv = nn.reshape(acoustic, (count, w, d_enc)) + self.token_pos
+        q = nn.reshape(self.query + self.window_pos[:count], (count, 1, -1))
+        for block in self.cross_blocks:
+            q = block(q, context=kv, mask=mask)
+        q = nn.reshape(q, (count, -1))
         for block in self.self_blocks:
             q = block(q)
         return self.out_proj(nn.rms_norm(q, self.out_gain))

@@ -167,13 +167,16 @@ def _corrector_config(args) -> fluency.CorrectorConfig:
                                    endpoint=args.endpoint)
 
 
+def _gate(text: str) -> str:
+    """The default rules gate at 0.90 that `caption/evaluate --correct` apply."""
+    return fluency.correction_pipeline(text, fluency.CorrectorConfig()).text
+
+
 def _cmd_caption(args) -> int:
     model = ckpt.load_checkpoint(args.ckpt)
     wav = frontend.load_wav(args.wav)
     text = model.caption_wave(wav, beam=args.beam)
-    if args.correct:
-        text = fluency.correction_pipeline(text, fluency.CorrectorConfig()).text
-    print(text)
+    print(_gate(text) if args.correct else text)
     return EXIT_OK
 
 
@@ -182,16 +185,20 @@ def _decode_manifest(model, entries, manifest_dir, beam, correct):
     out = []
     for e in entries:
         text = model.caption_patches(feats[e.id], beam=beam)
-        if correct:
-            text = fluency.correction_pipeline(
-                text, fluency.CorrectorConfig()).text
-        out.append(text)
+        out.append(_gate(text) if correct else text)
     return out
 
 
-def _write_report(report: metrics.MetricReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _score_and_report(items: list[metrics.ScoredItem], args) -> int:
+    """Score `items` with the fluency detector and the optional `--spice`
+    sidecar, write the report to `--out` and print the corpus scores."""
+    spice = metrics.read_spice_sidecar(args.spice) if args.spice else None
+    detector = lambda t: fluency.detect_errors(t).probability
+    report = metrics.evaluate_corpus(items, detector=detector, spice=spice)
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
+    print(json.dumps(report.corpus, sort_keys=True))
+    return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
@@ -203,12 +210,7 @@ def _cmd_evaluate(args) -> int:
                                   args.beam, args.correct)
     items = [metrics.ScoredItem(id=e.id, candidate=c, references=e.captions)
              for e, c in zip(entries, candidates)]
-    spice = metrics.read_spice_sidecar(args.spice) if args.spice else None
-    detector = lambda t: fluency.detect_errors(t).probability
-    report = metrics.evaluate_corpus(items, detector=detector, spice=spice)
-    _write_report(report, args.out)
-    print(json.dumps(report.corpus, sort_keys=True))
-    return EXIT_OK
+    return _score_and_report(items, args)
 
 
 def _cmd_score(args) -> int:
@@ -228,12 +230,7 @@ def _cmd_score(args) -> int:
     items = [metrics.ScoredItem(id=str(r["id"]), candidate=cands[str(r["id"])],
                                 references=r["captions"])
              for r in ref_rows]
-    spice = metrics.read_spice_sidecar(args.spice) if args.spice else None
-    detector = lambda t: fluency.detect_errors(t).probability
-    report = metrics.evaluate_corpus(items, detector=detector, spice=spice)
-    _write_report(report, args.out)
-    print(json.dumps(report.corpus, sort_keys=True))
-    return EXIT_OK
+    return _score_and_report(items, args)
 
 
 def _cmd_correct(args) -> int:

@@ -1,6 +1,7 @@
 """Patch-transformer audio encoder.
 
-Embeds flattened 16x16 spectrogram patches with factorized learned
+Embeds flattened spectrogram patches (16x16 under the default frontend;
+the model sizes them from `FrontendConfig`) with factorized learned
 time/frequency positions and runs a bidirectional pre-norm transformer
 stack, emitting one acoustic token per input patch. Variable-length
 inputs are processed as-is; there is no fixed-length padding. Patch

@@ -39,6 +39,11 @@ class FrontendConfig:
     log_floor: float = 1e-10
     patch: int = 16
 
+    def __post_init__(self):
+        if self.patch < 1 or self.n_mels < self.patch or self.n_mels % self.patch:
+            raise ValueError(f"n_mels {self.n_mels} is not a positive multiple "
+                             f"of patch {self.patch}")
+
 
 @dataclass
 class Waveform:

@@ -284,7 +284,11 @@ class MetricReport:
 
 
 def read_spice_sidecar(path) -> dict[str, float]:
-    """JSON Lines, one object per line: {"id": string, "spice": number}."""
+    """JSON Lines, one object per line: {"id": string, "spice": number}.
+
+    Each score is a finite number in [0, 1]; any other value raises
+    `MissingSpice` naming its line.
+    """
     table: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -293,12 +297,17 @@ def read_spice_sidecar(path) -> dict[str, float]:
             try:
                 obj = json.loads(line)
                 key = str(obj["id"])
-                val = float(obj["spice"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+                val = obj["spice"]
+            except (json.JSONDecodeError, KeyError, TypeError) as e:
                 raise MissingSpice(f"bad spice record on line {lineno}") from e
+            # NaN and the infinities fail the range test too
+            if (isinstance(val, bool) or not isinstance(val, (int, float))
+                    or not 0.0 <= val <= 1.0):
+                raise MissingSpice(f"spice on line {lineno} is {val!r}, "
+                                   f"not a number in [0, 1]")
             if key in table:
                 raise IdMismatch(f"duplicate spice id {key!r}")
-            table[key] = val
+            table[key] = float(val)
     return table
 
 

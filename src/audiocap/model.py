@@ -57,7 +57,9 @@ class CaptionModel(Module):
                  dtype=np.float32):
         self.cfg = cfg
         self.vocab = vocab
+        fe = cfg.frontend
         self.encoder = PatchEncoder(cfg.encoder, nn.rng_from_seed([cfg.seed, 1]),
+                                    fe.patch ** 2, fe.n_mels // fe.patch,
                                     dtype=dtype)
         self.bridge = QueryBridge(cfg.bridge, cfg.encoder.d_enc,
                                   nn.rng_from_seed([cfg.seed, 2]), dtype=dtype)

@@ -91,7 +91,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     def _accum(self, g: np.ndarray):
         if self.grad is None:
@@ -103,25 +103,19 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other, self.dtype)
-        out = _result(self.data + other.data, self, other)
 
-        def backward():
+        def backward(g):
             if self.requires_grad:
-                self._accum(_unbroadcast(out.grad, self.data.shape))
+                self._accum(_unbroadcast(g, self.data.shape))
             if other.requires_grad:
-                other._accum(_unbroadcast(out.grad, other.data.shape))
+                other._accum(_unbroadcast(g, other.data.shape))
 
-        if out.requires_grad:
-            out._backward = backward
-        return out
+        return _result(self.data + other.data, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = _result(-self.data, self)
-        if out.requires_grad:
-            out._backward = lambda: self._accum(-out.grad)
-        return out
+        return _result(-self.data, (self,), lambda g: self._accum(-g))
 
     def __sub__(self, other):
         return self + (-_as_tensor(other, self.dtype))
@@ -131,17 +125,14 @@ class Tensor:
 
     def __mul__(self, other):
         other = _as_tensor(other, self.dtype)
-        out = _result(self.data * other.data, self, other)
 
-        def backward():
+        def backward(g):
             if self.requires_grad:
-                self._accum(_unbroadcast(out.grad * other.data, self.data.shape))
+                self._accum(_unbroadcast(g * other.data, self.data.shape))
             if other.requires_grad:
-                other._accum(_unbroadcast(out.grad * self.data, other.data.shape))
+                other._accum(_unbroadcast(g * self.data, other.data.shape))
 
-        if out.requires_grad:
-            out._backward = backward
-        return out
+        return _result(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -149,16 +140,12 @@ class Tensor:
         return matmul(self, other)
 
     def __getitem__(self, key):
-        out = _result(self.data[key], self)
+        def backward(g):
+            full = np.zeros_like(self.data)
+            np.add.at(full, key, g)
+            self._accum(full)
 
-        def backward():
-            g = np.zeros_like(self.data)
-            np.add.at(g, key, out.grad)
-            self._accum(g)
-
-        if out.requires_grad:
-            out._backward = backward
-        return out
+        return _result(self.data[key], (self,), backward)
 
 
 _grad_enabled = True
@@ -180,12 +167,17 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _result(data, *parents: Tensor) -> Tensor:
-    """An op's output: a graph node only if grad is on and a parent needs it."""
+def _result(data, parents: tuple, backward: Callable[[np.ndarray], None]) -> Tensor:
+    """An op's output: a graph node only if grad is on and a parent needs it.
+
+    `backward(g)` receives the output's gradient and accumulates into the
+    parents. It must not refer to the output itself: then the graph holds
+    no reference cycle, and dropping the loss frees it at once.
+    """
     if _grad_enabled:
         for p in parents:
             if p.requires_grad:
-                return Tensor(data, True, parents)
+                return Tensor(data, True, parents, backward)
     return Tensor(data)
 
 
@@ -207,54 +199,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionMismatch(
             f"matmul inner dims disagree: {a.data.shape} @ {b.data.shape}")
-    out = _result(a.data @ b.data, a, b)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            ga = out.grad @ np.swapaxes(b.data, -1, -2)
+            ga = g @ np.swapaxes(b.data, -1, -2)
             a._accum(_unbroadcast(ga, a.data.shape))
         if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ out.grad
+            gb = np.swapaxes(a.data, -1, -2) @ g
             b._accum(_unbroadcast(gb, b.data.shape))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _result(a.data @ b.data, (a, b), backward)
 
 
 def reshape(t: Tensor, shape) -> Tensor:
-    out = _result(t.data.reshape(shape), t)
-    if out.requires_grad:
-        out._backward = lambda: t._accum(out.grad.reshape(t.data.shape))
-    return out
+    return _result(t.data.reshape(shape), (t,),
+                   lambda g: t._accum(g.reshape(t.data.shape)))
 
 
 def transpose(t: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    out = _result(np.transpose(t.data, axes), t)
-    if out.requires_grad:
-        out._backward = lambda: t._accum(np.transpose(out.grad, inv))
-    return out
+    return _result(np.transpose(t.data, axes), (t,),
+                   lambda g: t._accum(np.transpose(g, inv)))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out = _result(np.concatenate([t.data for t in tensors], axis=axis),
-                  *tensors)
+    tensors = tuple(tensors)
 
-    def backward():
+    def backward(g):
         sizes = [t.data.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                idx = [slice(None)] * out.grad.ndim
+                idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t._accum(out.grad[tuple(idx)])
+                t._accum(g[tuple(idx)])
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _result(np.concatenate([t.data for t in tensors], axis=axis),
+                   tensors, backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -264,25 +246,20 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def tsum(t: Tensor) -> Tensor:
-    out = _result(t.data.sum(), t)
-    if out.requires_grad:
-        out._backward = lambda: t._accum(np.broadcast_to(out.grad, t.data.shape))
-    return out
+    return _result(t.data.sum(), (t,),
+                   lambda g: t._accum(np.broadcast_to(g, t.data.shape)))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of `table` (V, d) by an integer id array."""
     ids = np.asarray(ids)
-    out = _result(table.data[ids], table)
 
-    def backward():
-        g = np.zeros_like(table.data)
-        np.add.at(g, ids, out.grad)
-        table._accum(g)
+    def backward(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids, g)
+        table._accum(full)
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _result(table.data[ids], (table,), backward)
 
 
 # -- nonlinearities --------------------------------------------------------
@@ -296,16 +273,13 @@ def gelu(t: Tensor) -> Tensor:
     x = t.data
     inner = _GELU_C * (x + _GELU_A * (x * x * x))
     th = np.tanh(inner)
-    out = _result(0.5 * x * (1.0 + th), t)
 
-    def backward():
+    def backward(g):
         sech2 = 1.0 - th * th
         d = 0.5 * (1.0 + th) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        t._accum(out.grad * d)
+        t._accum(g * d)
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _result(0.5 * x * (1.0 + th), (t,), backward)
 
 
 def softmax(t, axis: int = -1) -> Tensor:
@@ -316,16 +290,12 @@ def softmax(t, axis: int = -1) -> Tensor:
     m = np.max(x, axis=axis, keepdims=True)
     e = np.exp(x - m)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = _result(y, t)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         dot = np.sum(g * y, axis=axis, keepdims=True)
         t._accum(y * (g - dot))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _result(y, (t,), backward)
 
 
 def rms_norm(t: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
@@ -336,11 +306,8 @@ def rms_norm(t: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     n = x.shape[-1]
     inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
     inv = inv.astype(x.dtype, copy=False)
-    y = x * inv * gain.data
-    out = _result(y, t, gain)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if t.requires_grad:
             gg = g * gain.data
             dot = np.sum(gg * x, axis=-1, keepdims=True)
@@ -348,9 +315,7 @@ def rms_norm(t: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
         if gain.requires_grad:
             gain._accum(np.sum(g * x * inv, axis=tuple(range(x.ndim - 1))))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _result(x * inv * gain.data, (t, gain), backward)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
@@ -415,19 +380,16 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     lse = m[:, 0] + np.log(np.exp(rows - m).sum(axis=-1))
     picked = rows[np.arange(idx.size), tgt[idx]]
     loss = (lse - picked).mean()
-    out = _result(np.asarray(loss, dtype=logits.dtype), logits)
 
-    def backward():
+    def backward(g):
         probs = np.exp(rows - m)
         probs /= probs.sum(axis=-1, keepdims=True)
         probs[np.arange(idx.size), tgt[idx]] -= 1.0
-        g = np.zeros_like(flat)
-        g[idx] = probs * (out.grad / idx.size)
-        logits._accum(g.reshape(logits.data.shape))
+        full = np.zeros_like(flat)
+        full[idx] = probs * (g / idx.size)
+        logits._accum(full.reshape(logits.data.shape))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return _result(np.asarray(loss, dtype=logits.dtype), (logits,), backward)
 
 
 # -- modules ---------------------------------------------------------------

@@ -8,16 +8,38 @@ from audiocap import nn
 from audiocap.nn import Tensor
 
 
-def make_bridge(seed=0, window=17, self_layers=1, max_windows=128, d_enc=24):
+def make_bridge(seed=0, window=17, self_layers=1, max_windows=128, d_enc=24,
+                dtype=np.float32):
     cfg = br.BridgeConfig(window=window, d_q=16, heads=2, cross_layers=1,
                           self_layers=self_layers, d_dec=16,
                           max_windows=max_windows)
-    return br.QueryBridge(cfg, d_enc, nn.rng_from_seed(seed))
+    return br.QueryBridge(cfg, d_enc, nn.rng_from_seed(seed), dtype=dtype)
 
 
-def tokens(n, d_enc=24, seed=1):
-    return Tensor(nn.rng_from_seed(seed).normal(0, 1, (n, d_enc)).astype(
-        np.float32))
+def tokens(n, d_enc=24, seed=1, dtype=np.float32):
+    return Tensor(nn.rng_from_seed(seed).normal(0, 1, (n, d_enc)).astype(dtype))
+
+
+def reference_bridge(model, acoustic):
+    """The bridge as one cross-attention call per window, in a Python loop."""
+    n = acoustic.data.shape[0]
+    w = model.cfg.window
+    rows = []
+    for i in range(br.output_count(n, w)):
+        window = acoustic[i * w:min((i + 1) * w, n)]
+        kv = window + model.token_pos[:window.data.shape[0]]
+        q = model.query + model.window_pos[i:i + 1]
+        for block in model.cross_blocks:
+            q = block(q, context=kv)
+        rows.append(q)
+    q = nn.concat(rows, axis=0)
+    for block in model.self_blocks:
+        q = block(q)
+    return model.out_proj(nn.rms_norm(q, model.out_gain))
+
+
+def relative(a, b, floor=0.0):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), floor))
 
 
 class TestOutputCount:
@@ -106,3 +128,42 @@ class TestForward:
             br.BridgeConfig(window=0)
         with pytest.raises(ValueError):
             br.BridgeConfig(d_q=30, heads=4)
+
+
+class TestBatchedWindows:
+    # (window, tokens): whole windows only, and a short last window
+    @pytest.mark.parametrize("window,n", [
+        (1, 1), (1, 7), (5, 20), (5, 23), (17, 17), (17, 34), (17, 40),
+    ])
+    def test_matches_per_window_reference(self, window, n):
+        model = make_bridge(window=window)
+        t = tokens(n)
+        t.requires_grad = True
+        out = model(t)
+        ref = reference_bridge(model, t)
+        assert out.data.shape == ref.data.shape == (br.output_count(n, window), 16)
+        assert relative(out.data, ref.data) < 1e-5
+        nn.tsum(out * out).backward()
+        grads = {k: p.grad for k, p in model.named_parameters().items()}
+        grads["input"] = t.grad
+        for p in list(model.parameters()) + [t]:
+            p.grad = None
+        nn.tsum(ref * ref).backward()
+        ref_grads = dict(
+            {k: p.grad for k, p in model.named_parameters().items()},
+            input=t.grad)
+        # the key biases' gradients are zero in exact arithmetic (softmax
+        # ignores a shift shared by all keys), so each gradient is measured
+        # against at least 1e-5 of the largest gradient entry
+        floor = 1e-5 * max(np.max(np.abs(g)) for g in ref_grads.values())
+        for k, g in grads.items():
+            assert relative(g, ref_grads[k], floor) < 1e-5, k
+
+    def test_grad_check_with_short_last_window(self):
+        model = make_bridge(window=5, dtype=np.float64)
+        t = tokens(12, dtype=np.float64)
+        t.requires_grad = True
+        params = dict(model.named_parameters(), input=t)
+        err = nn.grad_check(lambda: nn.tsum(model(t) * model(t)), params,
+                            h=(1e-5, 1e-4, 1e-3), samples_per_param=4, seed=3)
+        assert err < 1e-6

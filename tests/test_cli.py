@@ -64,6 +64,28 @@ class TestTrain:
                        "--out", str(tmp_path / "x.ckpt")])
         assert rc == 2
 
+    @pytest.mark.parametrize("frontend,expected", [
+        ({"n_mels": 128}, 0), ({"patch": 8}, 0), ({"n_mels": 40}, 2),
+    ])
+    def test_encoder_follows_frontend_geometry(self, workdir, tmp_path, capsys,
+                                               frontend, expected):
+        doc = tiny_config(seed=1).to_dict()
+        doc["frontend"] = frontend
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        ckpt = tmp_path / "x.ckpt"
+        rc = cli.main(["train", "--manifest",
+                       str(workdir["corpus"] / "manifest.jsonl"),
+                       "--config", str(cfg), "--out", str(ckpt),
+                       "--max-steps", "1"])
+        assert rc == expected
+        if expected:
+            assert "not a positive multiple of patch" in capsys.readouterr().err
+            return
+        rc = cli.main(["caption", "--ckpt", str(ckpt),
+                       "--wav", str(workdir["corpus"] / "clip_0000.wav")])
+        assert rc == 0
+
 
 class TestCaption:
     def test_caption_prints_line(self, workdir, capsys):
@@ -163,6 +185,20 @@ class TestScore:
         assert "spider_fl" in report["corpus"]
         summary = json.loads(capsys.readouterr().out)
         assert summary == report["corpus"]
+
+    @pytest.mark.parametrize("value", ["NaN", '"7"'])
+    def test_bad_spice_value_is_data_error(self, tmp_path, capsys, value):
+        cands, refs = self.write_corpus(tmp_path)
+        spice = tmp_path / "spice.jsonl"
+        spice.write_text('{"id": "a", "spice": 0.5}\n'
+                         '{"id": "b", "spice": %s}\n' % value)
+        out = tmp_path / "report.json"
+        rc = cli.main(["score", "--candidates", str(cands),
+                       "--references", str(refs), "--spice", str(spice),
+                       "--out", str(out)])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_id_mismatch_is_data_error(self, tmp_path, capsys):
         cands, refs = self.write_corpus(tmp_path)

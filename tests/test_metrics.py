@@ -272,3 +272,18 @@ class TestSpiceSidecar:
         path.write_text('{"id": "a", "spice": 0.1}\n{"id": "a", "spice": 0.2}\n')
         with pytest.raises(mt.IdMismatch):
             read_spice_sidecar(path)
+
+    @pytest.mark.parametrize("value", [
+        "NaN", "Infinity", "true", '"7"', "-3", "1.5", "null",
+    ])
+    def test_value_not_a_score_reports_line(self, tmp_path, value):
+        path = tmp_path / "spice.jsonl"
+        path.write_text('{"id": "a", "spice": 1}\n'
+                        '{"id": "b", "spice": %s}\n' % value)
+        with pytest.raises(mt.MissingSpice, match="line 2"):
+            read_spice_sidecar(path)
+
+    def test_unit_interval_ends_accepted(self, tmp_path):
+        path = tmp_path / "spice.jsonl"
+        path.write_text('{"id": "a", "spice": 0}\n{"id": "b", "spice": 1.0}\n')
+        assert read_spice_sidecar(path) == {"a": 0.0, "b": 1.0}

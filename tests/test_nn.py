@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -225,13 +226,11 @@ class TestGradCheck:
         w = nn.Tensor(np.array([3.0]), requires_grad=True)
 
         def doubled_square(t):
-            out = nn.Tensor(t.data * t.data, requires_grad=True, parents=(t,))
+            def backward(g):
+                t._accum(g * 4.0 * t.data)  # wrong: claims d/dw = 4w
 
-            def backward():
-                t._accum(out.grad * 4.0 * t.data)  # wrong: claims d/dw = 4w
-
-            out._backward = backward
-            return out
+            return nn.Tensor(t.data * t.data, requires_grad=True, parents=(t,),
+                             backward=backward)
 
         err = nn.grad_check(lambda: nn.tsum(doubled_square(w)), [w], h=1e-5)
         assert abs(err - 0.5) < 1e-3
@@ -300,3 +299,23 @@ class TestNoGrad:
         nn.tsum(block(x)).backward()
         for name, p in block.named_parameters().items():
             assert p.grad is not None and p.grad.shape == p.data.shape, name
+
+
+class TestGraphLifetime:
+    def test_dropping_the_loss_frees_the_graph(self):
+        # no backward closure refers to its own output, so reference counting
+        # frees the whole graph and the cyclic collector finds nothing
+        r = rng()
+        block = nn.TransformerBlock(8, 2, 2, r)
+        x = nn.Tensor(r.normal(0, 1, (3, 8)).astype(np.float32),
+                      requires_grad=True)
+        gc.collect()
+        gc.disable()
+        try:
+            loss = nn.tsum(block(x, mask=nn.causal_mask(3)) * block(x))
+            loss.backward()
+            del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert x.grad is not None
