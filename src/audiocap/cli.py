@@ -214,12 +214,16 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    cand_rows = [r for _, r in data.read_jsonl(args.candidates, ("id", "caption"))]
+    cand_rows = []
+    for lineno, r in data.read_jsonl(args.candidates, ("id", "caption")):
+        if not isinstance(r["caption"], str):
+            raise data.MalformedLine(lineno, "caption is not a string")
+        cand_rows.append(r)
     ref_rows = []
     for lineno, r in data.read_jsonl(args.references, ("id", "captions")):
         data.check_captions(lineno, r["captions"])
         ref_rows.append(r)
-    cands = {str(r["id"]): str(r["caption"]) for r in cand_rows}
+    cands = {str(r["id"]): r["caption"] for r in cand_rows}
     if len(cands) != len(cand_rows):
         raise data.DuplicateId("duplicate candidate ids")
     ref_ids = [str(r["id"]) for r in ref_rows]

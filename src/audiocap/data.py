@@ -18,7 +18,8 @@ from typing import Iterator
 import numpy as np
 
 from . import nn
-from .frontend import FrontendConfig, PatchSequence, Waveform, load_wav, wave_to_patches
+from .frontend import (SAMPLE_RATE, FrontendConfig, PatchSequence, load_wav,
+                       wave_to_patches)
 from .lora import trainable_parameters
 from .nn import AdamW
 
@@ -119,7 +120,6 @@ def write_manifest(entries: list[ManifestEntry], path) -> None:
 
 # -- synthetic corpus --------------------------------------------------------
 
-SAMPLE_RATE = 16000
 EVENT_SECONDS = 0.5
 EVENT_SAMPLES = int(SAMPLE_RATE * EVENT_SECONDS)  # 8000
 
@@ -319,6 +319,7 @@ def run_schedule(model, schedule: TrainingSchedule,
                 opt.zero_grad()
                 loss.backward()
                 opt.step(lr=lr)
+                del loss  # frees this step's graph before the next is built
                 curve.append(value)
                 if log is not None:
                     log(len(curve), value, lr)

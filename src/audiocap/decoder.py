@@ -185,14 +185,17 @@ class CaptionDecoder(Module):
         """Logits for embeddings x (..., n, d) at positions start..start+n-1.
 
         With one cache per block, the rows attend causally over the keys
-        and values the caches hold (`start` of them) plus their own, and
-        the caches keep theirs; without, start is 0 and x is the stream.
+        and values the caches hold (`start` of them) plus their own, the
+        caches keep theirs, and only the last row is scored: (..., 1, V).
+        Without, start is 0, x is the stream and every row is scored.
         """
         n = x.data.shape[-2]
         x = x + self.pos[start:start + n]
         mask = nn.causal_mask(n, x.dtype, start)
         for block, cache in zip(self.blocks, caches or [None] * len(self.blocks)):
             x = block(x, mask=mask, cache=cache)
+        if caches is not None:
+            x = x[..., -1:, :]
         return self.head(nn.rms_norm(x, self.out_gain))
 
     def forward_loss(self, splices: list[SpliceSequence]) -> Tensor:

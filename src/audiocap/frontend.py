@@ -27,9 +27,12 @@ class InputTooShort(ValueError):
     pass
 
 
+SAMPLE_RATE = 16000  # the only rate `load_wav` reads; there is no resampling
+
+
 @dataclass
 class FrontendConfig:
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
     window: int = 400
     hop: int = 160
     n_fft: int = 512
@@ -40,6 +43,9 @@ class FrontendConfig:
     patch: int = 16
 
     def __post_init__(self):
+        if self.sample_rate != SAMPLE_RATE:
+            raise ValueError(f"sample_rate must be {SAMPLE_RATE}, "
+                             f"got {self.sample_rate}")
         if self.patch < 1 or self.n_mels < self.patch or self.n_mels % self.patch:
             raise ValueError(f"n_mels {self.n_mels} is not a positive multiple "
                              f"of patch {self.patch}")
@@ -86,7 +92,7 @@ def load_wav(path) -> Waveform:
         raise UnsupportedFormat(f"{path}: only uncompressed PCM16 is supported")
     if channels != 1:
         raise UnsupportedFormat(f"{path}: expected mono, got {channels} channels")
-    if rate != 16000:
+    if rate != SAMPLE_RATE:
         raise UnsupportedFormat(f"{path}: expected 16 kHz, got {rate} (no resampling)")
     ints = np.frombuffer(raw, dtype="<i2")
     if ints.size == 0:

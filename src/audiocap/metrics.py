@@ -13,7 +13,14 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+from .data import MalformedLine, MissingField, read_jsonl
+
+_CIDER_N_MAX = 4
+_CIDER_SIGMA = 6.0
+_FL_THRESHOLD = 0.90  # strict gate on the fluency error probability
+_FL_PENALTY = 0.9     # share of the score removed above the gate
 
 
 class EmptyCorpus(ValueError):
@@ -42,16 +49,15 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
 
 # -- CIDEr-D -----------------------------------------------------------------
 
-def cider_d(candidates: list[str], references: list[list[str]],
-            n_max: int = 4, sigma: float = 6.0) -> list[float]:
+def cider_d(candidates: list[str], references: list[list[str]]) -> list[float]:
     """Consensus-based n-gram score per item, each in [0, 10].
 
     idf is built over the corpus with each item's reference set as one
     document. Candidate counts are clipped to the largest count observed
     in the item's own references, the clipped tf-idf vector is compared
     to each reference by cosine with a Gaussian length penalty, and the
-    result is averaged over references and n in 1..n_max, then scaled by
-    10. Zero-norm vectors contribute 0.
+    result is averaged over references and n in 1..4 (the Gaussian has
+    sigma 6), then scaled by 10. Zero-norm vectors contribute 0.
     """
     if len(candidates) != len(references):
         raise IdMismatch("candidate and reference counts differ")
@@ -67,7 +73,7 @@ def cider_d(candidates: list[str], references: list[list[str]],
 
     # document frequency over reference sets
     idf: list[dict[tuple, float]] = []
-    for n in range(1, n_max + 1):
+    for n in range(1, _CIDER_N_MAX + 1):
         df: Counter = Counter()
         for refs in ref_tokens:
             seen: set[tuple] = set()
@@ -79,7 +85,7 @@ def cider_d(candidates: list[str], references: list[list[str]],
     scores = []
     for c_toks, refs in zip(cand_tokens, ref_tokens):
         total = 0.0
-        for n in range(1, n_max + 1):
+        for n in range(1, _CIDER_N_MAX + 1):
             table = idf[n - 1]
             c_counts = _ngrams(c_toks, n)
             r_counts = [_ngrams(r, n) for r in refs]
@@ -98,10 +104,11 @@ def cider_d(candidates: list[str], references: list[list[str]],
                     continue
                 dot = sum(v * r_vec[g] for g, v in c_vec.items() if g in r_vec)
                 delta = len(c_toks) - len(r_toks)
-                penalty = math.exp(-(delta * delta) / (2.0 * sigma * sigma))
+                penalty = math.exp(-(delta * delta)
+                                   / (2.0 * _CIDER_SIGMA * _CIDER_SIGMA))
                 acc += (dot / (c_norm * r_norm)) * penalty
             total += acc / len(refs)
-        scores.append(10.0 * total / n_max)
+        scores.append(10.0 * total / _CIDER_N_MAX)
     return scores
 
 
@@ -199,7 +206,8 @@ def spider(cider: float, spice: float) -> float:
 
 
 def spider_fl(spider_score: float, fluency_prob: float,
-              threshold: float = 0.90, penalty: float = 0.9) -> float:
+              threshold: float = _FL_THRESHOLD,
+              penalty: float = _FL_PENALTY) -> float:
     """Scale the score by (1 - penalty) when fluency_prob exceeds the gate.
 
     The gate is strict: a probability exactly at the threshold is not
@@ -214,39 +222,30 @@ def spider_fl(spider_score: float, fluency_prob: float,
 
 # -- sentence-similarity proxy ----------------------------------------------
 
-class TfidfSentenceEmbedder:
-    """tf-idf bag-of-words stand-in for a sentence-embedding model."""
+def fense_proxy(candidates: list[str], references: list[list[str]]) -> list[float]:
+    """Mean cosine similarity of each candidate to its references.
 
-    def __init__(self, corpus_texts: list[str]):
-        docs = [set(metric_tokenize(t)) for t in corpus_texts]
-        n = max(len(docs), 1)
-        df = Counter(w for d in docs for w in d)
-        self.idf = {w: math.log((1 + n) / (1 + k)) + 1.0 for w, k in df.items()}
+    Texts are tf-idf bags of words, a stand-in for a sentence-embedding
+    model; idf is smoothed and built over every candidate and reference.
+    """
+    texts = list(candidates) + [r for refs in references for r in refs]
+    df = Counter(w for t in texts for w in set(metric_tokenize(t)))
+    n = len(texts)
+    idf = {w: math.log((1 + n) / (1 + k)) + 1.0 for w, k in df.items()}
 
-    def embed(self, text: str) -> dict[str, float]:
-        counts = Counter(metric_tokenize(text))
-        return {w: k * self.idf.get(w, 1.0) for w, k in counts.items()}
+    def embed(text: str) -> tuple[dict[str, float], float]:
+        vec = {w: k * idf[w] for w, k in Counter(metric_tokenize(text)).items()}
+        return vec, math.sqrt(sum(v * v for v in vec.values()))
 
-    def similarity(self, a: str, b: str) -> float:
-        va, vb = self.embed(a), self.embed(b)
-        na = math.sqrt(sum(v * v for v in va.values()))
-        nb = math.sqrt(sum(v * v for v in vb.values()))
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        dot = sum(v * vb[w] for w, v in va.items() if w in vb)
-        return dot / (na * nb)
-
-
-def fense_proxy(candidates: list[str], references: list[list[str]],
-                embedder=None) -> list[float]:
-    """Mean cosine similarity to references under the proxy embedder."""
-    if embedder is None:
-        texts = list(candidates) + [r for refs in references for r in refs]
-        embedder = TfidfSentenceEmbedder(texts)
     out = []
     for cand, refs in zip(candidates, references):
-        sims = [embedder.similarity(cand, r) for r in refs]
-        out.append(sum(sims) / len(sims))
+        vc, nc = embed(cand)
+        total = 0.0  # a zero-norm side contributes a cosine of 0
+        for vr, nr in map(embed, refs):
+            if nc and nr:
+                dot = sum(v * vr[w] for w, v in vc.items() if w in vr)
+                total += dot / (nc * nr)
+        out.append(total / len(refs))
     return out
 
 
@@ -269,37 +268,19 @@ class MetricReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        doc = {
-            "corpus": self.corpus,
-            "flags": self.flags,
-            "warnings": self.warnings,
-            "items": [
-                {"id": it.id, "candidate": it.candidate,
-                 "references": it.references, "scores": it.scores,
-                 "fluency_prob": it.fluency_prob}
-                for it in self.items
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def read_spice_sidecar(path) -> dict[str, float]:
     """JSON Lines, one object per line: {"id": string, "spice": number}.
 
-    Each score is a finite number in [0, 1]; any other value raises
-    `MissingSpice` naming its line.
+    Each score is a finite number in [0, 1]; any other value or record
+    raises `MissingSpice` naming its line.
     """
     table: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                key = str(obj["id"])
-                val = obj["spice"]
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise MissingSpice(f"bad spice record on line {lineno}") from e
+    try:
+        for lineno, obj in read_jsonl(path, ("id", "spice")):
+            key, val = str(obj["id"]), obj["spice"]
             # NaN and the infinities fail the range test too
             if (isinstance(val, bool) or not isinstance(val, (int, float))
                     or not 0.0 <= val <= 1.0):
@@ -308,6 +289,8 @@ def read_spice_sidecar(path) -> dict[str, float]:
             if key in table:
                 raise IdMismatch(f"duplicate spice id {key!r}")
             table[key] = float(val)
+    except (MalformedLine, MissingField) as e:
+        raise MissingSpice(f"bad spice record, {e}") from e
     return table
 
 
@@ -316,14 +299,12 @@ def scaled(raw_mean: float) -> float:
 
 
 def evaluate_corpus(items: list[ScoredItem], detector=None,
-                    spice: dict[str, float] | None = None,
-                    fl_threshold: float = 0.90,
-                    fl_penalty: float = 0.9) -> MetricReport:
+                    spice: dict[str, float] | None = None) -> MetricReport:
     """Score a corpus of (candidate, references) pairs.
 
     `detector` maps text to a fluency error probability; `spice` is an
-    optional external id->score table. SPIDEr and SPIDEr-FL are marked
-    absent, never silently zeroed, when SPICE is missing.
+    optional external id->score table. SPIDEr needs SPICE and SPIDEr-FL
+    both; a score without its inputs is flagged absent, never zeroed.
     """
     if not items:
         raise EmptyCorpus("no items to evaluate")
@@ -337,67 +318,37 @@ def evaluate_corpus(items: list[ScoredItem], detector=None,
     candidates = [it.candidate for it in items]
     references = [it.references for it in items]
 
-    cider_scores = cider_d(candidates, references)
-    meteor_scores = [meteor_lite(c, r) for c, r in zip(candidates, references)]
-    proxy_scores = fense_proxy(candidates, references)
-    flags = {"cider_d": "computed", "meteor_lite": "computed",
-             "fense_proxy": "computed"}
-
+    # one column of per-item scores per metric, in report order
+    columns = {
+        "cider_d": cider_d(candidates, references),
+        "meteor_lite": [meteor_lite(c, r) for c, r in zip(candidates, references)],
+        "fense_proxy": fense_proxy(candidates, references),
+    }
+    flags = dict.fromkeys(columns, "computed")
+    flags.update(fluency="absent", spice="absent", spider="absent",
+                 spider_fl="absent")
     probs = None
     if detector is not None:
         probs = [float(detector(c)) for c in candidates]
         flags["fluency"] = "computed"
-    else:
-        flags["fluency"] = "absent"
-
-    spice_scores = None
     if spice is not None:
         missing = [i for i in ids if i not in spice]
         if missing:
             raise IdMismatch(f"spice scores missing for ids {missing[:5]}")
-        spice_scores = [spice[i] for i in ids]
-        flags["spice"] = "supplied"
-    else:
-        flags["spice"] = "absent"
-
-    spider_scores = None
-    if spice_scores is not None:
-        spider_scores = [spider(c, s) for c, s in zip(cider_scores, spice_scores)]
-        flags["spider"] = "computed"
-    else:
-        flags["spider"] = "absent"
-
-    fl_scores = None
-    if spider_scores is not None and probs is not None:
-        fl_scores = [spider_fl(s, p, fl_threshold, fl_penalty)
-                     for s, p in zip(spider_scores, probs)]
-        flags["spider_fl"] = "computed"
-    else:
-        flags["spider_fl"] = "absent"
+        columns["spice"] = [spice[i] for i in ids]
+        columns["spider"] = [spider(c, s) for c, s
+                             in zip(columns["cider_d"], columns["spice"])]
+        flags.update(spice="supplied", spider="computed")
+        if probs is not None:
+            columns["spider_fl"] = [spider_fl(s, p) for s, p
+                                    in zip(columns["spider"], probs)]
+            flags["spider_fl"] = "computed"
 
     for i, it in enumerate(items):
-        it.scores = {"cider_d": cider_scores[i], "meteor_lite": meteor_scores[i],
-                     "fense_proxy": proxy_scores[i]}
-        if spice_scores is not None:
-            it.scores["spice"] = spice_scores[i]
-        if spider_scores is not None:
-            it.scores["spider"] = spider_scores[i]
-        if fl_scores is not None:
-            it.scores["spider_fl"] = fl_scores[i]
+        it.scores = {name: col[i] for name, col in columns.items()}
         if probs is not None:
             it.fluency_prob = probs[i]
-
-    def mean(xs):
-        return sum(xs) / len(xs)
-
-    corpus = {"cider_d": scaled(mean(cider_scores)),
-              "meteor_lite": scaled(mean(meteor_scores)),
-              "fense_proxy": scaled(mean(proxy_scores))}
-    if spice_scores is not None:
-        corpus["spice"] = scaled(mean(spice_scores))
-    if spider_scores is not None:
-        corpus["spider"] = scaled(mean(spider_scores))
-    if fl_scores is not None:
-        corpus["spider_fl"] = scaled(mean(fl_scores))
+    corpus = {name: scaled(sum(col) / len(col))
+              for name, col in columns.items()}
     return MetricReport(corpus=corpus, items=items, flags=flags,
                         warnings=warnings)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -34,20 +34,46 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
+        """Build from a parsed JSON config.
+
+        Raises ValueError on a section that is not an object, an unknown
+        name, or a value whose JSON type differs from its field's default;
+        an integer passes for a float, a boolean never for a number.
+        """
         kwargs = {}
         sections = {"frontend": FrontendConfig, "encoder": EncoderConfig,
                     "bridge": BridgeConfig, "decoder": DecoderConfig,
                     "lora": LoraConfig}
-        for key, val in d.items():
+        for key, val in _json_object("config", d).items():
             if key in sections:
+                defaults = {f.name: f.default for f in fields(sections[key])}
+                for name, v in _json_object(f"config section {key!r}", val).items():
+                    if name not in defaults:
+                        raise ValueError(f"unknown {key} field {name!r}")
+                    _check_type(f"{key}.{name}", defaults[name], v)
                 kwargs[key] = sections[key](**val)
             elif key == "strategy":
-                kwargs[key] = TrainStrategy.from_dict(val)
+                kwargs[key] = TrainStrategy.from_dict(
+                    _json_object(f"config section {key!r}", val))
             elif key == "seed":
-                kwargs[key] = int(val)
+                kwargs[key] = _check_type(key, 0, val)
             else:
                 raise ValueError(f"unknown config section {key!r}")
         return cls(**kwargs)
+
+
+def _json_object(name: str, val) -> dict:
+    if not isinstance(val, dict):
+        raise ValueError(f"{name} is {val!r}, not a JSON object")
+    return val
+
+
+def _check_type(name: str, default, val):
+    accepted = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(val, bool) or not isinstance(val, accepted):
+        raise ValueError(f"config {name}: expected {type(default).__name__}, "
+                         f"got {val!r}")
+    return val
 
 
 class CaptionModel(Module):

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -84,6 +85,16 @@ class TestCorruption:
         head = ckpt.MAGIC + struct.pack("<I", 1) + struct.pack("<Q", 4) + b"not{"
         with pytest.raises(ckpt.CorruptCheckpoint):
             ckpt.deserialize(head)
+
+    def test_config_not_an_object(self):
+        blob = ckpt.serialize(fresh_model())
+        (n,) = struct.unpack_from("<Q", blob, 8)
+        header = json.loads(blob[16:16 + n])
+        header["config"] = []
+        raw = json.dumps(header).encode("utf-8")
+        with pytest.raises(ckpt.CorruptCheckpoint):
+            ckpt.deserialize(blob[:8] + struct.pack("<Q", len(raw)) + raw
+                             + blob[16 + n:])
 
     def test_tiny_blob(self):
         with pytest.raises(ckpt.CorruptCheckpoint):

@@ -87,6 +87,25 @@ class TestTrain:
         assert rc == 0
 
 
+    @pytest.mark.parametrize("doc", [
+        {"frontend": {"patch": "16"}}, {"encoder": {"d_enc": "64"}},
+        {"bridge": {"window": 2.5}}, {"frontend": []}, [],
+        {"frontend": {"sample_rate": 22050}},
+    ])
+    def test_config_value_of_wrong_type_is_data_error(self, workdir, tmp_path,
+                                                      capsys, doc):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        rc = cli.main(["train", "--manifest",
+                       str(workdir["corpus"] / "manifest.jsonl"),
+                       "--config", str(cfg), "--out", str(tmp_path / "x.ckpt"),
+                       "--max-steps", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "Traceback" not in err
+
+
 class TestCaption:
     def test_caption_prints_line(self, workdir, capsys):
         wav = workdir["corpus"] / "clip_0000.wav"
@@ -214,6 +233,8 @@ class TestScore:
         ("refs", '{"id": "a", "captions": "a dog"}'),
         ("refs", '{"id": "a", "captions": [""]}'),
         ("refs", '{"id": "a", "captions": ["  "]}'),
+        ("cands", '{"id": "c", "caption": null}'),
+        ("cands", '{"id": "c", "caption": ["x"]}'),
     ])
     def test_malformed_row_is_data_error(self, tmp_path, capsys, which, row):
         cands, refs = self.write_corpus(tmp_path)

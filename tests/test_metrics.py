@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +26,133 @@ def random_corpus(seed, max_items=5):
         refs.append([" ".join(r.choice(WORDS, size=int(r.integers(1, 7))))
                      for _ in range(int(r.integers(1, 4)))])
     return cands, refs
+
+
+# -- reference report: the per-score branches evaluate_corpus replaced -------
+
+class TfidfSentenceEmbedder:
+    """tf-idf bag-of-words stand-in for a sentence-embedding model."""
+
+    def __init__(self, corpus_texts):
+        docs = [set(metric_tokenize(t)) for t in corpus_texts]
+        n = max(len(docs), 1)
+        df = Counter(w for d in docs for w in d)
+        self.idf = {w: math.log((1 + n) / (1 + k)) + 1.0 for w, k in df.items()}
+
+    def embed(self, text):
+        counts = Counter(metric_tokenize(text))
+        return {w: k * self.idf.get(w, 1.0) for w, k in counts.items()}
+
+    def similarity(self, a, b):
+        va, vb = self.embed(a), self.embed(b)
+        na = math.sqrt(sum(v * v for v in va.values()))
+        nb = math.sqrt(sum(v * v for v in vb.values()))
+        if na == 0.0 or nb == 0.0:
+            return 0.0
+        dot = sum(v * vb[w] for w, v in va.items() if w in vb)
+        return dot / (na * nb)
+
+
+def reference_fense_proxy(candidates, references):
+    texts = list(candidates) + [r for refs in references for r in refs]
+    embedder = TfidfSentenceEmbedder(texts)
+    out = []
+    for cand, refs in zip(candidates, references):
+        sims = [embedder.similarity(cand, r) for r in refs]
+        out.append(sum(sims) / len(sims))
+    return out
+
+
+def reference_evaluate_corpus(items, detector=None, spice=None):
+    """The report JSON built with one branch per optional score."""
+    warnings = []
+    if len(items) == 1:
+        warnings.append("single_item_corpus: idf degenerates to zero")
+    ids = [it.id for it in items]
+    candidates = [it.candidate for it in items]
+    references = [it.references for it in items]
+
+    cider_scores = cider_d(candidates, references)
+    meteor_scores = [meteor_lite(c, r) for c, r in zip(candidates, references)]
+    proxy_scores = reference_fense_proxy(candidates, references)
+    flags = {"cider_d": "computed", "meteor_lite": "computed",
+             "fense_proxy": "computed"}
+
+    probs = None
+    if detector is not None:
+        probs = [float(detector(c)) for c in candidates]
+        flags["fluency"] = "computed"
+    else:
+        flags["fluency"] = "absent"
+
+    spice_scores = None
+    if spice is not None:
+        spice_scores = [spice[i] for i in ids]
+        flags["spice"] = "supplied"
+    else:
+        flags["spice"] = "absent"
+
+    spider_scores = None
+    if spice_scores is not None:
+        spider_scores = [spider(c, s) for c, s in zip(cider_scores, spice_scores)]
+        flags["spider"] = "computed"
+    else:
+        flags["spider"] = "absent"
+
+    fl_scores = None
+    if spider_scores is not None and probs is not None:
+        fl_scores = [spider_fl(s, p, 0.90, 0.9)
+                     for s, p in zip(spider_scores, probs)]
+        flags["spider_fl"] = "computed"
+    else:
+        flags["spider_fl"] = "absent"
+
+    rows = []
+    for i, it in enumerate(items):
+        scores = {"cider_d": cider_scores[i], "meteor_lite": meteor_scores[i],
+                  "fense_proxy": proxy_scores[i]}
+        if spice_scores is not None:
+            scores["spice"] = spice_scores[i]
+        if spider_scores is not None:
+            scores["spider"] = spider_scores[i]
+        if fl_scores is not None:
+            scores["spider_fl"] = fl_scores[i]
+        rows.append({"id": it.id, "candidate": it.candidate,
+                     "references": it.references, "scores": scores,
+                     "fluency_prob": probs[i] if probs is not None
+                     else it.fluency_prob})
+
+    def mean(xs):
+        return sum(xs) / len(xs)
+
+    corpus = {"cider_d": scaled(mean(cider_scores)),
+              "meteor_lite": scaled(mean(meteor_scores)),
+              "fense_proxy": scaled(mean(proxy_scores))}
+    if spice_scores is not None:
+        corpus["spice"] = scaled(mean(spice_scores))
+    if spider_scores is not None:
+        corpus["spider"] = scaled(mean(spider_scores))
+    if fl_scores is not None:
+        corpus["spider_fl"] = scaled(mean(fl_scores))
+    doc = {"corpus": corpus, "flags": flags, "warnings": warnings,
+           "items": rows}
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def random_report_inputs(seed):
+    """Items, a detector and a SPICE table over one seeded random corpus."""
+    r = np.random.Generator(np.random.PCG64(seed))
+    n = int(r.integers(1, 7))
+    items = [ScoredItem(f"x{i}",
+                        " ".join(r.choice(WORDS, size=int(r.integers(0, 13)))),
+                        [" ".join(r.choice(WORDS, size=int(r.integers(1, 9))))
+                         for _ in range(int(r.integers(1, 5)))])
+             for i in range(n)]
+    # probabilities on, above and below the 0.90 gate
+    probs = {it.candidate: float(r.choice([0.0, 0.3, 0.9, 0.95, 1.0]))
+             for it in items}
+    spice = {it.id: float(r.random()) for it in items}
+    return items, probs.__getitem__, spice
 
 
 class TestTokenize:
@@ -238,6 +366,25 @@ class TestEvaluateCorpus:
         report = evaluate_corpus([self.items()[0]])
         assert any("single_item" in w for w in report.warnings)
         assert report.items[0].scores["cider_d"] == 0.0
+
+    def test_spice_without_detector_leaves_spider_fl_absent(self):
+        report = evaluate_corpus(self.items(), spice={"x1": 0.5, "x2": 0.1})
+        assert report.flags["spider"] == "computed"
+        assert report.flags["spider_fl"] == "absent"
+        assert "spider_fl" not in report.corpus
+        assert all("spider" in it.scores and "spider_fl" not in it.scores
+                   for it in report.items)
+
+    @pytest.mark.parametrize("use_detector,use_spice", [
+        (False, False), (True, False), (False, True), (True, True)])
+    def test_report_matches_reference_byte_for_byte(self, use_detector,
+                                                    use_spice):
+        for seed in range(75):
+            items, detector, spice = random_report_inputs(seed)
+            kwargs = {"detector": detector if use_detector else None,
+                      "spice": spice if use_spice else None}
+            want = reference_evaluate_corpus(items, **kwargs)
+            assert evaluate_corpus(items, **kwargs).to_json() == want
 
     def test_to_json_round_trip(self):
         report = evaluate_corpus(self.items())
