@@ -3,11 +3,11 @@
 The token stream is cut into consecutive windows of 17 (the last one may
 be short). Each window gets a single learned query, offset by a learned
 window-index embedding, which cross-attends over that window's tokens
-(plus within-window position embeddings). All windows attend in one call:
-the tokens are zero-padded to whole windows, stacked as a batch, and the
-padding is masked out of the last window. A self-attention stage then
-mixes the per-window queries before projection to decoder width, so the
-output length is always ceil(T / window).
+(plus within-window position embeddings). All windows of all clips in
+a batch attend in one call, the slots past a clip's end masked out. A
+self-attention stage then mixes the per-window queries of each clip
+before projection to decoder width, so a clip's output length is always
+ceil(T / window).
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class BridgeConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.d_q % self.heads or self.d_dec % self.heads:
-            raise ValueError("d_q and d_dec must be divisible by heads")
+        if self.heads < 1 or self.d_q % self.heads or self.d_dec % self.heads:
+            raise ValueError("d_q and d_dec must be divisible by heads >= 1")
 
 
 def output_count(n_tokens: int, window: int) -> int:
@@ -66,28 +66,42 @@ class QueryBridge(Module):
         self.out_proj = Linear(cfg.d_q, cfg.d_dec, rng, dtype=dtype)
         self.cfg = cfg
 
+    def forward_batch(self, acoustic: Tensor, counts: list[int]) -> list[Tensor]:
+        """(B, N, d_enc) padded tokens, counts[i] real in row i, -> one
+        (ceil(counts[i] / window), d_dec) block per clip.
+
+        One gather collects every clip's windows; padded slots of a short
+        last window are masked out of the cross-attention, and a
+        block-diagonal mask keeps the self-attention within each clip.
+        """
+        w = self.cfg.window
+        windows = [output_count(n, w) for n in counts]
+        if min(counts) == 0:
+            raise EmptyInput("no acoustic tokens")
+        if max(windows) > self.cfg.max_windows:
+            raise ValueError(f"{max(windows)} windows exceeds max_windows "
+                             f"{self.cfg.max_windows}")
+        clip = np.repeat(np.arange(len(counts)), windows)
+        index = np.concatenate([np.arange(c) for c in windows])
+        slot = index[:, None] * w + np.arange(w)  # token position in its clip
+        kv = acoustic[clip[:, None], np.minimum(slot, acoustic.data.shape[1] - 1)]
+        kv = kv + self.token_pos
+        dtype = acoustic.dtype
+        pad = np.where(slot < np.asarray(counts)[clip, None], 0.0, -np.inf)
+        pad = pad.astype(dtype)[:, None, None, :]
+        same_clip = np.where(clip[:, None] == clip, 0.0, -np.inf).astype(dtype)
+        q = self.query + nn.embedding(self.window_pos, index)
+        q = nn.reshape(q, (len(clip), 1, -1))
+        for block in self.cross_blocks:
+            q = block(q, context=kv, mask=pad)
+        q = nn.reshape(q, (len(clip), -1))
+        for block in self.self_blocks:
+            q = block(q, mask=same_clip)
+        out = self.out_proj(nn.rms_norm(q, self.out_gain))
+        ends = np.cumsum(windows)
+        return [out[end - c:end] for c, end in zip(windows, ends)]
+
     def __call__(self, acoustic: Tensor) -> Tensor:
         """(n, d_enc) acoustic tokens -> (ceil(n / window), d_dec)."""
         n, d_enc = acoustic.data.shape
-        if n == 0:
-            raise EmptyInput("no acoustic tokens")
-        w = self.cfg.window
-        count = output_count(n, w)
-        if count > self.cfg.max_windows:
-            raise ValueError(f"{count} windows exceeds max_windows "
-                             f"{self.cfg.max_windows}")
-        pad = count * w - n
-        mask = None
-        if pad:
-            zeros = Tensor(np.zeros((pad, d_enc), dtype=acoustic.dtype))
-            acoustic = nn.concat([acoustic, zeros], axis=0)
-            mask = np.zeros((count, 1, 1, w), dtype=acoustic.dtype)
-            mask[-1, ..., w - pad:] = -np.inf
-        kv = nn.reshape(acoustic, (count, w, d_enc)) + self.token_pos
-        q = nn.reshape(self.query + self.window_pos[:count], (count, 1, -1))
-        for block in self.cross_blocks:
-            q = block(q, context=kv, mask=mask)
-        q = nn.reshape(q, (count, -1))
-        for block in self.self_blocks:
-            q = block(q)
-        return self.out_proj(nn.rms_norm(q, self.out_gain))
+        return self.forward_batch(nn.reshape(acoustic, (1, n, d_enc)), [n])[0]

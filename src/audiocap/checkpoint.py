@@ -10,6 +10,7 @@ round-trips byte-identically.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -83,36 +84,36 @@ def deserialize(blob: bytes) -> CaptionModel:
             raise VersionMismatch("header version disagrees with binary field")
         cfg = PipelineConfig.from_dict(header["config"])
         vocab = Vocabulary.from_tokens(header["vocab"])
-        stats = header["feature_stats"]
-        tensors = header["tensors"]
+        mean, std = (header["feature_stats"][k] for k in ("mean", "std"))
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and math.isfinite(v) for v in (mean, std)) or std <= 0:
+            raise ValueError(f"feature stats mean {mean!r}, std {std!r}")
+        tensors = [(t["name"], tuple(int(n) for n in t["shape"]), t["dtype"])
+                   for t in header["tensors"]]
     except VersionMismatch:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise CorruptCheckpoint(f"invalid header contents ({e})") from e
 
     model = build_model(cfg, vocab)
-    model.encoder.set_feature_stats(float(stats["mean"]), float(stats["std"]))
+    model.encoder.set_feature_stats(mean, std)
     params = model.named_parameters()
-    expected = sorted(params.keys())
-    declared = [t["name"] for t in tensors]
-    if declared != expected:
+    if [name for name, _, _ in tensors] != sorted(params.keys()):
         raise CorruptCheckpoint("tensor table does not match the model")
 
     offset = body_start
-    for entry in tensors:
-        shape = tuple(int(s) for s in entry["shape"])
-        if entry.get("dtype") != "f32":
-            raise CorruptCheckpoint(f"unsupported dtype for {entry['name']}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 4
+    for name, shape, dtype in tensors:
+        if dtype != "f32":
+            raise CorruptCheckpoint(f"unsupported dtype for {name}")
+        param = params[name]
+        if param.data.shape != shape:
+            raise CorruptCheckpoint(
+                f"shape mismatch for {name}: {shape} vs {param.data.shape}")
+        nbytes = param.data.size * 4
         if offset + nbytes > len(blob):
             raise CorruptCheckpoint("truncated tensor data")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        param = params[entry["name"]]
-        if tuple(param.data.shape) != shape:
-            raise CorruptCheckpoint(
-                f"shape mismatch for {entry['name']}: "
-                f"{shape} vs {tuple(param.data.shape)}")
+        arr = np.frombuffer(blob, dtype="<f4", count=param.data.size,
+                            offset=offset)
         param.data = np.ascontiguousarray(arr.reshape(shape).astype(np.float32))
         offset += nbytes
     if offset != len(blob):

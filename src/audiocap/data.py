@@ -288,12 +288,16 @@ def run_schedule(model, schedule: TrainingSchedule,
                  weight_decay: float = 1e-6, max_steps: int | None = None,
                  features: dict[str, PatchSequence] | None = None,
                  log=None) -> TrainResult:
-    """Train through all stages; stage 2 continues from stage 1 parameters."""
+    """Train through all stages; stage 2 continues from stage 1 parameters.
+
+    Each epoch permutes one (clip, caption) item per reference caption.
+    """
     if features is None:
         features = extract_features(entries, base_dir, model.cfg.frontend)
     mean, std = corpus_feature_stats(features)
     model.encoder.set_feature_stats(mean, std)
 
+    items = [(features[e.id], c) for e in entries for c in e.captions]
     curve: list[float] = []
     boundaries: list[int] = []
     epoch_counter = 0
@@ -301,17 +305,16 @@ def run_schedule(model, schedule: TrainingSchedule,
         boundaries.append(len(curve))
         params = trainable_parameters(model)
         opt = AdamW(params, lr=stage.peak_lr, weight_decay=weight_decay)
-        steps_per_epoch = math.ceil(len(entries) / stage.batch_size)
+        steps_per_epoch = math.ceil(len(items) / stage.batch_size)
         step_in_stage = 0
         for _ in range(stage.epochs):
-            batches = make_batches(entries, stage.batch_size, seed,
+            batches = make_batches(items, stage.batch_size, seed,
                                    epoch_counter)
             epoch_counter += 1
             for batch in batches:
                 step_in_stage += 1
                 lr = lr_at_step(stage, step_in_stage, steps_per_epoch)
-                pairs = [(features[e.id], e.captions[0]) for e in batch]
-                loss = model.loss_on_batch(pairs)
+                loss = model.loss_on_batch(batch)
                 value = float(loss.data)
                 if not math.isfinite(value):
                     raise NonFiniteLoss(

@@ -98,8 +98,8 @@ class DecoderConfig:
     max_caption: int = 50
 
     def __post_init__(self):
-        if self.d_dec % self.heads:
-            raise ValueError("d_dec must be divisible by heads")
+        if self.heads < 1 or self.d_dec % self.heads:
+            raise ValueError("d_dec must be divisible by heads >= 1")
 
 
 @dataclass

@@ -3,8 +3,9 @@
 Embeds flattened spectrogram patches (16x16 under the default frontend;
 the model sizes them from `FrontendConfig`) with factorized learned
 time/frequency positions and runs a bidirectional pre-norm transformer
-stack, emitting one acoustic token per input patch. Variable-length
-inputs are processed as-is; there is no fixed-length padding. Patch
+stack, emitting one acoustic token per input patch. A batch of clips
+runs as one stack, padded to its longest clip with the padding masked
+out of attention; a single clip needs no padding. Patch
 values are standardized with corpus statistics carried on the encoder
 (and persisted in checkpoints).
 """
@@ -37,8 +38,8 @@ class EncoderConfig:
     max_time_patches: int = 512
 
     def __post_init__(self):
-        if self.d_enc % self.heads:
-            raise ValueError("d_enc must be divisible by heads")
+        if self.heads < 1 or self.d_enc % self.heads:
+            raise ValueError("d_enc must be divisible by heads >= 1")
 
 
 class PatchEncoder(Module):
@@ -63,20 +64,34 @@ class PatchEncoder(Module):
         self.feat_mean = float(mean)
         self.feat_std = float(std) if std > 0 else 1.0
 
-    def embed_patches(self, p: PatchSequence) -> Tensor:
-        tp, fp = p.grid
-        if p.count == 0:
-            raise EmptyInput("no patches")
-        if tp > self.cfg.max_time_patches:
-            raise TooLong(f"{tp} time patches exceeds {self.cfg.max_time_patches}")
-        x = (p.patches - self.feat_mean) / self.feat_std
-        h = self.patch_proj(Tensor(x.astype(self.dtype)))
-        t_idx = np.repeat(np.arange(tp), fp)
-        f_idx = np.tile(np.arange(fp), tp)
-        return h + nn.embedding(self.time_pos, t_idx) + nn.embedding(self.freq_pos, f_idx)
+    def forward_batch(self, seqs: list[PatchSequence]) -> Tensor:
+        """Clips -> (B, N, d_enc) acoustic tokens, N the longest patch count.
+
+        Shorter clips are zero-padded. Padded rows get positions like real
+        ones, but a (B, 1, 1, N) key-padding mask keeps every row from
+        attending to them, so real rows come out as they would alone.
+        """
+        counts = np.array([p.count for p in seqs])
+        for p in seqs:
+            if p.count == 0:
+                raise EmptyInput("no patches")
+            if p.grid[0] > self.cfg.max_time_patches:
+                raise TooLong(f"{p.grid[0]} time patches exceeds "
+                              f"{self.cfg.max_time_patches}")
+        n = int(counts.max())
+        x = np.zeros((len(seqs), n, seqs[0].patches.shape[-1]), dtype=self.dtype)
+        for row, p in zip(x, seqs):
+            row[:p.count] = (p.patches - self.feat_mean) / self.feat_std
+        fp = self.freq_pos.data.shape[0]
+        idx = np.arange(n)
+        h = (self.patch_proj(Tensor(x)) + nn.embedding(self.time_pos, idx // fp)
+             + nn.embedding(self.freq_pos, idx % fp))
+        mask = np.where(idx < counts[:, None], 0.0, -np.inf).astype(self.dtype)
+        mask = mask[:, None, None, :]
+        for block in self.blocks:
+            h = block(h, mask=mask)
+        return nn.rms_norm(h, self.out_gain)
 
     def __call__(self, p: PatchSequence) -> Tensor:
-        h = self.embed_patches(p)
-        for block in self.blocks:
-            h = block(h)
-        return nn.rms_norm(h, self.out_gain)
+        """One clip's (count, d_enc) tokens: the batch of one."""
+        return self.forward_batch([p])[0]

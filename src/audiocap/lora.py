@@ -77,8 +77,7 @@ class LoraLinear(Module):
         return self.alpha / self.rank
 
     def __call__(self, x: Tensor) -> Tensor:
-        low = nn.matmul(x, nn.transpose(self.lora_a, (1, 0)))
-        residual = nn.matmul(low, nn.transpose(self.lora_b, (1, 0)))
+        residual = nn.affine(nn.affine(x, self.lora_a), self.lora_b)
         return self.base(x) + residual * self.scaling
 
     def merge(self) -> Linear:

@@ -96,14 +96,16 @@ class CaptionModel(Module):
     def acoustic_tokens(self, patches: PatchSequence) -> Tensor:
         return self.bridge(self.encoder(patches))
 
-    def splice(self, patches: PatchSequence, caption: str | None):
-        acoustic = self.acoustic_tokens(patches)
-        return assemble_sequence(acoustic, caption, self.vocab,
-                                 self.cfg.decoder.max_seq)
-
     def loss_on_batch(self, batch: list[tuple[PatchSequence, str]]) -> Tensor:
-        splices = [self.splice(p, caption) for p, caption in batch]
-        return self.decoder.forward_loss(splices)
+        """Mean caption loss; the encoder and the bridge run once per batch."""
+        if not batch:
+            raise nn.EmptyTargetSet("empty batch")
+        patches = [p for p, _ in batch]
+        acoustic = self.bridge.forward_batch(self.encoder.forward_batch(patches),
+                                             [p.count for p in patches])
+        return self.decoder.forward_loss([
+            assemble_sequence(a, caption, self.vocab, self.cfg.decoder.max_seq)
+            for a, (_, caption) in zip(acoustic, batch)])
 
     def caption_patches(self, patches: PatchSequence, beam: int = 1,
                         max_caption: int | None = None) -> str:

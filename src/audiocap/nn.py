@@ -1,10 +1,10 @@
 """Minimal reverse-mode autodiff substrate on numpy arrays.
 
 Provides the Tensor graph, the op set needed by the captioning pipeline
-(matmul, softmax, attention, RMS norm, cross-entropy, embeddings), the
-AdamW optimizer with decoupled weight decay, and a central-difference
-gradient checker. Runtime precision is float32; tests run the same code
-in float64 for gradient checks.
+(matmul, affine, softmax, attention, RMS norm, cross-entropy,
+embeddings), the AdamW optimizer with decoupled weight decay, and a
+central-difference gradient checker. Runtime precision is float32; tests
+run the same code in float64 for gradient checks.
 """
 
 from __future__ import annotations
@@ -211,16 +211,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data @ b.data, (a, b), backward)
 
 
+def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """x @ weight.T (+ bias) over the last axis; weight is (d_out, d_in).
+
+    The forward keeps numpy's batched product, so a layer computes the
+    same bits as before it became one node. The backward flattens the
+    rows to 2-D, so dW = g.T @ x is a single GEMM.
+    """
+    d_out, d_in = weight.data.shape
+    if x.data.shape[-1] != d_in:
+        raise DimensionMismatch(
+            f"linear expects last dim {d_in}, got {x.data.shape}")
+    y = x.data @ weight.data.T
+    if bias is not None:
+        y += bias.data
+
+    def backward(g):
+        g = g.reshape(-1, d_out)
+        if x.requires_grad:
+            x._accum((g @ weight.data).reshape(x.data.shape))
+        if weight.requires_grad:
+            weight._accum(g.T @ x.data.reshape(-1, d_in))
+        if bias is not None and bias.requires_grad:
+            bias._accum(g.sum(axis=0))
+
+    return _result(y, (x, weight) if bias is None else (x, weight, bias),
+                   backward)
+
+
 def reshape(t: Tensor, shape) -> Tensor:
     return _result(t.data.reshape(shape), (t,),
                    lambda g: t._accum(g.reshape(t.data.shape)))
-
-
-def transpose(t: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _result(np.transpose(t.data, axes), (t,),
-                   lambda g: t._accum(np.transpose(g, inv)))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -282,20 +303,22 @@ def gelu(t: Tensor) -> Tensor:
     return _result(0.5 * x * (1.0 + th), (t,), backward)
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Gradient at the input of a softmax with output y and output grad g."""
+    return y * (g - np.sum(g * y, axis=axis, keepdims=True))
+
+
 def softmax(t, axis: int = -1) -> Tensor:
     """Numerically stable softmax along `axis` (max-shifted)."""
     if not isinstance(t, Tensor):
         t = Tensor(np.asarray(t, dtype=np.float64))
-    x = t.data
-    m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = np.sum(g * y, axis=axis, keepdims=True)
-        t._accum(y * (g - dot))
-
-    return _result(y, (t,), backward)
+    y = _softmax(t.data, axis)
+    return _result(y, (t,), lambda g: t._accum(_softmax_grad(y, g, axis)))
 
 
 def rms_norm(t: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
@@ -322,8 +345,12 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                          mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention over token matrices (..., T, d).
 
-    `mask` is an additive array broadcastable to (..., Tq, Tk); masked
-    positions carry -inf and so receive zero attention weight.
+    `mask` is an additive array broadcastable to (..., heads, Tq, Tk);
+    masked positions carry -inf and so receive zero attention weight.
+    One graph node: with P the attention weights and dO the output
+    gradient, the backward is dV = P^T dO, dP = dO V^T,
+    dS = P * (dP - rowsum(dP * P)), dQ = dS K / sqrt(dh) and
+    dK = dS^T Q / sqrt(dh).
     """
     d = q.data.shape[-1]
     if d % n_heads:
@@ -331,24 +358,30 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     if k.data.shape[-1] != d or v.data.shape[-1] != d:
         raise DimensionMismatch("q, k, v must share their last dimension")
     dh = d // n_heads
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
 
-    def split(t: Tensor) -> Tensor:
-        tt = reshape(t, t.data.shape[:-1] + (n_heads, dh))
-        nd = tt.data.ndim
-        axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-        return transpose(tt, axes)  # (..., heads, T, dh)
+    def split(a):  # (..., T, d) -> (..., heads, T, dh)
+        return np.swapaxes(a.reshape(a.shape[:-1] + (n_heads, dh)), -2, -3)
 
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = matmul(qh, transpose(kh, tuple(range(kh.data.ndim - 2)) +
-                                  (kh.data.ndim - 1, kh.data.ndim - 2)))
-    scores = scores * (1.0 / math.sqrt(dh))
+    def merge(a):  # (..., heads, T, dh) -> (..., T, d)
+        a = np.swapaxes(a, -2, -3)
+        return a.reshape(a.shape[:-2] + (d,))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = (qh @ np.swapaxes(kh, -1, -2)) * scale
     if mask is not None:
         scores = scores + mask
-    attn = softmax(scores, axis=-1)
-    ctx = matmul(attn, vh)  # (..., heads, Tq, dh)
-    nd = ctx.data.ndim
-    ctx = transpose(ctx, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
-    return reshape(ctx, ctx.data.shape[:-2] + (d,))
+    p = _softmax(scores, -1)
+
+    def backward(g):
+        go = split(g)
+        ds = _softmax_grad(p, go @ np.swapaxes(vh, -1, -2), -1) * scale
+        for t, grad in ((q, ds @ kh), (k, np.swapaxes(ds, -1, -2) @ qh),
+                        (v, np.swapaxes(p, -1, -2) @ go)):
+            if t.requires_grad:
+                t._accum(_unbroadcast(merge(grad), t.data.shape))
+
+    return _result(merge(p @ vh), (q, k, v), backward)
 
 
 def causal_mask(n: int, dtype=np.float32, start: int = 0) -> np.ndarray:
@@ -436,19 +469,8 @@ class Linear(Module):
         layer.bias = Tensor(np.ascontiguousarray(bias), requires_grad=True)
         return layer
 
-    @property
-    def d_in(self) -> int:
-        return self.weight.data.shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.weight.data.shape[0]
-
     def __call__(self, x: Tensor) -> Tensor:
-        if x.data.shape[-1] != self.d_in:
-            raise DimensionMismatch(
-                f"linear expects last dim {self.d_in}, got {x.data.shape}")
-        return matmul(x, transpose(self.weight, (1, 0))) + self.bias
+        return affine(x, self.weight, self.bias)
 
 
 class KVCache:

@@ -20,6 +20,16 @@ def fresh_model(strategy=None, seed=3):
     return model
 
 
+def with_header(edit):
+    """A fresh model's checkpoint with its JSON header changed by `edit`."""
+    blob = ckpt.serialize(fresh_model())
+    (n,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16:16 + n])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    return blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + n:]
+
+
 class TestRoundTrip:
     def test_outputs_bit_identical_on_5_inputs(self):
         model = fresh_model()
@@ -87,14 +97,27 @@ class TestCorruption:
             ckpt.deserialize(head)
 
     def test_config_not_an_object(self):
-        blob = ckpt.serialize(fresh_model())
-        (n,) = struct.unpack_from("<Q", blob, 8)
-        header = json.loads(blob[16:16 + n])
-        header["config"] = []
-        raw = json.dumps(header).encode("utf-8")
         with pytest.raises(ckpt.CorruptCheckpoint):
-            ckpt.deserialize(blob[:8] + struct.pack("<Q", len(raw)) + raw
-                             + blob[16 + n:])
+            ckpt.deserialize(with_header(lambda h: h.update(config=[])))
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.update(feature_stats={}),
+        lambda h: h["tensors"][0].pop("shape"),
+        lambda h: h.update(feature_stats=[]),
+        lambda h: h["tensors"].__setitem__(0, list(h["tensors"][0].values())),
+        lambda h: h.update(tensors={t["name"]: t for t in h["tensors"]}),
+        lambda h: h["feature_stats"].update(mean="x"),
+        lambda h: h["tensors"][0].update(shape=["x"]),
+        lambda h: h["feature_stats"].update(mean=float("nan")),
+        lambda h: h["feature_stats"].update(std=float("inf")),
+        lambda h: h["feature_stats"].update(std=0.0),
+        lambda h: h["config"]["bridge"].update(heads=0),
+    ], ids=["stats-empty", "no-shape", "stats-list", "entry-list",
+            "tensors-object", "mean-string", "shape-string", "mean-nan",
+            "std-inf", "std-zero", "heads-zero"])
+    def test_bad_header_field(self, edit):
+        with pytest.raises(ckpt.CorruptCheckpoint):
+            ckpt.deserialize(with_header(edit))
 
     def test_tiny_blob(self):
         with pytest.raises(ckpt.CorruptCheckpoint):

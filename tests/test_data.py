@@ -272,6 +272,25 @@ class TestTraining:
         return [ManifestEntry(id=f"c{i}", audio="", captions=["x y"])
                 for i in range(16)]
 
+    def test_every_reference_caption_is_an_item(self, tmp_path, monkeypatch):
+        entries, model = self._corpus_and_model(tmp_path, n=2)
+        entries[0].captions = ["a low tone", "a high tone", "an upward chirp"]
+        entries[1].captions = ["a noise burst"]
+        seen = []
+
+        def record(batch):
+            seen.append([caption for _, caption in batch])
+            return loss_on_batch(batch)
+
+        loss_on_batch = model.loss_on_batch
+        monkeypatch.setattr(model, "loss_on_batch", record)
+        schedule = TrainingSchedule([StageConfig(2, 2, 1e-3, 1)])
+        result = run_schedule(model, schedule, entries, tmp_path, seed=0)
+        assert len(result.loss_curve) == 4  # 2 epochs x 4 items / batch 2
+        for epoch in (seen[:2], seen[2:]):
+            assert sorted(c for batch in epoch for c in batch) == sorted(
+                entries[0].captions + entries[1].captions)
+
     def test_nonfinite_loss_raises(self, tmp_path):
         entries, model = self._corpus_and_model(tmp_path, n=2)
         for p in model.named_parameters().values():

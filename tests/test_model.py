@@ -1,0 +1,77 @@
+import numpy as np
+import pytest
+
+from audiocap import nn
+from audiocap.decoder import assemble_sequence
+from audiocap.model import build_model
+from conftest import random_patches, tiny_config, tiny_vocab
+
+CAPTIONS = ["a low tone", "a high tone followed by silence",
+            "an upward chirp", "a noise burst followed by a low tone"]
+
+
+def reference_loss_on_batch(model, batch):
+    """The loss with the encoder and the bridge run once per clip."""
+    splices = [assemble_sequence(model.bridge(model.encoder(p)), caption,
+                                 model.vocab, model.cfg.decoder.max_seq)
+               for p, caption in batch]
+    return model.decoder.forward_loss(splices)
+
+
+def relative(a, b, floor=0.0):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), floor))
+
+
+def loss_and_grads(model, loss_fn, batch):
+    for p in model.parameters():
+        p.grad = None
+    loss = loss_fn(model, batch)
+    loss.backward()
+    return float(loss.data), {k: p.grad for k, p in
+                              model.named_parameters().items()}
+
+
+class TestBatchedLoss:
+    # time patches per clip, 4 acoustic tokens each, windows of 17 tokens
+    @pytest.mark.parametrize("time_patches", [
+        [5, 2, 7],      # ragged, every clip with a short last window
+        [17, 3],        # 68 tokens fill 4 windows exactly; 12 tokens, 1 short
+        [4, 4, 4, 4],   # equal lengths: no encoder padding
+        [6],            # a batch of one
+    ])
+    def test_matches_per_clip_reference(self, time_patches):
+        model = build_model(tiny_config(seed=1), tiny_vocab(CAPTIONS))
+        batch = [(random_patches(seed=10 + i, time_patches=tp),
+                  CAPTIONS[i % len(CAPTIONS)])
+                 for i, tp in enumerate(time_patches)]
+        loss, grads = loss_and_grads(
+            model, lambda m, b: m.loss_on_batch(b), batch)
+        ref_loss, ref_grads = loss_and_grads(
+            model, reference_loss_on_batch, batch)
+        assert loss == pytest.approx(ref_loss, rel=1e-5)
+        # the key biases' gradients are zero in exact arithmetic, so each
+        # gradient is measured against at least 1e-5 of the largest entry
+        floor = 1e-5 * max(np.max(np.abs(g)) for g in ref_grads.values())
+        for name, g in grads.items():
+            assert g is not None and g.shape == ref_grads[name].shape, name
+            assert relative(g, ref_grads[name], floor) < 1e-5, name
+
+    def test_padding_changes_no_real_token(self):
+        model = build_model(tiny_config(seed=2), tiny_vocab())
+        clips = [random_patches(seed=20, time_patches=3),
+                 random_patches(seed=21, time_patches=8)]
+        with nn.no_grad():
+            batched = model.encoder.forward_batch(clips)
+            for i, p in enumerate(clips):
+                alone = model.encoder(p).data
+                assert np.allclose(batched.data[i, :p.count], alone,
+                                   rtol=1e-5, atol=1e-6)
+            blocks = model.bridge.forward_batch(batched, [p.count for p in clips])
+            for block, p in zip(blocks, clips):
+                alone = model.bridge(model.encoder(p)).data
+                assert np.allclose(block.data, alone, rtol=1e-5, atol=1e-6)
+
+    def test_empty_batch(self):
+        model = build_model(tiny_config(), tiny_vocab())
+        with pytest.raises(nn.EmptyTargetSet):
+            model.loss_on_batch([])

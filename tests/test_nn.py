@@ -198,6 +198,62 @@ class TestBackwardOps:
         assert err < 1e-6
 
 
+class TestFusedOps:
+    """float64 gradient checks of the one-node attention and affine ops."""
+
+    H = (1e-5, 1e-4, 1e-3)
+
+    def check(self, f, tensors):
+        assert nn.grad_check(f, tensors, h=self.H) < 1e-6
+
+    def attention_case(self, q_shape, kv_shape, mask=None, seed=0):
+        r = nn.rng_from_seed(seed)
+        q, k, v = (nn.Tensor(r.normal(0, 1, shape), requires_grad=True)
+                   for shape in (q_shape, kv_shape, kv_shape))
+        out_w = r.normal(0, 1, np.broadcast_shapes(q_shape[:-2], kv_shape[:-2])
+                         + q_shape[-2:])
+        self.check(lambda: nn.tsum(
+            nn.multi_head_attention(q, k, v, 2, mask) * out_w), [q, k, v])
+
+    def test_attention_causal_mask(self):
+        self.attention_case((2, 5, 8), (2, 5, 8), nn.causal_mask(5, np.float64))
+
+    def test_attention_key_padding_mask(self):
+        lengths = np.array([6, 2, 4])
+        mask = np.where(np.arange(6) < lengths[:, None], 0.0, -np.inf)
+        self.attention_case((3, 6, 8), (3, 6, 8), mask[:, None, None, :])
+
+    def test_attention_cached_keys_outnumber_queries(self):
+        # two new rows at positions 3 and 4 over five cached-plus-new keys
+        self.attention_case((2, 2, 8), (2, 5, 8),
+                            nn.causal_mask(2, np.float64, start=3))
+
+    def test_attention_broadcast_query(self):
+        self.attention_case((3, 8), (2, 4, 8))
+
+    def test_cross_attention_kv_dim_differs(self):
+        r = nn.rng_from_seed(4)
+        attn = nn.MultiHeadAttention(8, 2, r, kv_dim=6, dtype=np.float64)
+        q = nn.Tensor(r.normal(0, 1, (4, 1, 8)), requires_grad=True)
+        kv = nn.Tensor(r.normal(0, 1, (4, 5, 6)), requires_grad=True)
+        mask = np.zeros((4, 1, 1, 5))
+        mask[-1, ..., 3:] = -np.inf
+        params = dict(attn.named_parameters(), q=q, kv=kv)
+        self.check(lambda: nn.tsum(attn(q, kv, mask) * attn(q, kv, mask)),
+                   params)
+
+    @pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4)])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_affine(self, x_shape, bias):
+        r = nn.rng_from_seed(5)
+        x = nn.Tensor(r.normal(0, 1, x_shape), requires_grad=True)
+        w = nn.Tensor(r.normal(0, 1, (3, 4)), requires_grad=True)
+        b = nn.Tensor(r.normal(0, 1, 3), requires_grad=True) if bias else None
+        out_w = r.normal(0, 1, x_shape[:-1] + (3,))
+        self.check(lambda: nn.tsum(nn.affine(x, w, b) * out_w),
+                   [x, w] + ([b] if bias else []))
+
+
 class TestGradCheck:
     def test_polynomial_exactness(self):
         w = nn.Tensor(np.array(3.0), requires_grad=True)
