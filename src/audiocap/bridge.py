@@ -66,9 +66,10 @@ class QueryBridge(Module):
         self.out_proj = Linear(cfg.d_q, cfg.d_dec, rng, dtype=dtype)
         self.cfg = cfg
 
-    def forward_batch(self, acoustic: Tensor, counts: list[int]) -> list[Tensor]:
-        """(B, N, d_enc) padded tokens, counts[i] real in row i, -> one
-        (ceil(counts[i] / window), d_dec) block per clip.
+    def forward_batch(self, acoustic: Tensor, counts: list[int]) -> Tensor:
+        """(B, N, d_enc) padded tokens, counts[i] real in row i, -> the
+        (sum of ceil(counts[i] / window), d_dec) rows of every clip, clip
+        i's contiguous and in order.
 
         One gather collects every clip's windows; padded slots of a short
         last window are masked out of the cross-attention, and a
@@ -97,11 +98,9 @@ class QueryBridge(Module):
         q = nn.reshape(q, (len(clip), -1))
         for block in self.self_blocks:
             q = block(q, mask=same_clip)
-        out = self.out_proj(nn.rms_norm(q, self.out_gain))
-        ends = np.cumsum(windows)
-        return [out[end - c:end] for c, end in zip(windows, ends)]
+        return self.out_proj(nn.rms_norm(q, self.out_gain))
 
     def __call__(self, acoustic: Tensor) -> Tensor:
         """(n, d_enc) acoustic tokens -> (ceil(n / window), d_dec)."""
         n, d_enc = acoustic.data.shape
-        return self.forward_batch(nn.reshape(acoustic, (1, n, d_enc)), [n])[0]
+        return self.forward_batch(nn.reshape(acoustic, (1, n, d_enc)), [n])

@@ -1,10 +1,12 @@
 """Binary checkpoint container.
 
 Layout: magic "LOAE", u32 version, u64 header length, JSON header
-(config, vocabulary, feature stats, tensor table), then raw little-endian
-f32 tensor blobs in header-declared order. The header is serialized with
-sorted keys and the tensor table sorted by name, so save -> load -> save
-round-trips byte-identically.
+(config, vocabulary, feature stats, tensor table), raw little-endian f32
+tensor blobs in header-declared order, then a u32 CRC-32 of every byte
+before it. The checksum guards against corruption, not tampering; version
+1 files, which end at the tensor data, still load. The header is
+serialized with sorted keys and the tensor table sorted by name, so
+save -> load -> save round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from .decoder import Vocabulary
 from .model import CaptionModel, PipelineConfig, build_model
 
 MAGIC = b"LOAE"
-VERSION = 1
+VERSION = 2
 
 
 class CorruptCheckpoint(ValueError):
@@ -53,6 +56,10 @@ def serialize(model: CaptionModel) -> bytes:
     parts = [MAGIC, struct.pack("<I", VERSION),
              struct.pack("<Q", len(header_bytes)), header_bytes]
     parts.extend(arr.astype("<f4").tobytes(order="C") for _, arr in table)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(struct.pack("<I", crc))
     return b"".join(parts)
 
 
@@ -69,7 +76,7 @@ def deserialize(blob: bytes) -> CaptionModel:
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise CorruptCheckpoint("bad magic bytes")
     (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise VersionMismatch(f"format version {version}, expected {VERSION}")
     (header_len,) = struct.unpack_from("<Q", blob, 8)
     body_start = 16 + header_len
@@ -80,7 +87,7 @@ def deserialize(blob: bytes) -> CaptionModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CorruptCheckpoint(f"unreadable header ({e})") from e
     try:
-        if header["version"] != VERSION:
+        if header["version"] != version:
             raise VersionMismatch("header version disagrees with binary field")
         cfg = PipelineConfig.from_dict(header["config"])
         vocab = Vocabulary.from_tokens(header["vocab"])
@@ -94,6 +101,16 @@ def deserialize(blob: bytes) -> CaptionModel:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise CorruptCheckpoint(f"invalid header contents ({e})") from e
+
+    end = body_start + sum(4 * math.prod(shape) for _, shape, _ in tensors)
+    trailer = 4 if version == VERSION else 0
+    if len(blob) < end + trailer:
+        raise CorruptCheckpoint("truncated tensor data")
+    if len(blob) > end + trailer:
+        raise CorruptCheckpoint("trailing bytes after tensor data")
+    if trailer and (zlib.crc32(memoryview(blob)[:end])
+                    != struct.unpack_from("<I", blob, end)[0]):
+        raise CorruptCheckpoint("checksum mismatch")
 
     model = build_model(cfg, vocab)
     model.encoder.set_feature_stats(mean, std)
@@ -109,15 +126,10 @@ def deserialize(blob: bytes) -> CaptionModel:
         if param.data.shape != shape:
             raise CorruptCheckpoint(
                 f"shape mismatch for {name}: {shape} vs {param.data.shape}")
-        nbytes = param.data.size * 4
-        if offset + nbytes > len(blob):
-            raise CorruptCheckpoint("truncated tensor data")
         arr = np.frombuffer(blob, dtype="<f4", count=param.data.size,
                             offset=offset)
         param.data = np.ascontiguousarray(arr.reshape(shape).astype(np.float32))
-        offset += nbytes
-    if offset != len(blob):
-        raise CorruptCheckpoint("trailing bytes after tensor data")
+        offset += param.data.size * 4
     return model
 
 

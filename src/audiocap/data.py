@@ -291,7 +291,10 @@ def run_schedule(model, schedule: TrainingSchedule,
     """Train through all stages; stage 2 continues from stage 1 parameters.
 
     Each epoch permutes one (clip, caption) item per reference caption.
+    A `max_steps` cap below 1 is a ValueError, raised before training.
     """
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if features is None:
         features = extract_features(entries, base_dir, model.cfg.frontend)
     mean, std = corpus_feature_stats(features)

@@ -2,7 +2,9 @@
 
 The decoder consumes a spliced stream: <bos>, the fixed instruction
 tokens, the bridged acoustic embeddings in the instruction's slot, the
-instruction tail, then (at training time) the caption and <eos>. Loss is
+instruction tail, then (at training time) the caption and <eos>. The
+bridged rows are soft-prompt rows of the token table, so a batch's stream,
+and the inference prompt as its batch of one, is one gather. Loss is
 masked to caption positions only. Word-level vocabulary; greedy and beam
 decoding with deterministic tie-breaking.
 """
@@ -107,35 +109,32 @@ class SpliceSequence:
     """Decoder input: prompt head, acoustic block, prompt tail, caption."""
 
     prefix_ids: np.ndarray  # <bos> + instruction head, up to the slot
-    acoustic: Tensor        # (L, d_dec) bridged embeddings
+    n_acoustic: int         # bridged rows in the instruction's slot
     suffix_ids: np.ndarray  # instruction tail after the slot
     caption_ids: np.ndarray  # caption + <eos>, empty at inference
 
     @property
     def length(self) -> int:
-        return (len(self.prefix_ids) + self.acoustic.data.shape[0]
-                + len(self.suffix_ids) + len(self.caption_ids))
+        return len(self.ids)
 
     @property
     def ids(self) -> np.ndarray:
         """Target ids over the stream; acoustic slots hold <pad>."""
-        acoustic_ids = np.full(self.acoustic.data.shape[0], Vocabulary.PAD,
-                               dtype=np.int64)
+        acoustic_ids = np.full(self.n_acoustic, Vocabulary.PAD, dtype=np.int64)
         return np.concatenate([self.prefix_ids, acoustic_ids,
                                self.suffix_ids, self.caption_ids])
 
     @property
     def loss_mask(self) -> np.ndarray:
         """True exactly on caption ids and the trailing <eos>."""
-        mask = np.zeros(self.length, dtype=bool)
-        if len(self.caption_ids):
-            mask[-len(self.caption_ids):] = True
-        return mask
+        return np.arange(self.length) >= self.length - len(self.caption_ids)
 
 
-def assemble_sequence(acoustic: Tensor, caption: str | None, vocab: Vocabulary,
-                      max_seq: int = 512) -> SpliceSequence:
-    if acoustic.data.shape[0] == 0:
+def assemble_sequence(acoustic: Tensor | int, caption: str | None,
+                      vocab: Vocabulary, max_seq: int = 512) -> SpliceSequence:
+    """The layout of one item; `acoustic` is its bridged block or row count."""
+    n = acoustic.shape[0] if isinstance(acoustic, Tensor) else int(acoustic)
+    if n == 0:
         raise ValueError("acoustic block is empty")
     head, tail = CAPTION_INSTRUCTION.split(ACOUSTIC_SLOT)
     prefix = np.array([vocab.BOS] + vocab.encode(head), dtype=np.int64)
@@ -144,10 +143,19 @@ def assemble_sequence(acoustic: Tensor, caption: str | None, vocab: Vocabulary,
         caption_ids = np.zeros(0, dtype=np.int64)
     else:
         caption_ids = np.array(vocab.encode(caption) + [vocab.EOS], dtype=np.int64)
-    seq = SpliceSequence(prefix, acoustic, suffix, caption_ids)
+    seq = SpliceSequence(prefix, n, suffix, caption_ids)
     if seq.length > max_seq:
         raise SequenceTooLong(f"spliced length {seq.length} exceeds {max_seq}")
     return seq
+
+
+def _padded(rows: list[np.ndarray], fill) -> np.ndarray:
+    """Right-pad 1-D arrays with `fill` into one (B, longest) array."""
+    out = np.full((len(rows), max(len(r) for r in rows)), fill,
+                  dtype=rows[0].dtype)
+    for row, r in zip(out, rows):
+        row[:len(r)] = r
+    return out
 
 
 class CaptionDecoder(Module):
@@ -169,16 +177,25 @@ class CaptionDecoder(Module):
     def vocab_size(self) -> int:
         return self.embed.data.shape[0]
 
-    def embed_splice(self, s: SpliceSequence, pad_to: int | None = None) -> Tensor:
-        """Token and acoustic embeddings of the stream, (T, d), no positions."""
-        segments = [nn.embedding(self.embed, s.prefix_ids), s.acoustic,
-                    nn.embedding(self.embed, s.suffix_ids)]
-        if len(s.caption_ids):
-            segments.append(nn.embedding(self.embed, s.caption_ids))
-        if pad_to is not None and pad_to > s.length:
-            pad_ids = np.full(pad_to - s.length, Vocabulary.PAD, dtype=np.int64)
-            segments.append(nn.embedding(self.embed, pad_ids))
-        return nn.concat(segments, axis=0)
+    def embed_stream(self, seqs: list[SpliceSequence], acoustic: Tensor) -> Tensor:
+        """The decoder input of `seqs`, (B, T, d) without positions.
+
+        `acoustic` holds every item's bridged rows, (sum of n_acoustic, d),
+        item i's contiguous and in order. The batch is one gather from the
+        token table with those rows appended: prompt and caption ids index
+        the table, item i's acoustic slot j indexes V + offset_i + j, and
+        rows past an item's end index <pad>.
+        """
+        index = _padded([s.ids for s in seqs], Vocabulary.PAD)
+        offset = 0
+        for row, s in zip(index, seqs):
+            start = len(s.prefix_ids)
+            row[start:start + s.n_acoustic] = (self.vocab_size + offset
+                                               + np.arange(s.n_acoustic))
+            offset += s.n_acoustic
+        if offset != acoustic.shape[0]:
+            raise nn.ShapeMismatch(f"{acoustic.shape[0]} acoustic rows for {offset} slots")
+        return nn.embedding(nn.concat([self.embed, acoustic]), index)
 
     def logits(self, x: Tensor, caches: list[nn.KVCache] | None = None,
                start: int = 0) -> Tensor:
@@ -198,29 +215,25 @@ class CaptionDecoder(Module):
             x = x[..., -1:, :]
         return self.head(nn.rms_norm(x, self.out_gain))
 
-    def forward_loss(self, splices: list[SpliceSequence]) -> Tensor:
-        """Mean cross-entropy over all caption positions in the batch."""
+    def forward_loss(self, splices: list[SpliceSequence], acoustic: Tensor) -> Tensor:
+        """Mean cross-entropy over all caption positions in the batch;
+        `acoustic` is every item's bridged rows, as `embed_stream` takes them.
+        """
         if not splices:
             raise nn.EmptyTargetSet("empty batch")
         t_max = max(s.length for s in splices)
         if t_max > self.cfg.max_seq:
             raise SequenceTooLong(f"batch length {t_max} exceeds {self.cfg.max_seq}")
-        embs = [self.embed_splice(s, pad_to=t_max) for s in splices]
-        ids = np.full((len(splices), t_max), Vocabulary.PAD, dtype=np.int64)
-        keep = np.zeros((len(splices), t_max), dtype=bool)
-        for i, s in enumerate(splices):
-            ids[i, :s.length] = s.ids
-            keep[i, :s.length] = s.loss_mask
-        x = nn.stack(embs, axis=0)  # (B, T, d)
-        logits = self.logits(x)
+        ids = _padded([s.ids for s in splices], Vocabulary.PAD)
+        keep = _padded([s.loss_mask for s in splices], False)
+        logits = self.logits(self.embed_stream(splices, acoustic))
         shifted = logits[:, :-1, :]
         return nn.cross_entropy(shifted, ids[:, 1:], ignore_mask=~keep[:, 1:])
 
     def _prompt(self, acoustic: Tensor, vocab: Vocabulary) -> Tensor:
-        """The inference splice, <bos> + head + acoustic + tail, as (1, T, d)."""
-        x = self.embed_splice(assemble_sequence(acoustic, None, vocab,
-                                                self.cfg.max_seq))
-        return nn.reshape(x, (1,) + x.data.shape)
+        """The inference stream, <bos> + head + acoustic + tail, as (1, T, d)."""
+        seq = assemble_sequence(acoustic, None, vocab, self.cfg.max_seq)
+        return self.embed_stream([seq], acoustic)
 
     def _next_logits(self, x: Tensor, caches: list[nn.KVCache],
                      start: int) -> np.ndarray:

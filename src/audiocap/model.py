@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import nn
-from .bridge import BridgeConfig, QueryBridge
+from .bridge import BridgeConfig, QueryBridge, output_count
 from .decoder import CaptionDecoder, DecoderConfig, Vocabulary, assemble_sequence
 from .encoder import EncoderConfig, PatchEncoder
 from .frontend import FrontendConfig, PatchSequence, Waveform, wave_to_patches
@@ -103,9 +103,11 @@ class CaptionModel(Module):
         patches = [p for p, _ in batch]
         acoustic = self.bridge.forward_batch(self.encoder.forward_batch(patches),
                                              [p.count for p in patches])
+        window = self.cfg.bridge.window
         return self.decoder.forward_loss([
-            assemble_sequence(a, caption, self.vocab, self.cfg.decoder.max_seq)
-            for a, (_, caption) in zip(acoustic, batch)])
+            assemble_sequence(output_count(p.count, window), caption, self.vocab,
+                              self.cfg.decoder.max_seq)
+            for p, caption in batch], acoustic)
 
     def caption_patches(self, patches: PatchSequence, beam: int = 1,
                         max_caption: int | None = None) -> str:

@@ -1,8 +1,8 @@
 """Minimal reverse-mode autodiff substrate on numpy arrays.
 
 Provides the Tensor graph, the op set needed by the captioning pipeline
-(matmul, affine, softmax, attention, RMS norm, cross-entropy,
-embeddings), the AdamW optimizer with decoupled weight decay, and a
+(affine, attention, RMS norm, GELU, cross-entropy, embedding gathers,
+concat and reshape), the AdamW optimizer with decoupled weight decay, and a
 central-difference gradient checker. Runtime precision is float32; tests
 run the same code in float64 for gradient checks.
 """
@@ -136,9 +136,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         def backward(g):
             full = np.zeros_like(self.data)
@@ -193,24 +190,6 @@ def parameter(data, dtype=np.float32) -> Tensor:
 
 # -- shape ops -------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionMismatch("matmul operands must be at least 2-D")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise DimensionMismatch(
-            f"matmul inner dims disagree: {a.data.shape} @ {b.data.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accum(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accum(_unbroadcast(gb, b.data.shape))
-
-    return _result(a.data @ b.data, (a, b), backward)
-
-
 def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight.T (+ bias) over the last axis; weight is (d_out, d_in).
 
@@ -260,12 +239,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                    tensors, backward)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    expanded = [reshape(t, t.data.shape[:axis] + (1,) + t.data.shape[axis:])
-                for t in tensors]
-    return concat(expanded, axis=axis)
-
-
 def tsum(t: Tensor) -> Tensor:
     return _result(t.data.sum(), (t,),
                    lambda g: t._accum(np.broadcast_to(g, t.data.shape)))
@@ -311,14 +284,6 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
 def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     """Gradient at the input of a softmax with output y and output grad g."""
     return y * (g - np.sum(g * y, axis=axis, keepdims=True))
-
-
-def softmax(t, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis` (max-shifted)."""
-    if not isinstance(t, Tensor):
-        t = Tensor(np.asarray(t, dtype=np.float64))
-    y = _softmax(t.data, axis)
-    return _result(y, (t,), lambda g: t._accum(_softmax_grad(y, g, axis)))
 
 
 def rms_norm(t: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:

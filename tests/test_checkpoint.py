@@ -1,5 +1,6 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -20,14 +21,29 @@ def fresh_model(strategy=None, seed=3):
     return model
 
 
+def sealed(body: bytes) -> bytes:
+    """`body` with the CRC-32 trailer of a version-2 checkpoint."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def with_header(edit):
-    """A fresh model's checkpoint with its JSON header changed by `edit`."""
+    """A fresh model's checkpoint with its JSON header changed by `edit`.
+
+    The checksum is recomputed, so only the header's contents are wrong.
+    """
     blob = ckpt.serialize(fresh_model())
     (n,) = struct.unpack_from("<Q", blob, 8)
     header = json.loads(blob[16:16 + n])
     edit(header)
     raw = json.dumps(header).encode("utf-8")
-    return blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + n:]
+    return sealed(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + n:-4])
+
+
+def as_version_1(blob: bytes) -> bytes:
+    """The version-1 file of the same model: no checksum trailer."""
+    (n,) = struct.unpack_from("<Q", blob, 8)
+    header = blob[16:16 + n].replace(b'"version":2', b'"version":1')
+    return blob[:4] + struct.pack("<I", 1) + blob[8:16] + header + blob[16 + n:-4]
 
 
 class TestRoundTrip:
@@ -59,6 +75,15 @@ class TestRoundTrip:
         loaded = ckpt.deserialize(ckpt.serialize(model))
         assert loaded.vocab.tokens == model.vocab.tokens
         assert loaded.cfg.to_dict() == model.cfg.to_dict()
+
+    def test_version_1_still_loads(self):
+        model = fresh_model()
+        blob = ckpt.serialize(model)
+        loaded = ckpt.deserialize(as_version_1(blob))
+        assert ckpt.serialize(loaded) == blob
+        p = random_patches(1)
+        assert np.array_equal(model.acoustic_tokens(p).data,
+                              loaded.acoustic_tokens(p).data)
 
     def test_lora_wrapped_model_round_trips(self):
         model = fresh_model(strategy=TrainStrategy("lora", "lora"))
@@ -118,6 +143,33 @@ class TestCorruption:
     def test_bad_header_field(self, edit):
         with pytest.raises(ckpt.CorruptCheckpoint):
             ckpt.deserialize(with_header(edit))
+
+    def test_single_bit_flips_never_load(self):
+        # bits 0, 1 and 5 of every header byte, then a sample of tensor
+        # and checksum bytes
+        blob = ckpt.serialize(fresh_model())
+        (n,) = struct.unpack_from("<Q", blob, 8)
+        tail = nn.rng_from_seed(4).choice(np.arange(16 + n, len(blob)), 200,
+                                           replace=False)
+        offsets = list(range(16 + n)) + sorted(tail.tolist())
+        offsets += range(len(blob) - 4, len(blob))
+        flips = [(i, 1 << b) for i in offsets for b in (0, 1, 5)]
+        loaded = []
+        for i, mask in flips:
+            broken = bytearray(blob)
+            broken[i] ^= mask
+            try:
+                ckpt.deserialize(bytes(broken))
+            except (ckpt.CorruptCheckpoint, ckpt.VersionMismatch):
+                continue
+            loaded.append((i, mask))
+        assert len(flips) > 3 * 5000 and loaded == []
+
+    def test_checksum_mismatch(self):
+        blob = bytearray(ckpt.serialize(fresh_model()))
+        blob[-1] ^= 1
+        with pytest.raises(ckpt.CorruptCheckpoint, match="checksum"):
+            ckpt.deserialize(bytes(blob))
 
     def test_tiny_blob(self):
         with pytest.raises(ckpt.CorruptCheckpoint):

@@ -58,6 +58,16 @@ class TestTrain:
                        "--out", str(tmp_path / "x.ckpt")])
         assert rc == 2
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_max_steps_below_one_is_data_error(self, workdir, tmp_path, steps):
+        out = tmp_path / "x.ckpt"
+        rc = cli.main(["train", "--manifest",
+                       str(workdir["corpus"] / "manifest.jsonl"),
+                       "--config", str(workdir["cfg"]), "--out", str(out),
+                       "--max-steps", steps])
+        assert rc == 2
+        assert not out.exists()
+
     def test_duplicate_ids_across_manifests(self, workdir, tmp_path):
         m = workdir["corpus"] / "manifest.jsonl"
         rc = cli.main(["train", "--manifest", str(m), "--manifest", str(m),

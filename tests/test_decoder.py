@@ -26,16 +26,46 @@ def make_decoder(vocab, seed=0, layers=1, max_seq=128):
     return CaptionDecoder(cfg, len(vocab), nn.rng_from_seed(seed))
 
 
+# -- reference stream: segments embedded and concatenated item by item -----
+
+def reference_stream(model, seqs, blocks):
+    """(B, T, d) stream of `seqs` with acoustic blocks `blocks`, one per item.
+
+    Each item is its embedded prompt head, its block, its embedded tail and
+    caption, and <pad> rows up to the longest item, concatenated; the items
+    are then stacked.
+    """
+    t_max = max(s.length for s in seqs)
+    rows = []
+    for s, block in zip(seqs, blocks):
+        segments = [nn.embedding(model.embed, s.prefix_ids), block,
+                    nn.embedding(model.embed, s.suffix_ids)]
+        if len(s.caption_ids):
+            segments.append(nn.embedding(model.embed, s.caption_ids))
+        if t_max > s.length:
+            pad_ids = np.full(t_max - s.length, Vocabulary.PAD, dtype=np.int64)
+            segments.append(nn.embedding(model.embed, pad_ids))
+        x = nn.concat(segments, axis=0)
+        rows.append(nn.reshape(x, (1,) + x.shape))
+    return nn.concat(rows, axis=0)
+
+
+def stream_loss(model, items):
+    """forward_loss over (sequence, acoustic block) pairs."""
+    return model.forward_loss([s for s, _ in items],
+                              nn.concat([a for _, a in items]))
+
+
 # -- reference decoding: full recompute, one hypothesis at a time -----------
 
 def reference_step_logits(model, acoustic, generated, vocab):
     """Next-token logits from re-splicing and re-running the whole stream."""
     seq = assemble_sequence(acoustic, None, vocab, model.cfg.max_seq)
-    seq = SpliceSequence(seq.prefix_ids, seq.acoustic, seq.suffix_ids,
+    seq = SpliceSequence(seq.prefix_ids, seq.n_acoustic, seq.suffix_ids,
                          np.array(generated, dtype=np.int64))
     if seq.length >= model.cfg.max_seq:
         raise dec.SequenceTooLong(f"decode length {seq.length} hit the cap")
-    return model.logits(model.embed_splice(seq)).data[-1]
+    return model.logits(reference_stream(model, [seq], [acoustic])).data[0, -1]
 
 
 def reference_greedy(model, acoustic, vocab, max_caption):
@@ -169,9 +199,10 @@ class TestForwardLoss:
     def test_duplicate_batch_loss_invariance(self):
         vocab = tiny_vocab()
         model = make_decoder(vocab)
-        seq = assemble_sequence(acoustic_block(), "a low tone", vocab)
-        single = float(model.forward_loss([seq]).data)
-        double = float(model.forward_loss([seq, seq]).data)
+        a = acoustic_block()
+        seq = assemble_sequence(a, "a low tone", vocab)
+        single = float(stream_loss(model, [(seq, a)]).data)
+        double = float(stream_loss(model, [(seq, a), (seq, a)]).data)
         assert abs(single - double) < 1e-6
 
     def test_zeroed_head_gives_uniform_loss(self):
@@ -179,8 +210,9 @@ class TestForwardLoss:
         model = make_decoder(vocab)
         model.head.weight.data[:] = 0.0
         model.head.bias.data[:] = 0.0
-        seq = assemble_sequence(acoustic_block(), "a high tone", vocab)
-        loss = float(model.forward_loss([seq]).data)
+        a = acoustic_block()
+        seq = assemble_sequence(a, "a high tone", vocab)
+        loss = float(stream_loss(model, [(seq, a)]).data)
         assert abs(loss - math.log(len(vocab))) < 1e-5
 
     def test_prompt_positions_do_not_contribute(self):
@@ -188,10 +220,10 @@ class TestForwardLoss:
         # scrambling non-caption rows leaves it unchanged
         vocab = tiny_vocab()
         model = make_decoder(vocab)
-        seq = assemble_sequence(acoustic_block(), "an upward chirp", vocab)
-        loss = float(model.forward_loss([seq]).data)
-        x = model.embed_splice(seq)
-        logits = model.logits(nn.reshape(x, (1,) + x.data.shape)).data[0]
+        a = acoustic_block()
+        seq = assemble_sequence(a, "an upward chirp", vocab)
+        loss = float(stream_loss(model, [(seq, a)]).data)
+        logits = model.logits(model.embed_stream([seq], a)).data[0]
         ids, mask = seq.ids, seq.loss_mask
         rows = logits[:-1].copy()
         targets = ids[1:]
@@ -207,29 +239,79 @@ class TestForwardLoss:
     def test_empty_batch(self):
         model = make_decoder(tiny_vocab())
         with pytest.raises(nn.EmptyTargetSet):
-            model.forward_loss([])
+            model.forward_loss([], acoustic_block(n=0))
 
     def test_batch_over_max_seq(self):
         vocab = tiny_vocab()
         model = make_decoder(vocab, max_seq=32)
-        seq = assemble_sequence(acoustic_block(n=40), None, vocab, max_seq=512)
+        a = acoustic_block(n=40)
+        seq = assemble_sequence(a, None, vocab, max_seq=512)
         with pytest.raises(dec.SequenceTooLong):
-            model.forward_loss([seq])
+            stream_loss(model, [(seq, a)])
 
     def test_padding_does_not_change_loss(self):
         vocab = tiny_vocab()
         model = make_decoder(vocab)
-        short = assemble_sequence(acoustic_block(n=2), "silence", vocab)
-        long = assemble_sequence(acoustic_block(n=9, seed=4),
-                                 "a noise burst followed by silence", vocab)
-        alone = float(model.forward_loss([short]).data)
+        a_short, a_long = acoustic_block(n=2), acoustic_block(n=9, seed=4)
+        short = assemble_sequence(a_short, "silence", vocab)
+        long = assemble_sequence(a_long, "a noise burst followed by silence",
+                                 vocab)
+        alone = float(stream_loss(model, [(short, a_short)]).data)
         # in a mixed batch the short item is right-padded; its per-position
         # losses must be unaffected
-        mixed = float(model.forward_loss([short, long]).data)
-        other = float(model.forward_loss([long]).data)
+        mixed = float(stream_loss(model, [(short, a_short),
+                                          (long, a_long)]).data)
+        other = float(stream_loss(model, [(long, a_long)]).data)
         n_short, n_long = short.loss_mask.sum(), long.loss_mask.sum()
         expected = (alone * n_short + other * n_long) / (n_short + n_long)
         assert abs(mixed - expected) < 1e-5
+
+
+class TestStream:
+    @given(st.lists(st.tuples(st.integers(1, 6),
+                              st.one_of(st.none(), st.integers(0, 9))),
+                    min_size=1, max_size=5),
+           st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_stream(self, items, seed):
+        # items: (acoustic rows, caption words or None for an inference prompt)
+        vocab = tiny_vocab()
+        model = make_decoder(vocab, seed=seed % 7)
+        r = nn.rng_from_seed(seed)
+        words = vocab.tokens[7:]
+        blocks, seqs = [], []
+        for i, (n, n_words) in enumerate(items):
+            block = Tensor(r.normal(0, 1, (n, 32)).astype(np.float32),
+                           requires_grad=True)
+            caption = (None if n_words is None else
+                       " ".join(r.choice(words, size=n_words)))
+            blocks.append(block)
+            seqs.append(assemble_sequence(block, caption, vocab))
+        got = model.embed_stream(seqs, nn.concat(blocks))
+        want = reference_stream(model, seqs, blocks)
+        assert got.dtype == want.dtype and np.array_equal(got.data, want.data)
+        if len(items) == 1 and items[0][1] is None:
+            assert np.array_equal(model._prompt(blocks[0], vocab).data,
+                                  want.data)
+        # the gradients: the acoustic rows' exactly, the token table's up
+        # to the order in which its repeated rows are summed
+        weights = r.normal(0, 1, want.shape).astype(np.float32)
+        grads = []
+        for stream in (got, want):
+            for t in blocks + [model.embed]:
+                t.grad = None
+            nn.tsum(stream * weights).backward()
+            grads.append([t.grad for t in blocks + [model.embed]])
+        for g, w in zip(grads[0][:-1], grads[1][:-1]):
+            assert np.array_equal(g, w)
+        assert np.allclose(grads[0][-1], grads[1][-1], rtol=1e-5, atol=1e-5)
+
+    def test_rows_must_match_the_items(self):
+        vocab = tiny_vocab()
+        model = make_decoder(vocab)
+        seq = assemble_sequence(acoustic_block(n=3), "a low tone", vocab)
+        with pytest.raises(nn.ShapeMismatch):
+            model.embed_stream([seq, seq], acoustic_block(n=5))
 
 
 class TestCausality:
@@ -242,12 +324,10 @@ class TestCausality:
         assert np.array_equal(a, b)
         # extending the sequence must not alter the logits at earlier steps
         seq = assemble_sequence(acoustic, "a low tone", vocab)
-        x = model.embed_splice(seq)
-        full = model.logits(nn.reshape(x, (1,) + x.data.shape)).data[0]
-        trunc_seq = SpliceSequence(seq.prefix_ids, seq.acoustic,
+        full = model.logits(model.embed_stream([seq], acoustic)).data[0]
+        trunc_seq = SpliceSequence(seq.prefix_ids, seq.n_acoustic,
                                    seq.suffix_ids, seq.caption_ids[:1])
-        xt = model.embed_splice(trunc_seq)
-        trunc = model.logits(nn.reshape(xt, (1,) + xt.data.shape)).data[0]
+        trunc = model.logits(model.embed_stream([trunc_seq], acoustic)).data[0]
         assert np.allclose(full[:trunc.shape[0]], trunc, atol=1e-5)
 
 
@@ -337,9 +417,10 @@ class TestCachedDecoding:
         model = make_decoder(vocab, seed=seed, layers=2)
         acoustic = acoustic_block(n=4, seed=seed)
         caches = [nn.KVCache() for _ in model.blocks]
-        prompt = model.embed_splice(assemble_sequence(acoustic, None, vocab))
-        start = prompt.shape[0]
-        rows = model.logits(nn.reshape(prompt, (1,) + prompt.shape), caches)
+        prompt = model.embed_stream([assemble_sequence(acoustic, None, vocab)],
+                                    acoustic)
+        start = prompt.shape[1]
+        rows = model.logits(prompt, caches)
         want = reference_step_logits(model, acoustic, [], vocab)
         assert relative_error(rows.data[0, -1], want) < 1e-5
         ids = vocab.encode(self.CAPTION)

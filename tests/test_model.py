@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from audiocap import nn
+from audiocap.bridge import output_count
 from audiocap.decoder import assemble_sequence
 from audiocap.model import build_model
 from conftest import random_patches, tiny_config, tiny_vocab
@@ -12,10 +15,25 @@ CAPTIONS = ["a low tone", "a high tone followed by silence",
 
 def reference_loss_on_batch(model, batch):
     """The loss with the encoder and the bridge run once per clip."""
-    splices = [assemble_sequence(model.bridge(model.encoder(p)), caption,
-                                 model.vocab, model.cfg.decoder.max_seq)
-               for p, caption in batch]
-    return model.decoder.forward_loss(splices)
+    blocks = [model.bridge(model.encoder(p)) for p, _ in batch]
+    splices = [assemble_sequence(a, caption, model.vocab,
+                                 model.cfg.decoder.max_seq)
+               for a, (_, caption) in zip(blocks, batch)]
+    return model.decoder.forward_loss(splices, nn.concat(blocks))
+
+
+def op_counts(root):
+    """Op nodes of `root`'s autograd graph by the op that made them."""
+    counts, seen, todo = Counter(), {id(root)}, [root]
+    while todo:
+        t = todo.pop()
+        if t._backward is not None:
+            counts[t._backward.__qualname__.split(".")[0]] += 1
+        for p in t._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return counts
 
 
 def relative(a, b, floor=0.0):
@@ -66,10 +84,25 @@ class TestBatchedLoss:
                 alone = model.encoder(p).data
                 assert np.allclose(batched.data[i, :p.count], alone,
                                    rtol=1e-5, atol=1e-6)
-            blocks = model.bridge.forward_batch(batched, [p.count for p in clips])
-            for block, p in zip(blocks, clips):
+            rows = model.bridge.forward_batch(batched, [p.count for p in clips])
+            window = model.cfg.bridge.window
+            ends = np.cumsum([output_count(p.count, window) for p in clips])
+            assert rows.shape[0] == ends[-1]
+            for end, p in zip(ends, clips):
                 alone = model.bridge(model.encoder(p)).data
-                assert np.allclose(block.data, alone, rtol=1e-5, atol=1e-6)
+                assert np.allclose(rows.data[end - len(alone):end], alone,
+                                   rtol=1e-5, atol=1e-6)
+
+    def test_stream_ops_do_not_grow_with_the_batch(self):
+        # the batch's decoder input is one gather, whatever the clip count
+        model = build_model(tiny_config(seed=3), tiny_vocab(CAPTIONS))
+        census = []
+        for size in (1, 4, 8):
+            batch = [(random_patches(seed=30 + i, time_patches=2 + i % 5),
+                      CAPTIONS[i % len(CAPTIONS)]) for i in range(size)]
+            ops = op_counts(model.loss_on_batch(batch))
+            census.append((ops["embedding"], ops["concat"]))
+        assert census[0] == census[1] == census[2], census
 
     def test_empty_batch(self):
         model = build_model(tiny_config(), tiny_vocab())
