@@ -49,21 +49,18 @@ def output_count(n_tokens: int, window: int) -> int:
 
 
 class QueryBridge(Module):
-    def __init__(self, cfg: BridgeConfig, d_enc: int, rng: np.random.Generator,
-                 dtype=np.float32):
-        self.query = nn.parameter(rng.normal(0.0, 0.02, (1, cfg.d_q)), dtype)
+    def __init__(self, cfg: BridgeConfig, d_enc: int, rng: np.random.Generator):
+        self.query = nn.parameter(rng.normal(0.0, 0.02, (1, cfg.d_q)))
         self.window_pos = nn.parameter(
-            rng.normal(0.0, 0.02, (cfg.max_windows, cfg.d_q)), dtype)
-        self.token_pos = nn.parameter(
-            rng.normal(0.0, 0.02, (cfg.window, d_enc)), dtype)
+            rng.normal(0.0, 0.02, (cfg.max_windows, cfg.d_q)))
+        self.token_pos = nn.parameter(rng.normal(0.0, 0.02, (cfg.window, d_enc)))
         self.cross_blocks = [
-            TransformerBlock(cfg.d_q, cfg.heads, 4, rng, kv_dim=d_enc, dtype=dtype)
+            TransformerBlock(cfg.d_q, cfg.heads, 4, rng, kv_dim=d_enc)
             for _ in range(cfg.cross_layers)]
-        self.self_blocks = [
-            TransformerBlock(cfg.d_q, cfg.heads, 4, rng, dtype=dtype)
-            for _ in range(cfg.self_layers)]
-        self.out_gain = nn.parameter(np.ones(cfg.d_q), dtype)
-        self.out_proj = Linear(cfg.d_q, cfg.d_dec, rng, dtype=dtype)
+        self.self_blocks = [TransformerBlock(cfg.d_q, cfg.heads, 4, rng)
+                            for _ in range(cfg.self_layers)]
+        self.out_gain = nn.parameter(np.ones(cfg.d_q))
+        self.out_proj = Linear(cfg.d_q, cfg.d_dec, rng)
         self.cfg = cfg
 
     def forward_batch(self, acoustic: Tensor, counts: list[int]) -> Tensor:
@@ -91,7 +88,7 @@ class QueryBridge(Module):
         pad = np.where(slot < np.asarray(counts)[clip, None], 0.0, -np.inf)
         pad = pad.astype(dtype)[:, None, None, :]
         same_clip = np.where(clip[:, None] == clip, 0.0, -np.inf).astype(dtype)
-        q = self.query + nn.embedding(self.window_pos, index)
+        q = self.query + self.window_pos[index]
         q = nn.reshape(q, (len(clip), 1, -1))
         for block in self.cross_blocks:
             q = block(q, context=kv, mask=pad)

@@ -261,7 +261,7 @@ def _cmd_selftest(args) -> int:
 
     # gradient fidelity on a tiny block
     rng = nn.rng_from_seed(0)
-    block = nn.TransformerBlock(8, 2, 2, rng, dtype=np.float64)
+    block = nn.TransformerBlock(8, 2, 2, rng).astype(np.float64)
     x = nn.Tensor(rng.normal(0, 1, (3, 8)), requires_grad=True)
     params = dict(block.named_parameters(), x=x)
     err = nn.grad_check(lambda: nn.tsum(block(x) * block(x)), params,

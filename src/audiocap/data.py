@@ -206,6 +206,9 @@ def synthesize_corpus(n: int, seed: int, out_dir) -> list[ManifestEntry]:
 
 # -- batching and schedule ---------------------------------------------------
 
+WEIGHT_DECAY = 1e-6  # AdamW's decoupled decay in every training stage
+
+
 def make_batches(entries: list, batch_size: int, seed: int,
                  epoch: int) -> list[list]:
     """Permutation seeded by (seed, epoch); the final short batch is kept."""
@@ -285,7 +288,7 @@ def corpus_feature_stats(features: dict[str, PatchSequence]) -> tuple[float, flo
 
 def run_schedule(model, schedule: TrainingSchedule,
                  entries: list[ManifestEntry], base_dir, seed: int,
-                 weight_decay: float = 1e-6, max_steps: int | None = None,
+                 max_steps: int | None = None,
                  features: dict[str, PatchSequence] | None = None,
                  log=None) -> TrainResult:
     """Train through all stages; stage 2 continues from stage 1 parameters.
@@ -307,7 +310,7 @@ def run_schedule(model, schedule: TrainingSchedule,
     for stage in schedule.stages:
         boundaries.append(len(curve))
         params = trainable_parameters(model)
-        opt = AdamW(params, lr=stage.peak_lr, weight_decay=weight_decay)
+        opt = AdamW(params, lr=stage.peak_lr, weight_decay=WEIGHT_DECAY)
         steps_per_epoch = math.ceil(len(items) / stage.batch_size)
         step_in_stage = 0
         for _ in range(stage.epochs):

@@ -160,18 +160,14 @@ def _padded(rows: list[np.ndarray], fill) -> np.ndarray:
 
 class CaptionDecoder(Module):
     def __init__(self, cfg: DecoderConfig, vocab_size: int,
-                 rng: np.random.Generator, dtype=np.float32):
-        self.embed = nn.parameter(
-            rng.normal(0.0, 0.02, (vocab_size, cfg.d_dec)), dtype)
-        self.pos = nn.parameter(
-            rng.normal(0.0, 0.02, (cfg.max_seq, cfg.d_dec)), dtype)
-        self.blocks = [TransformerBlock(cfg.d_dec, cfg.heads, cfg.ffn_mult,
-                                        rng, dtype=dtype)
+                 rng: np.random.Generator):
+        self.embed = nn.parameter(rng.normal(0.0, 0.02, (vocab_size, cfg.d_dec)))
+        self.pos = nn.parameter(rng.normal(0.0, 0.02, (cfg.max_seq, cfg.d_dec)))
+        self.blocks = [TransformerBlock(cfg.d_dec, cfg.heads, cfg.ffn_mult, rng)
                        for _ in range(cfg.layers)]
-        self.out_gain = nn.parameter(np.ones(cfg.d_dec), dtype)
-        self.head = Linear(cfg.d_dec, vocab_size, rng, dtype=dtype)
+        self.out_gain = nn.parameter(np.ones(cfg.d_dec))
+        self.head = Linear(cfg.d_dec, vocab_size, rng)
         self.cfg = cfg
-        self.dtype = dtype
 
     @property
     def vocab_size(self) -> int:
@@ -195,7 +191,7 @@ class CaptionDecoder(Module):
             offset += s.n_acoustic
         if offset != acoustic.shape[0]:
             raise nn.ShapeMismatch(f"{acoustic.shape[0]} acoustic rows for {offset} slots")
-        return nn.embedding(nn.concat([self.embed, acoustic]), index)
+        return nn.concat([self.embed, acoustic])[index]
 
     def logits(self, x: Tensor, caches: list[nn.KVCache] | None = None,
                start: int = 0) -> Tensor:
@@ -256,7 +252,7 @@ class CaptionDecoder(Module):
             if tok == vocab.EOS:
                 break
             generated.append(tok)
-            x = nn.embedding(self.embed, np.array([[tok]]))
+            x = self.embed[np.array([[tok]])]
         return vocab.decode(generated)
 
     def beam_decode(self, acoustic: Tensor, vocab: Vocabulary, beam: int = 4,
@@ -307,7 +303,7 @@ class CaptionDecoder(Module):
             if live:
                 for cache in caches:
                     cache.select(kept // width)  # each survivor's parent row
-                x = nn.embedding(self.embed, (kept % width)[:, None])
+                x = self.embed[(kept % width)[:, None]]
         done.extend(zip(live, totals.tolist()))  # length-capped ones compete as-is
         best_ids, _ = min(done, key=lambda d: (-norm(d[1], len(d[0])), d[0]))
         return vocab.decode(best_ids)

@@ -44,18 +44,16 @@ class EncoderConfig:
 
 class PatchEncoder(Module):
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator,
-                 patch_dim: int = 256, freq_patches: int = 4, dtype=np.float32):
-        self.patch_proj = Linear(patch_dim, cfg.d_enc, rng, dtype=dtype)
+                 patch_dim: int = 256, freq_patches: int = 4):
+        self.patch_proj = Linear(patch_dim, cfg.d_enc, rng)
         self.time_pos = nn.parameter(
-            rng.normal(0.0, 0.02, (cfg.max_time_patches, cfg.d_enc)), dtype)
+            rng.normal(0.0, 0.02, (cfg.max_time_patches, cfg.d_enc)))
         self.freq_pos = nn.parameter(
-            rng.normal(0.0, 0.02, (freq_patches, cfg.d_enc)), dtype)
-        self.blocks = [TransformerBlock(cfg.d_enc, cfg.heads, cfg.ffn_mult,
-                                        rng, dtype=dtype)
+            rng.normal(0.0, 0.02, (freq_patches, cfg.d_enc)))
+        self.blocks = [TransformerBlock(cfg.d_enc, cfg.heads, cfg.ffn_mult, rng)
                        for _ in range(cfg.layers)]
-        self.out_gain = nn.parameter(np.ones(cfg.d_enc), dtype)
+        self.out_gain = nn.parameter(np.ones(cfg.d_enc))
         self.cfg = cfg
-        self.dtype = dtype
         # corpus standardization statistics; set once from the training corpus
         self.feat_mean = 0.0
         self.feat_std = 1.0
@@ -79,14 +77,15 @@ class PatchEncoder(Module):
                 raise TooLong(f"{p.grid[0]} time patches exceeds "
                               f"{self.cfg.max_time_patches}")
         n = int(counts.max())
-        x = np.zeros((len(seqs), n, seqs[0].patches.shape[-1]), dtype=self.dtype)
+        x = np.zeros((len(seqs), n, seqs[0].patches.shape[-1]),
+                     dtype=self.time_pos.dtype)
         for row, p in zip(x, seqs):
             row[:p.count] = (p.patches - self.feat_mean) / self.feat_std
         fp = self.freq_pos.data.shape[0]
         idx = np.arange(n)
-        h = (self.patch_proj(Tensor(x)) + nn.embedding(self.time_pos, idx // fp)
-             + nn.embedding(self.freq_pos, idx % fp))
-        mask = np.where(idx < counts[:, None], 0.0, -np.inf).astype(self.dtype)
+        h = (self.patch_proj(Tensor(x)) + self.time_pos[idx // fp]
+             + self.freq_pos[idx % fp])
+        mask = np.where(idx < counts[:, None], 0.0, -np.inf).astype(x.dtype)
         mask = mask[:, None, None, :]
         for block in self.blocks:
             h = block(h, mask=mask)

@@ -49,6 +49,14 @@ class FrontendConfig:
         if self.patch < 1 or self.n_mels < self.patch or self.n_mels % self.patch:
             raise ValueError(f"n_mels {self.n_mels} is not a positive multiple "
                              f"of patch {self.patch}")
+        if not (1 <= self.window <= self.n_fft and self.hop >= 1):
+            raise ValueError(f"need 1 <= window <= n_fft and hop >= 1, got window "
+                             f"{self.window}, n_fft {self.n_fft}, hop {self.hop}")
+        if not 0.0 <= self.f_min < self.f_max <= self.sample_rate / 2:
+            raise ValueError(f"need 0 <= f_min < f_max <= {self.sample_rate / 2}"
+                             f", got f_min {self.f_min}, f_max {self.f_max}")
+        if not 0.0 < self.log_floor < np.inf:  # NaN fails too
+            raise ValueError(f"log_floor must be finite and > 0, got {self.log_floor}")
 
 
 @dataclass

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 
-import numpy as np
-
 from . import nn
 from .bridge import BridgeConfig, QueryBridge, output_count
 from .decoder import CaptionDecoder, DecoderConfig, Vocabulary, assemble_sequence
@@ -79,19 +77,16 @@ def _check_type(name: str, default, val):
 class CaptionModel(Module):
     """Composition of the trainable stages; frontend is parameter-free."""
 
-    def __init__(self, cfg: PipelineConfig, vocab: Vocabulary,
-                 dtype=np.float32):
+    def __init__(self, cfg: PipelineConfig, vocab: Vocabulary):
         self.cfg = cfg
         self.vocab = vocab
         fe = cfg.frontend
         self.encoder = PatchEncoder(cfg.encoder, nn.rng_from_seed([cfg.seed, 1]),
-                                    fe.patch ** 2, fe.n_mels // fe.patch,
-                                    dtype=dtype)
+                                    fe.patch ** 2, fe.n_mels // fe.patch)
         self.bridge = QueryBridge(cfg.bridge, cfg.encoder.d_enc,
-                                  nn.rng_from_seed([cfg.seed, 2]), dtype=dtype)
+                                  nn.rng_from_seed([cfg.seed, 2]))
         self.decoder = CaptionDecoder(cfg.decoder, len(vocab),
-                                      nn.rng_from_seed([cfg.seed, 3]),
-                                      dtype=dtype)
+                                      nn.rng_from_seed([cfg.seed, 3]))
 
     def acoustic_tokens(self, patches: PatchSequence) -> Tensor:
         return self.bridge(self.encoder(patches))
@@ -125,9 +120,8 @@ class CaptionModel(Module):
         return self.caption_patches(patches, beam, max_caption)
 
 
-def build_model(cfg: PipelineConfig, vocab: Vocabulary,
-                dtype=np.float32) -> CaptionModel:
+def build_model(cfg: PipelineConfig, vocab: Vocabulary) -> CaptionModel:
     """Construct the model and apply the train strategy (LoRA wrapping)."""
-    model = CaptionModel(cfg, vocab, dtype=dtype)
+    model = CaptionModel(cfg, vocab)
     apply_strategy(model, cfg.strategy, cfg.lora, seed=cfg.seed)
     return model

@@ -1,10 +1,10 @@
 """Minimal reverse-mode autodiff substrate on numpy arrays.
 
 Provides the Tensor graph, the op set needed by the captioning pipeline
-(affine, attention, RMS norm, GELU, cross-entropy, embedding gathers,
+(affine, attention, RMS norm, GELU, cross-entropy, indexing gathers,
 concat and reshape), the AdamW optimizer with decoupled weight decay, and a
-central-difference gradient checker. Runtime precision is float32; tests
-run the same code in float64 for gradient checks.
+central-difference gradient checker. Modules build in float32; gradient
+checks cast a built module to float64 with `Module.astype`.
 """
 
 from __future__ import annotations
@@ -244,18 +244,6 @@ def tsum(t: Tensor) -> Tensor:
                    lambda g: t._accum(np.broadcast_to(g, t.data.shape)))
 
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of `table` (V, d) by an integer id array."""
-    ids = np.asarray(ids)
-
-    def backward(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        table._accum(full)
-
-    return _result(table.data[ids], (table,), backward)
-
-
 # -- nonlinearities --------------------------------------------------------
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -420,12 +408,18 @@ class Module:
     def modules(self) -> list["Module"]:
         return [v for _, v in self._walk() if isinstance(v, Module)]
 
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter's data to `dtype`, keeping the Tensors."""
+        for p in self.parameters():
+            p.data = p.data.astype(dtype)
+        return self
+
 
 class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 init_std: float = 0.02, dtype=np.float32):
-        self.weight = parameter(rng.normal(0.0, init_std, (d_out, d_in)), dtype)
-        self.bias = parameter(np.zeros(d_out), dtype)
+                 init_std: float = 0.02):
+        self.weight = parameter(rng.normal(0.0, init_std, (d_out, d_in)))
+        self.bias = parameter(np.zeros(d_out))
 
     @classmethod
     def from_weights(cls, weight: np.ndarray, bias: np.ndarray) -> "Linear":
@@ -472,15 +466,15 @@ class MultiHeadAttention(Module):
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator,
-                 kv_dim: int | None = None, dtype=np.float32):
+                 kv_dim: int | None = None):
         if d_model % n_heads:
             raise DimensionMismatch(f"{d_model} not divisible by {n_heads} heads")
         kv = kv_dim if kv_dim is not None else d_model
         self.n_heads = n_heads
-        self.q = Linear(d_model, d_model, rng, dtype=dtype)
-        self.k = Linear(kv, d_model, rng, dtype=dtype)
-        self.v = Linear(kv, d_model, rng, dtype=dtype)
-        self.o = Linear(d_model, d_model, rng, dtype=dtype)
+        self.q = Linear(d_model, d_model, rng)
+        self.k = Linear(kv, d_model, rng)
+        self.v = Linear(kv, d_model, rng)
+        self.o = Linear(d_model, d_model, rng)
 
     def __call__(self, query_input: Tensor, kv_input: Tensor,
                  mask: np.ndarray | None = None,
@@ -495,10 +489,9 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
-    def __init__(self, d_model: int, mult: int, rng: np.random.Generator,
-                 dtype=np.float32):
-        self.up = Linear(d_model, d_model * mult, rng, dtype=dtype)
-        self.down = Linear(d_model * mult, d_model, rng, dtype=dtype)
+    def __init__(self, d_model: int, mult: int, rng: np.random.Generator):
+        self.up = Linear(d_model, d_model * mult, rng)
+        self.down = Linear(d_model * mult, d_model, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.down(gelu(self.up(x)))
@@ -508,12 +501,11 @@ class TransformerBlock(Module):
     """Pre-norm residual block: attention then feed-forward."""
 
     def __init__(self, d_model: int, n_heads: int, ffn_mult: int,
-                 rng: np.random.Generator, kv_dim: int | None = None,
-                 dtype=np.float32):
-        self.attn_gain = parameter(np.ones(d_model), dtype)
-        self.attn = MultiHeadAttention(d_model, n_heads, rng, kv_dim, dtype)
-        self.ffn_gain = parameter(np.ones(d_model), dtype)
-        self.ffn = FeedForward(d_model, ffn_mult, rng, dtype)
+                 rng: np.random.Generator, kv_dim: int | None = None):
+        self.attn_gain = parameter(np.ones(d_model))
+        self.attn = MultiHeadAttention(d_model, n_heads, rng, kv_dim)
+        self.ffn_gain = parameter(np.ones(d_model))
+        self.ffn = FeedForward(d_model, ffn_mult, rng)
 
     def __call__(self, x: Tensor, context: Tensor | None = None,
                  mask: np.ndarray | None = None,
@@ -527,6 +519,9 @@ class TransformerBlock(Module):
 
 # -- optimizer -------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamW:
     """AdamW with decoupled weight decay and optional global-norm clipping.
 
@@ -535,12 +530,9 @@ class AdamW:
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0, clip_norm: float | None = 1.0):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.clip_norm = clip_norm
         self.t = 0
@@ -574,20 +566,20 @@ class AdamW:
             grads[k] = g
         grads = self._clip(grads)
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for k, p in self.params.items():
             g = grads[k]
             m = self.m[k]
             v = self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
             decay = lr * self.weight_decay * p.data if self.weight_decay else 0.0
             mhat = m / bc1
             vhat = v / bc2
-            p.data = p.data - decay - lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data = p.data - decay - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 # -- gradient checking -----------------------------------------------------

@@ -78,7 +78,7 @@ def micro_model():
         wave = Waveform(data.render_events(ev, rng), 16000)
         batch.append(wave_to_patches(wave, cfg.frontend))
         captions.append(data.caption_for_events(ev))
-    model = build_model(cfg, build_vocab(captions), dtype=np.float64)
+    model = build_model(cfg, build_vocab(captions)).astype(np.float64)
     model.encoder.set_feature_stats(-5.0, 4.0)
     return model, list(zip(batch, captions))
 

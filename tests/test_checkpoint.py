@@ -137,9 +137,12 @@ class TestCorruption:
         lambda h: h["feature_stats"].update(std=float("inf")),
         lambda h: h["feature_stats"].update(std=0.0),
         lambda h: h["config"]["bridge"].update(heads=0),
+        lambda h: h["config"]["frontend"].update(hop=-160),
+        lambda h: h["config"]["frontend"].update(f_max=12000.0),
     ], ids=["stats-empty", "no-shape", "stats-list", "entry-list",
             "tensors-object", "mean-string", "shape-string", "mean-nan",
-            "std-inf", "std-zero", "heads-zero"])
+            "std-inf", "std-zero", "heads-zero", "hop-negative",
+            "f_max-past-nyquist"])
     def test_bad_header_field(self, edit):
         with pytest.raises(ckpt.CorruptCheckpoint):
             ckpt.deserialize(with_header(edit))

@@ -115,6 +115,22 @@ class TestTrain:
         assert err.startswith("data error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("frontend", [
+        {"hop": -160}, {"n_fft": 256}, {"f_max": 12000.0}, {"log_floor": 0.0},
+    ], ids=["hop", "n_fft", "f_max", "log_floor"])
+    def test_frontend_setting_that_corrupts_features_is_data_error(
+            self, workdir, tmp_path, capsys, frontend):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"frontend": frontend}))
+        out = tmp_path / "x.ckpt"
+        rc = cli.main(["train", "--manifest",
+                       str(workdir["corpus"] / "manifest.jsonl"),
+                       "--config", str(cfg), "--out", str(out),
+                       "--max-steps", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()
+
 
 class TestCaption:
     def test_caption_prints_line(self, workdir, capsys):

@@ -38,13 +38,12 @@ def reference_stream(model, seqs, blocks):
     t_max = max(s.length for s in seqs)
     rows = []
     for s, block in zip(seqs, blocks):
-        segments = [nn.embedding(model.embed, s.prefix_ids), block,
-                    nn.embedding(model.embed, s.suffix_ids)]
+        segments = [model.embed[s.prefix_ids], block, model.embed[s.suffix_ids]]
         if len(s.caption_ids):
-            segments.append(nn.embedding(model.embed, s.caption_ids))
+            segments.append(model.embed[s.caption_ids])
         if t_max > s.length:
             pad_ids = np.full(t_max - s.length, Vocabulary.PAD, dtype=np.int64)
-            segments.append(nn.embedding(model.embed, pad_ids))
+            segments.append(model.embed[pad_ids])
         x = nn.concat(segments, axis=0)
         rows.append(nn.reshape(x, (1,) + x.shape))
     return nn.concat(rows, axis=0)
@@ -425,7 +424,7 @@ class TestCachedDecoding:
         assert relative_error(rows.data[0, -1], want) < 1e-5
         ids = vocab.encode(self.CAPTION)
         for i, tok in enumerate(ids):
-            x = nn.embedding(model.embed, np.array([[tok]]))
+            x = model.embed[np.array([[tok]])]
             row = model.logits(x, caches, start).data[0, -1]
             start += 1
             want = reference_step_logits(model, acoustic, ids[:i + 1], vocab)
@@ -434,7 +433,7 @@ class TestCachedDecoding:
         for cache in caches:
             cache.select(np.array([0, 0, 0]))
         branch = [vocab.EOS, ids[0], ids[-1]]
-        x = nn.embedding(model.embed, np.array(branch)[:, None])
+        x = model.embed[np.array(branch)[:, None]]
         rows = model.logits(x, caches, start).data[:, -1]
         for row, tok in zip(rows, branch):
             want = reference_step_logits(model, acoustic, ids + [tok], vocab)

@@ -66,6 +66,20 @@ class TestLoadWav:
             frontend.load_wav(path)
 
 
+class TestConfig:
+    # each of these produced patches with no error before it was rejected
+    @pytest.mark.parametrize("over", [
+        {"hop": -160}, {"hop": 0}, {"window": 0}, {"window": 600},
+        {"n_fft": 256}, {"f_max": 12000.0}, {"f_min": 9000.0},
+        {"f_min": -1.0}, {"f_min": 4000.0, "f_max": 4000.0},
+        {"log_floor": 0.0}, {"log_floor": -1.0}, {"log_floor": math.inf},
+        {"log_floor": math.nan},
+    ], ids=lambda over: ",".join(f"{k}={v}" for k, v in over.items()))
+    def test_setting_that_corrupts_features_is_rejected(self, over):
+        with pytest.raises(ValueError):
+            FrontendConfig(**over)
+
+
 class TestFraming:
     @pytest.mark.parametrize("n,expected", [
         (400, 1), (559, 1), (560, 2), (16000, 98), (480000, 2998),

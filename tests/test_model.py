@@ -6,6 +6,7 @@ import pytest
 from audiocap import nn
 from audiocap.bridge import output_count
 from audiocap.decoder import assemble_sequence
+from audiocap.lora import TrainStrategy
 from audiocap.model import build_model
 from conftest import random_patches, tiny_config, tiny_vocab
 
@@ -28,7 +29,7 @@ def op_counts(root):
     while todo:
         t = todo.pop()
         if t._backward is not None:
-            counts[t._backward.__qualname__.split(".")[0]] += 1
+            counts[t._backward.__qualname__.split(".<locals>")[0]] += 1
         for p in t._parents:
             if id(p) not in seen:
                 seen.add(id(p))
@@ -101,10 +102,28 @@ class TestBatchedLoss:
             batch = [(random_patches(seed=30 + i, time_patches=2 + i % 5),
                       CAPTIONS[i % len(CAPTIONS)]) for i in range(size)]
             ops = op_counts(model.loss_on_batch(batch))
-            census.append((ops["embedding"], ops["concat"]))
+            census.append((ops["Tensor.__getitem__"], ops["concat"]))
         assert census[0] == census[1] == census[2], census
 
     def test_empty_batch(self):
         model = build_model(tiny_config(), tiny_vocab())
         with pytest.raises(nn.EmptyTargetSet):
             model.loss_on_batch([])
+
+
+class TestAstype:
+    def test_cast_keeps_parameters_and_flags(self):
+        lora = TrainStrategy(encoder="lora", decoder="lora")
+        model = build_model(tiny_config(seed=4, strategy=lora), tiny_vocab())
+        assert {p.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+        before = {k: (p, p.requires_grad)
+                  for k, p in model.named_parameters().items()}
+        assert model.astype(np.float64) is model
+        after = model.named_parameters()
+        assert list(after) == list(before)
+        for name, p in after.items():
+            assert p is before[name][0], name
+            assert p.requires_grad == before[name][1], name
+            assert p.dtype == np.float64, name
+        loss = model.loss_on_batch([(random_patches(seed=5), CAPTIONS[1])])
+        assert loss.dtype == np.float64

@@ -171,7 +171,7 @@ class TestBackwardOps:
 
     def test_embedding_accumulates_repeated_ids(self):
         table = nn.Tensor(np.zeros((4, 2)), requires_grad=True)
-        out = nn.embedding(table, np.array([1, 1, 3]))
+        out = table[np.array([1, 1, 3])]
         nn.tsum(out).backward()
         assert np.array_equal(table.grad[1], [2.0, 2.0])
         assert np.array_equal(table.grad[3], [1.0, 1.0])
@@ -226,7 +226,7 @@ class TestFusedOps:
 
     def test_cross_attention_kv_dim_differs(self):
         r = nn.rng_from_seed(4)
-        attn = nn.MultiHeadAttention(8, 2, r, kv_dim=6, dtype=np.float64)
+        attn = nn.MultiHeadAttention(8, 2, r, kv_dim=6).astype(np.float64)
         q = nn.Tensor(r.normal(0, 1, (4, 1, 8)), requires_grad=True)
         kv = nn.Tensor(r.normal(0, 1, (4, 5, 6)), requires_grad=True)
         mask = np.zeros((4, 1, 1, 5))
@@ -255,7 +255,7 @@ class TestGradCheck:
 
     def test_tiny_attention_model_all_entries(self):
         r = nn.rng_from_seed(2)
-        blocks = [nn.TransformerBlock(8, 2, 2, r, dtype=np.float64)
+        blocks = [nn.TransformerBlock(8, 2, 2, r).astype(np.float64)
                   for _ in range(2)]
         x = nn.Tensor(r.normal(0, 1, (3, 8)), requires_grad=True)
         params = {"x": x}
