@@ -35,8 +35,7 @@ class BridgeConfig:
     max_windows: int = 128
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        nn.require_positive(self, "window", "d_q", "d_dec", "max_windows")
         if self.heads < 1 or self.d_q % self.heads or self.d_dec % self.heads:
             raise ValueError("d_q and d_dec must be divisible by heads >= 1")
 

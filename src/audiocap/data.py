@@ -327,7 +327,8 @@ def run_schedule(model, schedule: TrainingSchedule,
                         f"loss {value} at stage step {step_in_stage}")
                 opt.zero_grad()
                 loss.backward()
-                opt.step(lr=lr)
+                opt.lr = lr
+                opt.step()
                 del loss  # frees this step's graph before the next is built
                 curve.append(value)
                 if log is not None:

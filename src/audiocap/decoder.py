@@ -33,6 +33,9 @@ class SequenceTooLong(ValueError):
 CAPTION_INSTRUCTION = "Describe the detail of this audio: <AcousticTokens> \n --- \n Detailed: "
 ACOUSTIC_SLOT = "<AcousticTokens>"
 
+# Beam hypotheses score total log-prob / length ** LENGTH_NORM.
+LENGTH_NORM = 0.75
+
 SPECIAL_TOKENS = ("<bos>", "<eos>", "<pad>", "<unk>")
 LITERAL_TOKENS = (":", "---", "\n")
 
@@ -100,6 +103,7 @@ class DecoderConfig:
     max_caption: int = 50
 
     def __post_init__(self):
+        nn.require_positive(self, "d_dec", "ffn_mult", "max_seq", "max_caption")
         if self.heads < 1 or self.d_dec % self.heads:
             raise ValueError("d_dec must be divisible by heads >= 1")
 
@@ -239,13 +243,11 @@ class CaptionDecoder(Module):
             raise SequenceTooLong(f"decode length {length} hit the cap")
         return self.logits(x, caches, start).data[:, -1]
 
-    def greedy_decode(self, acoustic: Tensor, vocab: Vocabulary,
-                      max_caption: int | None = None) -> str:
-        limit = max_caption if max_caption is not None else self.cfg.max_caption
+    def greedy_decode(self, acoustic: Tensor, vocab: Vocabulary) -> str:
         caches = [nn.KVCache() for _ in self.blocks]
         x, start = self._prompt(acoustic, vocab), 0
         generated: list[int] = []
-        for _ in range(limit):
+        for _ in range(self.cfg.max_caption):
             row = self._next_logits(x, caches, start)[0]
             start += x.data.shape[1]
             tok = int(np.argmax(row))  # ties resolve to the lowest id
@@ -255,18 +257,15 @@ class CaptionDecoder(Module):
             x = self.embed[np.array([[tok]])]
         return vocab.decode(generated)
 
-    def beam_decode(self, acoustic: Tensor, vocab: Vocabulary, beam: int = 4,
-                    max_caption: int | None = None,
-                    length_norm: float = 0.75) -> str:
+    def beam_decode(self, acoustic: Tensor, vocab: Vocabulary, beam: int = 4) -> str:
         """Beam search over token ids, the live hypotheses run as one batch.
 
-        Hypothesis score is total log-prob divided by length**length_norm
+        Hypothesis score is total log-prob divided by length**LENGTH_NORM
         (length counts <eos>); ties break lexicographically on token ids,
         which makes beam=1 reproduce greedy decoding exactly.
         """
         if beam < 1:
             raise ValueError("beam width must be >= 1")
-        limit = max_caption if max_caption is not None else self.cfg.max_caption
         caches = [nn.KVCache() for _ in self.blocks]
         x, start = self._prompt(acoustic, vocab), 0
         live: list[list[int]] = [[]]
@@ -274,16 +273,16 @@ class CaptionDecoder(Module):
         done: list[tuple[list[int], float]] = []
 
         def norm(total: float, length: int) -> float:
-            return total / (max(length, 1) ** length_norm)
+            return total / (max(length, 1) ** LENGTH_NORM)
 
-        for step in range(limit):
+        for step in range(self.cfg.max_caption):
             if not live:
                 break
             rows = self._next_logits(x, caches, start)
             start += x.data.shape[1]
             logp = np.stack([_log_softmax(row) for row in rows])
             cand_totals = (totals[:, None] + logp).ravel()
-            scores = cand_totals / ((step + 1) ** length_norm)
+            scores = cand_totals / ((step + 1) ** LENGTH_NORM)
             # every candidate tying the k-th best score, then the exact order
             k = min(beam, scores.size)
             kth = scores[np.argpartition(scores, -k)[-k:]].min()

@@ -57,6 +57,10 @@ class FrontendConfig:
                              f", got f_min {self.f_min}, f_max {self.f_max}")
         if not 0.0 < self.log_floor < np.inf:  # NaN fails too
             raise ValueError(f"log_floor must be finite and > 0, got {self.log_floor}")
+        empty = int((mel_filterbank(self).max(axis=1) == 0).sum())
+        if empty:
+            raise ValueError(f"{empty} of {self.n_mels} mel bands cover no FFT bin "
+                             f"at n_fft {self.n_fft}; lower n_mels or raise n_fft")
 
 
 @dataclass
@@ -94,7 +98,7 @@ def load_wav(path) -> Waveform:
             rate = f.getframerate()
             comp = f.getcomptype()
             raw = f.readframes(f.getnframes())
-    except (wave.Error, EOFError) as e:
+    except (wave.Error, EOFError, RuntimeError) as e:  # RuntimeError: Chunk.skip
         raise CorruptHeader(f"{path}: {e}") from e
     if comp != "NONE" or width != 2:
         raise UnsupportedFormat(f"{path}: only uncompressed PCM16 is supported")
@@ -102,6 +106,8 @@ def load_wav(path) -> Waveform:
         raise UnsupportedFormat(f"{path}: expected mono, got {channels} channels")
     if rate != SAMPLE_RATE:
         raise UnsupportedFormat(f"{path}: expected 16 kHz, got {rate} (no resampling)")
+    if len(raw) % 2:
+        raise CorruptHeader(f"{path}: data chunk ends inside a sample")
     ints = np.frombuffer(raw, dtype="<i2")
     if ints.size == 0:
         raise UnsupportedFormat(f"{path}: empty audio payload")
@@ -127,13 +133,10 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     bin_hz = np.arange(n_bins) * (cfg.sample_rate / cfg.n_fft)
     pts = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max),
                                 cfg.n_mels + 2))
-    fb = np.zeros((cfg.n_mels, n_bins))
-    for m in range(cfg.n_mels):
-        lo, ctr, hi = pts[m], pts[m + 1], pts[m + 2]
-        rising = (bin_hz - lo) / (ctr - lo)
-        falling = (hi - bin_hz) / (hi - ctr)
-        fb[m] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return fb
+    lo, ctr, hi = pts[:-2, None], pts[1:-1, None], pts[2:, None]
+    rising = (bin_hz - lo) / (ctr - lo)
+    falling = (hi - bin_hz) / (hi - ctr)
+    return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
 def frame_count(n_samples: int, cfg: FrontendConfig) -> int:
@@ -165,11 +168,8 @@ def patchify(m: LogMelSpectrogram, cfg: FrontendConfig | None = None) -> PatchSe
     time_patches = -(-values.shape[0] // p)  # ceil
     padded = np.full((time_patches * p, cfg.n_mels), np.log(cfg.log_floor))
     padded[:values.shape[0]] = values
-    patches = np.empty((time_patches * freq_patches, p * p))
-    for t in range(time_patches):
-        tile_rows = padded[t * p:(t + 1) * p]
-        for f in range(freq_patches):
-            patches[t * freq_patches + f] = tile_rows[:, f * p:(f + 1) * p].reshape(-1)
+    patches = (padded.reshape(time_patches, p, freq_patches, p)
+               .swapaxes(1, 2).reshape(-1, p * p))
     return PatchSequence(patches=patches, grid=(time_patches, freq_patches))
 
 

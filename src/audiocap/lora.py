@@ -22,10 +22,6 @@ class RankTooLarge(ValueError):
     pass
 
 
-class UnknownComponent(KeyError):
-    pass
-
-
 MODES = ("frozen", "full_finetune", "lora")
 
 
@@ -47,13 +43,6 @@ class TrainStrategy:
 
     def modes(self) -> dict[str, str]:
         return {"encoder": self.encoder, "decoder": self.decoder}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainStrategy":
-        unknown = set(d) - {"encoder", "decoder"}
-        if unknown:
-            raise UnknownComponent(f"unknown strategy component(s): {sorted(unknown)}")
-        return cls(**d)
 
 
 class LoraLinear(Module):
@@ -123,10 +112,8 @@ def apply_strategy(model, strategy: TrainStrategy, cfg: LoraConfig | None = None
     """Assign per-component trainability; bridge is always fully trainable."""
     cfg = cfg or LoraConfig()
     for component, mode in strategy.modes().items():
-        module = getattr(model, component, None)
-        if module is None:
-            raise UnknownComponent(f"model has no component {component!r}")
-        apply_mode(module, mode, cfg, [seed, component == "decoder"])
+        apply_mode(getattr(model, component), mode, cfg,
+                   [seed, component == "decoder"])
     set_trainable(model.bridge, True)
 
 

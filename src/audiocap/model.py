@@ -41,7 +41,7 @@ class PipelineConfig:
         kwargs = {}
         sections = {"frontend": FrontendConfig, "encoder": EncoderConfig,
                     "bridge": BridgeConfig, "decoder": DecoderConfig,
-                    "lora": LoraConfig}
+                    "lora": LoraConfig, "strategy": TrainStrategy}
         for key, val in _json_object("config", d).items():
             if key in sections:
                 defaults = {f.name: f.default for f in fields(sections[key])}
@@ -50,9 +50,6 @@ class PipelineConfig:
                         raise ValueError(f"unknown {key} field {name!r}")
                     _check_type(f"{key}.{name}", defaults[name], v)
                 kwargs[key] = sections[key](**val)
-            elif key == "strategy":
-                kwargs[key] = TrainStrategy.from_dict(
-                    _json_object(f"config section {key!r}", val))
             elif key == "seed":
                 kwargs[key] = _check_type(key, 0, val)
             else:
@@ -104,20 +101,15 @@ class CaptionModel(Module):
                               self.cfg.decoder.max_seq)
             for p, caption in batch], acoustic)
 
-    def caption_patches(self, patches: PatchSequence, beam: int = 1,
-                        max_caption: int | None = None) -> str:
+    def caption_patches(self, patches: PatchSequence, beam: int = 1) -> str:
         with nn.no_grad():
             acoustic = self.acoustic_tokens(patches)
             if beam == 1:
-                return self.decoder.greedy_decode(acoustic, self.vocab,
-                                                  max_caption)
-            return self.decoder.beam_decode(acoustic, self.vocab, beam,
-                                            max_caption)
+                return self.decoder.greedy_decode(acoustic, self.vocab)
+            return self.decoder.beam_decode(acoustic, self.vocab, beam)
 
-    def caption_wave(self, wave: Waveform, beam: int = 1,
-                     max_caption: int | None = None) -> str:
-        patches = wave_to_patches(wave, self.cfg.frontend)
-        return self.caption_patches(patches, beam, max_caption)
+    def caption_wave(self, wave: Waveform, beam: int = 1) -> str:
+        return self.caption_patches(wave_to_patches(wave, self.cfg.frontend), beam)
 
 
 def build_model(cfg: PipelineConfig, vocab: Vocabulary) -> CaptionModel:

@@ -37,6 +37,14 @@ def rng_from_seed(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
+def require_positive(cfg, *names: str) -> None:
+    """Raise ValueError on the first field of `cfg` in `names` below 1."""
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{type(cfg).__name__}.{name} must be >= 1, "
+                             f"got {getattr(cfg, name)}")
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -274,13 +282,16 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     return y * (g - np.sum(g * y, axis=axis, keepdims=True))
 
 
-def rms_norm(t: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    """x / sqrt(mean(x^2) + eps) * gain, over the last axis."""
+RMS_EPS = 1e-6
+
+
+def rms_norm(t: Tensor, gain: Tensor) -> Tensor:
+    """x / sqrt(mean(x^2) + RMS_EPS) * gain, over the last axis."""
     x = t.data
     if gain.data.shape != x.shape[-1:]:
         raise DimensionMismatch("rms_norm gain must match the last axis")
     n = x.shape[-1]
-    inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
     inv = inv.astype(x.dtype, copy=False)
 
     def backward(g):
@@ -554,8 +565,7 @@ class AdamW:
                      for k, g in grads.items()}
         return grads
 
-    def step(self, lr: float | None = None):
-        lr = self.lr if lr is None else lr
+    def step(self):
         grads = {}
         for k, p in self.params.items():
             g = p.grad
@@ -576,10 +586,10 @@ class AdamW:
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * (g * g)
-            decay = lr * self.weight_decay * p.data if self.weight_decay else 0.0
+            decay = self.lr * self.weight_decay * p.data if self.weight_decay else 0.0
             mhat = m / bc1
             vhat = v / bc2
-            p.data = p.data - decay - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            p.data = p.data - decay - self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 # -- gradient checking -----------------------------------------------------

@@ -139,10 +139,14 @@ class TestCorruption:
         lambda h: h["config"]["bridge"].update(heads=0),
         lambda h: h["config"]["frontend"].update(hop=-160),
         lambda h: h["config"]["frontend"].update(f_max=12000.0),
+        lambda h: h["config"]["strategy"].update(qformer="frozen"),
+        lambda h: h["config"]["strategy"].update(encoder=1),
+        lambda h: h["config"]["decoder"].update(max_caption=0),
     ], ids=["stats-empty", "no-shape", "stats-list", "entry-list",
             "tensors-object", "mean-string", "shape-string", "mean-nan",
             "std-inf", "std-zero", "heads-zero", "hop-negative",
-            "f_max-past-nyquist"])
+            "f_max-past-nyquist", "strategy-unknown-component",
+            "strategy-mode-not-string", "max_caption-zero"])
     def test_bad_header_field(self, edit):
         with pytest.raises(ckpt.CorruptCheckpoint):
             ckpt.deserialize(with_header(edit))

@@ -75,7 +75,8 @@ class TestTrain:
         assert rc == 2
 
     @pytest.mark.parametrize("frontend,expected", [
-        ({"n_mels": 128}, 0), ({"patch": 8}, 0), ({"n_mels": 40}, 2),
+        ({"n_mels": 128}, 2), ({"patch": 8}, 0), ({"n_mels": 40}, 2),
+        ({"n_mels": 112}, 0),
     ])
     def test_encoder_follows_frontend_geometry(self, workdir, tmp_path, capsys,
                                                frontend, expected):
@@ -90,7 +91,9 @@ class TestTrain:
                        "--max-steps", "1"])
         assert rc == expected
         if expected:
-            assert "not a positive multiple of patch" in capsys.readouterr().err
+            message = {128: "1 of 128 mel bands cover no FFT bin",
+                       40: "not a positive multiple of patch"}[frontend["n_mels"]]
+            assert message in capsys.readouterr().err
             return
         rc = cli.main(["caption", "--ckpt", str(ckpt),
                        "--wav", str(workdir["corpus"] / "clip_0000.wav")])
@@ -129,6 +132,30 @@ class TestTrain:
                        "--max-steps", "1"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section,name", [
+        ("encoder", "d_enc"), ("encoder", "ffn_mult"),
+        ("encoder", "max_time_patches"), ("bridge", "d_q"),
+        ("bridge", "max_windows"), ("decoder", "d_dec"),
+        ("decoder", "ffn_mult"), ("decoder", "max_seq"),
+        ("decoder", "max_caption"),
+    ])
+    def test_zero_model_size_is_data_error(self, workdir, tmp_path, capsys,
+                                           section, name):
+        # d_enc, d_q and d_dec at 0 divided by zero; max_caption 0 trained
+        # a model that captions ""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({section: {name: 0}}))
+        out = tmp_path / "x.ckpt"
+        rc = cli.main(["train", "--manifest",
+                       str(workdir["corpus"] / "manifest.jsonl"),
+                       "--config", str(cfg), "--out", str(out),
+                       "--max-steps", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert f"{name} must be >= 1, got 0" in err
         assert not out.exists()
 
 

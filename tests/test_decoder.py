@@ -20,9 +20,9 @@ def acoustic_block(n=3, d=32, seed=0):
     return Tensor(nn.rng_from_seed(seed).normal(0, 1, (n, d)).astype(np.float32))
 
 
-def make_decoder(vocab, seed=0, layers=1, max_seq=128):
+def make_decoder(vocab, seed=0, layers=1, max_seq=128, max_caption=30):
     cfg = DecoderConfig(d_dec=32, layers=layers, heads=2, ffn_mult=2,
-                        max_seq=max_seq, max_caption=30)
+                        max_seq=max_seq, max_caption=max_caption)
     return CaptionDecoder(cfg, len(vocab), nn.rng_from_seed(seed))
 
 
@@ -67,9 +67,9 @@ def reference_step_logits(model, acoustic, generated, vocab):
     return model.logits(reference_stream(model, [seq], [acoustic])).data[0, -1]
 
 
-def reference_greedy(model, acoustic, vocab, max_caption):
+def reference_greedy(model, acoustic, vocab):
     generated = []
-    for _ in range(max_caption):
+    for _ in range(model.cfg.max_caption):
         tok = int(np.argmax(reference_step_logits(model, acoustic, generated,
                                                   vocab)))
         if tok == vocab.EOS:
@@ -78,14 +78,13 @@ def reference_greedy(model, acoustic, vocab, max_caption):
     return vocab.decode(generated)
 
 
-def reference_beam(model, acoustic, vocab, beam, max_caption,
-                   length_norm=0.75):
+def reference_beam(model, acoustic, vocab, beam):
     live, done = [([], 0.0)], []
 
     def norm(total, length):
-        return total / (max(length, 1) ** length_norm)
+        return total / (max(length, 1) ** dec.LENGTH_NORM)
 
-    for _ in range(max_caption):
+    for _ in range(model.cfg.max_caption):
         if not live:
             break
         candidates = []
@@ -335,15 +334,16 @@ class TestDecoding:
     @settings(max_examples=8, deadline=None)
     def test_beam_one_equals_greedy(self, seed):
         vocab = tiny_vocab()
-        model = make_decoder(vocab, seed=seed)
+        model = make_decoder(vocab, seed=seed, max_caption=8)
         acoustic = acoustic_block(seed=seed)
-        greedy = model.greedy_decode(acoustic, vocab, max_caption=8)
-        beam1 = model.beam_decode(acoustic, vocab, beam=1, max_caption=8)
+        greedy = model.greedy_decode(acoustic, vocab)
+        beam1 = model.beam_decode(acoustic, vocab, beam=1)
         assert greedy == beam1
 
-    def test_beam_finds_no_worse_unnormalized_hypothesis(self):
+    def test_beam_finds_no_worse_unnormalized_hypothesis(self, monkeypatch):
+        monkeypatch.setattr(dec, "LENGTH_NORM", 0.0)
         vocab = tiny_vocab()
-        model = make_decoder(vocab, seed=3)
+        model = make_decoder(vocab, seed=3, max_caption=6)
         acoustic = acoustic_block(seed=3)
 
         def total_logprob(text):
@@ -356,28 +356,27 @@ class TestDecoding:
                 prefix.append(tok)
             return total
 
-        greedy = model.greedy_decode(acoustic, vocab, max_caption=6)
-        beam = model.beam_decode(acoustic, vocab, beam=4, max_caption=6,
-                                 length_norm=0.0)
+        greedy = model.greedy_decode(acoustic, vocab)
+        beam = model.beam_decode(acoustic, vocab, beam=4)
         assert total_logprob(beam) >= total_logprob(greedy) - 1e-9
 
     def test_greedy_respects_max_caption(self):
         vocab = tiny_vocab()
-        model = make_decoder(vocab)
+        model = make_decoder(vocab, max_caption=7)
         model.head.weight.data[:] = 0.0
         model.head.bias.data[:] = 0.0
         model.head.bias.data[Vocabulary.UNK] = 5.0  # eos never wins
-        out = model.greedy_decode(acoustic_block(), vocab, max_caption=7)
+        out = model.greedy_decode(acoustic_block(), vocab)
         assert out == " ".join(["<unk>"] * 7)
 
     def test_zeroed_head_ties_resolve_to_lowest_id(self):
         vocab = tiny_vocab()
-        model = make_decoder(vocab)
+        model = make_decoder(vocab, max_caption=5)
         model.head.weight.data[:] = 0.0
         model.head.bias.data[:] = 0.0
         # all logits equal: argmax returns id 0 = <bos>, never <eos>, so
         # decoding runs to the cap and strips specials
-        out = model.greedy_decode(acoustic_block(), vocab, max_caption=5)
+        out = model.greedy_decode(acoustic_block(), vocab)
         assert out == ""
 
     def test_beam_width_validated(self):
@@ -394,17 +393,19 @@ class TestDecoding:
         model.head.bias.data[Vocabulary.UNK] = 5.0
         acoustic = acoustic_block(n=5)  # 8 + 5 + 5 = 18 prompt positions
         decoders = [
-            lambda cap: model.greedy_decode(acoustic, vocab, max_caption=cap),
-            lambda cap: model.beam_decode(acoustic, vocab, beam=2,
-                                          max_caption=cap),
-            lambda cap: reference_greedy(model, acoustic, vocab, cap),
-            lambda cap: reference_beam(model, acoustic, vocab, 2, cap)]
+            lambda: model.greedy_decode(acoustic, vocab),
+            lambda: model.beam_decode(acoustic, vocab, beam=2),
+            lambda: reference_greedy(model, acoustic, vocab),
+            lambda: reference_beam(model, acoustic, vocab, 2)]
         for decode in decoders:
-            assert decode(2) == "<unk> <unk>"  # the third step would hit 20
+            model.cfg.max_caption = 2
+            assert decode() == "<unk> <unk>"  # the third step would hit 20
+            model.cfg.max_caption = 3
             with pytest.raises(dec.SequenceTooLong):
-                decode(3)
+                decode()
+        model.cfg.max_caption = 30
         with pytest.raises(dec.SequenceTooLong):
-            model.greedy_decode(acoustic, vocab, max_caption=30)
+            model.greedy_decode(acoustic, vocab)
 
 
 class TestCachedDecoding:
@@ -444,20 +445,21 @@ class TestCachedDecoding:
         (0, True)])
     def test_captions_match_reference(self, seed, zero_head):
         vocab = tiny_vocab()
-        model = make_decoder(vocab, seed=seed, layers=2)
+        model = make_decoder(vocab, seed=seed, layers=2, max_caption=8)
         if zero_head:  # every logit ties at every step
             model.head.weight.data[:] = 0.0
             model.head.bias.data[:] = 0.0
         acoustic = acoustic_block(n=3 + seed, seed=seed)
-        assert (model.greedy_decode(acoustic, vocab, max_caption=8)
-                == reference_greedy(model, acoustic, vocab, 8))
+        assert (model.greedy_decode(acoustic, vocab)
+                == reference_greedy(model, acoustic, vocab))
         for beam in (1, 2, 3, 4):
-            assert (model.beam_decode(acoustic, vocab, beam=beam, max_caption=8)
-                    == reference_beam(model, acoustic, vocab, beam, 8))
+            assert (model.beam_decode(acoustic, vocab, beam=beam)
+                    == reference_beam(model, acoustic, vocab, beam))
 
     @pytest.mark.parametrize("beam", [1, 3])
     def test_caption_patches_builds_no_graph(self, monkeypatch, beam):
         model = build_model(tiny_config(), tiny_vocab())
+        model.cfg.decoder.max_caption = 4
         seen = []
         for name in ("greedy_decode", "beam_decode"):
             real = getattr(CaptionDecoder, name)
@@ -467,7 +469,7 @@ class TestCachedDecoding:
                 return real(self, acoustic, *args, **kwargs)
 
             monkeypatch.setattr(CaptionDecoder, name, spy)
-        model.caption_patches(random_patches(), beam=beam, max_caption=4)
+        model.caption_patches(random_patches(), beam=beam)
         (acoustic,) = seen
         assert acoustic._parents == () and not acoustic.requires_grad
         # grad mode is back on afterwards: a training loss builds its graph

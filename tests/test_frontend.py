@@ -1,5 +1,7 @@
 import math
 import wave
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +18,30 @@ def write_pcm16(path, ints, rate=16000, channels=1, width=2):
         f.setsampwidth(width)
         f.setframerate(rate)
         f.writeframes(np.asarray(ints, dtype="<i2").tobytes())
+
+
+def reference_filterbank(cfg):
+    """The filterbank built one band at a time."""
+    n_bins = cfg.n_fft // 2 + 1
+    bin_hz = np.arange(n_bins) * (cfg.sample_rate / cfg.n_fft)
+    pts = frontend.mel_to_hz(np.linspace(frontend.hz_to_mel(cfg.f_min),
+                                         frontend.hz_to_mel(cfg.f_max),
+                                         cfg.n_mels + 2))
+    fb = np.zeros((cfg.n_mels, n_bins))
+    for m in range(cfg.n_mels):
+        lo, ctr, hi = pts[m], pts[m + 1], pts[m + 2]
+        rising = (bin_hz - lo) / (ctr - lo)
+        falling = (hi - bin_hz) / (hi - ctr)
+        fb[m] = np.clip(np.minimum(rising, falling), 0.0, None)
+    return fb
+
+
+@pytest.fixture(scope="module")
+def wav_clip(tmp_path_factory):
+    """A valid 44-byte-header PCM16 clip, and a scratch path to edit it at."""
+    path = tmp_path_factory.mktemp("wav") / "clip.wav"
+    write_pcm16(path, np.arange(-400, 400, dtype=np.int16) * 40)
+    return path.read_bytes(), path
 
 
 class TestLoadWav:
@@ -65,6 +91,32 @@ class TestLoadWav:
         with pytest.raises(frontend.CorruptHeader):
             frontend.load_wav(path)
 
+    @pytest.mark.parametrize("offset,value", [(16, 17), (4, 1)],
+                             ids=["fmt-size-17", "riff-size-1"])
+    def test_header_edit_is_corrupt_header(self, wav_clip, offset, value):
+        # fmt size 17 made `wave` raise a bare RuntimeError from its chunk
+        # skip; RIFF size 1 cut the data to an odd byte count
+        blob, path = wav_clip
+        edited = bytearray(blob)
+        edited[offset] = value
+        path.write_bytes(bytes(edited))
+        with pytest.raises(frontend.CorruptHeader, match="clip.wav"):
+            frontend.load_wav(path)
+
+    @given(st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_header_edits_raise_only_format_errors(self, wav_clip, edits):
+        blob, path = wav_clip
+        edited = bytearray(blob)
+        for offset, value in edits:
+            edited[offset] = value
+        path.write_bytes(bytes(edited))
+        try:
+            frontend.load_wav(path)
+        except (frontend.CorruptHeader, frontend.UnsupportedFormat):
+            pass
+
 
 class TestConfig:
     # each of these produced patches with no error before it was rejected
@@ -73,11 +125,23 @@ class TestConfig:
         {"n_fft": 256}, {"f_max": 12000.0}, {"f_min": 9000.0},
         {"f_min": -1.0}, {"f_min": 4000.0, "f_max": 4000.0},
         {"log_floor": 0.0}, {"log_floor": -1.0}, {"log_floor": math.inf},
-        {"log_floor": math.nan},
+        {"log_floor": math.nan}, {"n_mels": 128}, {"n_mels": 160},
+        {"n_mels": 256},
     ], ids=lambda over: ",".join(f"{k}={v}" for k, v in over.items()))
     def test_setting_that_corrupts_features_is_rejected(self, over):
         with pytest.raises(ValueError):
             FrontendConfig(**over)
+
+    @pytest.mark.parametrize("n_mels,empty", [(128, 1), (160, 4), (256, 27)])
+    def test_empty_mel_bands_are_counted(self, n_mels, empty):
+        with pytest.raises(ValueError, match=f"^{empty} of {n_mels} mel bands "
+                                             "cover no FFT bin"):
+            FrontendConfig(n_mels=n_mels)
+
+    def test_every_band_covers_a_bin_up_to_112_mels(self):
+        for n_mels in range(16, 113, 16):
+            fb = frontend.mel_filterbank(FrontendConfig(n_mels=n_mels))
+            assert np.all(fb.max(axis=1) > 0)
 
 
 class TestFraming:
@@ -119,6 +183,18 @@ class TestMelAnalysis:
         assert np.all(fb >= 0)
         assert np.all(fb.max(axis=1) > 0)
         assert fb.max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("over", [
+        {"n_mels": n, **band} for n in (64, 80, 96, 128)
+        for band in ({}, {"f_min": 50.0, "f_max": 7000.0})
+    ] + [{"n_fft": 1024, "n_mels": 64}, {"n_fft": 1024, "n_mels": 128}],
+        ids=lambda over: ",".join(f"{k}={v}" for k, v in over.items()))
+    def test_filterbank_matches_per_band_reference(self, over):
+        # n_mels=128 at n_fft 512 has an empty band, which FrontendConfig
+        # rejects; the filterbank is still defined there
+        cfg = SimpleNamespace(**{**asdict(FrontendConfig()), **over})
+        assert np.array_equal(frontend.mel_filterbank(cfg),
+                              reference_filterbank(cfg))
 
     def test_silence_hits_log_floor(self):
         m = frontend.compute_log_mel(Waveform(np.zeros(16000), 16000))

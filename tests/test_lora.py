@@ -3,7 +3,7 @@ import pytest
 
 from audiocap import lora, nn
 from audiocap.lora import LoraConfig, LoraLinear, TrainStrategy
-from audiocap.model import build_model
+from audiocap.model import PipelineConfig, build_model
 from conftest import random_patches, tiny_config, tiny_vocab
 
 
@@ -91,9 +91,14 @@ class TestAdapterTraining:
 
 
 class TestStrategy:
-    def test_from_dict_unknown_component(self):
-        with pytest.raises(lora.UnknownComponent):
-            TrainStrategy.from_dict({"encoder": "lora", "qformer": "frozen"})
+    def test_unknown_component_is_config_error(self):
+        with pytest.raises(ValueError, match="unknown strategy field 'qformer'"):
+            PipelineConfig.from_dict(
+                {"strategy": {"encoder": "lora", "qformer": "frozen"}})
+
+    def test_non_string_mode_is_config_error(self):
+        with pytest.raises(ValueError, match="strategy.decoder: expected str"):
+            PipelineConfig.from_dict({"strategy": {"decoder": 1}})
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

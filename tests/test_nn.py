@@ -153,11 +153,12 @@ class TestAdamW:
         nn.AdamW({"p": p2}, lr=0.1, clip_norm=None).step()
         assert np.allclose(p1.data, p2.data, atol=1e-7)
 
-    def test_step_lr_override(self):
+    def test_step_uses_current_lr(self):
         p = nn.parameter(np.array([1.0]))
         p.grad = np.array([1.0], dtype=np.float32)
         opt = nn.AdamW({"p": p}, lr=99.0, weight_decay=0.0, clip_norm=None)
-        opt.step(lr=0.1)
+        opt.lr = 0.1
+        opt.step()
         assert abs(float(p.data[0]) - 0.9) < 1e-6
 
 
