@@ -18,6 +18,7 @@ import zlib
 
 import numpy as np
 
+from . import nn
 from .data import IoError
 from .decoder import Vocabulary
 from .model import CaptionModel, PipelineConfig, build_model
@@ -112,7 +113,8 @@ def deserialize(blob: bytes) -> CaptionModel:
                     != struct.unpack_from("<I", blob, end)[0]):
         raise CorruptCheckpoint("checksum mismatch")
 
-    model = build_model(cfg, vocab)
+    with nn.no_init():  # every weight is read from the blob below
+        model = build_model(cfg, vocab)
     model.encoder.set_feature_stats(mean, std)
     params = model.named_parameters()
     if [name for name, _, _ in tensors] != sorted(params.keys()):

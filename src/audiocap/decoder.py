@@ -103,7 +103,8 @@ class DecoderConfig:
     max_caption: int = 50
 
     def __post_init__(self):
-        nn.require_positive(self, "d_dec", "ffn_mult", "max_seq", "max_caption")
+        nn.require_at_least(1, self, "d_dec", "ffn_mult", "max_seq", "max_caption")
+        nn.require_at_least(0, self, "layers")
         if self.heads < 1 or self.d_dec % self.heads:
             raise ValueError("d_dec must be divisible by heads >= 1")
 
@@ -208,7 +209,8 @@ class CaptionDecoder(Module):
         """
         n = x.data.shape[-2]
         x = x + self.pos[start:start + n]
-        mask = nn.causal_mask(n, x.dtype, start)
+        # one row per hypothesis sees every cached key: its mask is all zeros
+        mask = nn.causal_mask(n, x.dtype, start) if n > 1 else None
         for block, cache in zip(self.blocks, caches or [None] * len(self.blocks)):
             x = block(x, mask=mask, cache=cache)
         if caches is not None:
@@ -263,6 +265,12 @@ class CaptionDecoder(Module):
         Hypothesis score is total log-prob divided by length**LENGTH_NORM
         (length counts <eos>); ties break lexicographically on token ids,
         which makes beam=1 reproduce greedy decoding exactly.
+
+        The search stops once the best finished score strictly beats
+        total / max_caption**LENGTH_NORM for every live total. That bounds
+        every descendant: a log-prob is <= 0 in float too, so a total never
+        rises, and a total <= 0 scores highest over the longest length. No
+        descendant can then win or tie, so stopping changes no caption.
         """
         if beam < 1:
             raise ValueError("beam width must be >= 1")
@@ -271,12 +279,13 @@ class CaptionDecoder(Module):
         live: list[list[int]] = [[]]
         totals = np.zeros(1)  # float64 log-prob of each live hypothesis
         done: list[tuple[list[int], float]] = []
+        best = -math.inf  # the highest score in `done`
 
         def norm(total: float, length: int) -> float:
             return total / (max(length, 1) ** LENGTH_NORM)
 
         for step in range(self.cfg.max_caption):
-            if not live:
+            if not live or best > norm(totals.max(), self.cfg.max_caption):
                 break
             rows = self._next_logits(x, caches, start)
             start += x.data.shape[1]
@@ -293,7 +302,9 @@ class CaptionDecoder(Module):
             survivors = []
             for ids, c in ranked[:beam]:
                 if ids[-1] == vocab.EOS:
-                    done.append((ids, float(cand_totals[c])))
+                    total = float(cand_totals[c])
+                    done.append((ids, total))
+                    best = max(best, norm(total, len(ids)))
                 else:
                     survivors.append(c)
             kept = np.array(survivors, dtype=np.int64)
@@ -303,7 +314,7 @@ class CaptionDecoder(Module):
                 for cache in caches:
                     cache.select(kept // width)  # each survivor's parent row
                 x = self.embed[(kept % width)[:, None]]
-        done.extend(zip(live, totals.tolist()))  # length-capped ones compete as-is
+        done.extend(zip(live, totals.tolist()))  # capped ones compete; stopped ones lose
         best_ids, _ = min(done, key=lambda d: (-norm(d[1], len(d[0])), d[0]))
         return vocab.decode(best_ids)
 

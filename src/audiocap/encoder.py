@@ -38,7 +38,8 @@ class EncoderConfig:
     max_time_patches: int = 512
 
     def __post_init__(self):
-        nn.require_positive(self, "d_enc", "ffn_mult", "max_time_patches")
+        nn.require_at_least(1, self, "d_enc", "ffn_mult", "max_time_patches")
+        nn.require_at_least(0, self, "layers")
         if self.heads < 1 or self.d_enc % self.heads:
             raise ValueError("d_enc must be divisible by heads >= 1")
 

@@ -10,6 +10,7 @@ trainable under every strategy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ MODES = ("frozen", "full_finetune", "lora")
 class LoraConfig:
     rank: int = 8
     alpha: float = 16.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"LoraConfig.alpha must be finite, got {self.alpha}")
 
 
 @dataclass

@@ -33,15 +33,46 @@ class NonFiniteValue(FloatingPointError):
 
 
 def rng_from_seed(seed) -> np.random.Generator:
-    """Seed may be an int or a sequence of ints (SeedSequence entropy)."""
+    """Seed may be an int or a sequence of ints (SeedSequence entropy).
+
+    Inside a `no_init` block the generator draws nothing: its `normal`
+    returns float32 zeros of the requested shape.
+    """
+    if not _init_draws:
+        return _UNDRAWN
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def require_positive(cfg, *names: str) -> None:
-    """Raise ValueError on the first field of `cfg` in `names` below 1."""
+class _Undrawn:
+    def normal(self, loc, scale, size) -> np.ndarray:
+        return np.zeros(size, dtype=np.float32)
+
+
+_UNDRAWN = _Undrawn()
+_init_draws = True
+
+
+@contextlib.contextmanager
+def no_init():
+    """Inside the block, modules build with zero weights and no random draws.
+
+    For a caller that overwrites every weight it builds, as a checkpoint
+    load does. Like `no_grad`, the mode is process-wide, blocks nest, and
+    leaving one restores the mode it found.
+    """
+    global _init_draws
+    previous, _init_draws = _init_draws, False
+    try:
+        yield
+    finally:
+        _init_draws = previous
+
+
+def require_at_least(low: int, cfg, *names: str) -> None:
+    """Raise ValueError on the first field of `cfg` in `names` below `low`."""
     for name in names:
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{type(cfg).__name__}.{name} must be >= 1, "
+        if getattr(cfg, name) < low:
+            raise ValueError(f"{type(cfg).__name__}.{name} must be >= {low}, "
                              f"got {getattr(cfg, name)}")
 
 
@@ -291,7 +322,8 @@ def rms_norm(t: Tensor, gain: Tensor) -> Tensor:
     if gain.data.shape != x.shape[-1:]:
         raise DimensionMismatch("rms_norm gain must match the last axis")
     n = x.shape[-1]
-    inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
+    # np.mean's own sum and division, without its per-call overhead
+    inv = 1.0 / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / n + RMS_EPS)
     inv = inv.astype(x.dtype, copy=False)
 
     def backward(g):

@@ -65,6 +65,21 @@ class TestRoundTrip:
         loaded = ckpt.load_checkpoint(path)
         assert ckpt.serialize(loaded) == first
 
+    @pytest.mark.parametrize("strategy", [None, TrainStrategy("lora", "lora")],
+                             ids=["full", "lora"])
+    def test_load_draws_no_random_weights(self, monkeypatch, strategy):
+        blob = ckpt.serialize(fresh_model(strategy))
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("a load drew weights that it overwrites")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "SeedSequence", drawn)
+            loaded = ckpt.deserialize(blob)
+        assert ckpt.serialize(loaded) == blob
+        # the draws are back after the load: a fresh build has the same bits
+        assert ckpt.serialize(fresh_model(strategy)) == blob
+
     def test_feature_stats_restored(self):
         loaded = ckpt.deserialize(ckpt.serialize(fresh_model()))
         assert loaded.encoder.feat_mean == -4.5
@@ -142,11 +157,13 @@ class TestCorruption:
         lambda h: h["config"]["strategy"].update(qformer="frozen"),
         lambda h: h["config"]["strategy"].update(encoder=1),
         lambda h: h["config"]["decoder"].update(max_caption=0),
+        lambda h: h["config"]["lora"].update(alpha=float("nan")),
     ], ids=["stats-empty", "no-shape", "stats-list", "entry-list",
             "tensors-object", "mean-string", "shape-string", "mean-nan",
             "std-inf", "std-zero", "heads-zero", "hop-negative",
             "f_max-past-nyquist", "strategy-unknown-component",
-            "strategy-mode-not-string", "max_caption-zero"])
+            "strategy-mode-not-string", "max_caption-zero",
+            "alpha-nan"])
     def test_bad_header_field(self, edit):
         with pytest.raises(ckpt.CorruptCheckpoint):
             ckpt.deserialize(with_header(edit))

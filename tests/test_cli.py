@@ -158,6 +158,29 @@ class TestTrain:
         assert f"{name} must be >= 1, got 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"encoder": {"layers": -2}}, {"decoder": {"layers": -1}},
+        {"bridge": {"cross_layers": -1}}, {"bridge": {"self_layers": -1}},
+        {"lora": {"alpha": float("nan")},
+         "strategy": {"encoder": "lora", "decoder": "lora"}},
+    ], ids=["encoder-layers", "decoder-layers", "cross_layers", "self_layers",
+            "alpha-nan"])
+    def test_negative_layers_or_nan_alpha_is_data_error(self, workdir, tmp_path,
+                                                         capsys, doc):
+        # negative layer counts built no layers and trained; a NaN alpha
+        # failed at the first loss with exit 3
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x.ckpt"
+        rc = cli.main(["train", "--manifest",
+                       str(workdir["corpus"] / "manifest.jsonl"),
+                       "--config", str(cfg), "--out", str(out),
+                       "--max-steps", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestCaption:
     def test_caption_prints_line(self, workdir, capsys):

@@ -79,6 +79,7 @@ def reference_greedy(model, acoustic, vocab):
 
 
 def reference_beam(model, acoustic, vocab, beam):
+    """Exhaustive beam search: every hypothesis runs to <eos> or the cap."""
     live, done = [([], 0.0)], []
 
     def norm(total, length):
@@ -475,3 +476,102 @@ class TestCachedDecoding:
         # grad mode is back on afterwards: a training loss builds its graph
         loss = model.loss_on_batch([(random_patches(), "a low tone")])
         assert loss.requires_grad and loss._backward is not None
+
+
+def count_logits(monkeypatch):
+    """Patch CaptionDecoder.logits to count its calls; returns the count list."""
+    calls = []
+    real = CaptionDecoder.logits
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CaptionDecoder, "logits", counting)
+    return calls
+
+
+def bias_only_decoder(vocab, max_caption, bias=None):
+    """Every step's logits are the head bias (zeros unless given)."""
+    model = make_decoder(vocab, max_caption=max_caption)
+    model.head.weight.data[:] = 0.0
+    model.head.bias.data[:] = 0.0 if bias is None else bias
+    return model
+
+
+class TestBeamStop:
+    @given(seed=st.integers(0, 10_000), beam=st.integers(1, 4),
+           max_caption=st.integers(1, 8),
+           head_scale=st.sampled_from([0.0, 1.0, 30.0, 300.0]),
+           eos_bias=st.sampled_from([0.0, 3.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_beam(self, seed, beam, max_caption, head_scale,
+                                    eos_bias):
+        # head_scale 0 with eos_bias 0 is the all-ties head: every logit is
+        # equal at every step, so no strict bound may stop the search early
+        vocab = tiny_vocab()
+        model = make_decoder(vocab, seed=seed, layers=2, max_caption=max_caption)
+        model.head.weight.data *= head_scale
+        model.head.bias.data[vocab.EOS] = eos_bias
+        acoustic = acoustic_block(n=1 + seed % 5, seed=seed)
+        assert (model.beam_decode(acoustic, vocab, beam=beam)
+                == reference_beam(model, acoustic, vocab, beam))
+
+    def test_stops_once_a_finished_caption_cannot_be_beaten(self, monkeypatch):
+        vocab = tiny_vocab()
+        bias = np.zeros(len(vocab))
+        bias[vocab.EOS] = 8.0
+        model = bias_only_decoder(vocab, max_caption=16, bias=bias)
+        acoustic = acoustic_block()
+        want = reference_beam(model, acoustic, vocab, 3)
+        calls = count_logits(monkeypatch)
+        assert model.beam_decode(acoustic, vocab, beam=3) == want == ""
+        # <eos> ends at step 0 with log-prob ~0; the two live totals are
+        # ~-8, bounded by -8 / 16**0.75 = -1. Without the stop the two
+        # hypotheses' descendants never all end, so the loop ran 16 steps.
+        assert len(calls) == 1
+
+    def test_a_tie_with_the_bound_does_not_stop(self, monkeypatch):
+        # all ties, beam 2: [<eos>] ends at step 0 with score a = log(1/V);
+        # [<bos>]*s lives on with total s*a, exact in float64 because a is
+        # a float32 value, and 16**0.75 is exactly 8, so the bound s*a/8
+        # equals the best at s = 8 and first falls below it at s = 9
+        assert 16 ** dec.LENGTH_NORM == 8.0
+        vocab = tiny_vocab()
+        model = bias_only_decoder(vocab, max_caption=16)
+        acoustic = acoustic_block()
+        want = reference_beam(model, acoustic, vocab, 2)
+        calls = count_logits(monkeypatch)
+        assert model.beam_decode(acoustic, vocab, beam=2) == want == ""
+        assert len(calls) == 9
+
+    def test_a_live_hypothesis_that_can_still_win_keeps_it_going(self,
+                                                                 monkeypatch):
+        # step 0 keeps [tone] (log-prob ~0), ends [<eos>] (~-5) and keeps
+        # [<bos>] (~-20). The worst live total is bounded by -20 / 4**0.75,
+        # below -5, but [tone] is not, and its descendants win.
+        vocab = tiny_vocab()
+        bias = np.zeros(len(vocab))
+        bias[vocab.index["tone"]], bias[vocab.EOS] = 20.0, 15.0
+        model = bias_only_decoder(vocab, max_caption=4, bias=bias)
+        acoustic = acoustic_block()
+        want = reference_beam(model, acoustic, vocab, 3)
+        calls = count_logits(monkeypatch)
+        assert model.beam_decode(acoustic, vocab, beam=3) == want == "tone tone tone tone"
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("beam,eos_bias", [(1, 0.0), (3, -50.0)])
+    def test_without_a_finished_caption_every_step_runs(self, monkeypatch,
+                                                        beam, eos_bias):
+        # beam 1 on the all-ties head always takes <bos> (id 0), and a
+        # -50 bias keeps <eos> out of a beam of 3: nothing ever ends, so
+        # the search runs all max_caption steps, as it did without the stop
+        vocab = tiny_vocab()
+        bias = np.zeros(len(vocab))
+        bias[vocab.EOS] = eos_bias
+        model = bias_only_decoder(vocab, max_caption=7, bias=bias)
+        acoustic = acoustic_block()
+        want = reference_beam(model, acoustic, vocab, beam)
+        calls = count_logits(monkeypatch)
+        assert model.beam_decode(acoustic, vocab, beam=beam) == want
+        assert len(calls) == 7

@@ -311,6 +311,22 @@ class TestModule:
         assert np.array_equal(layer(x).data, x.data)
 
 
+class TestNoInit:
+    def test_builds_zeros_nests_and_restores_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with nn.no_init():
+                with nn.no_init():
+                    inner = nn.Linear(4, 3, nn.rng_from_seed(0))
+                after_inner = nn.Linear(4, 3, nn.rng_from_seed(0))
+                raise RuntimeError("leave the block")
+        drawn = nn.Linear(4, 3, nn.rng_from_seed(0))
+        for layer in (inner, after_inner):
+            assert layer.weight.data.dtype == np.float32
+            assert not layer.weight.data.any()
+        want = nn.rng_from_seed(0).normal(0.0, 0.02, (3, 4)).astype(np.float32)
+        assert np.array_equal(drawn.weight.data, want)
+
+
 class TestNoGrad:
     def block_and_input(self):
         r = rng()
