@@ -216,22 +216,24 @@ def _cmd_evaluate(args) -> int:
 def _cmd_score(args) -> int:
     cand_rows = []
     for lineno, r in data.read_jsonl(args.candidates, ("id", "caption")):
+        data.check_string(lineno, r, "id")
         if not isinstance(r["caption"], str):
             raise data.MalformedLine(lineno, "caption is not a string")
         cand_rows.append(r)
     ref_rows = []
     for lineno, r in data.read_jsonl(args.references, ("id", "captions")):
+        data.check_string(lineno, r, "id")
         data.check_captions(lineno, r["captions"])
         ref_rows.append(r)
-    cands = {str(r["id"]): r["caption"] for r in cand_rows}
+    cands = {r["id"]: r["caption"] for r in cand_rows}
     if len(cands) != len(cand_rows):
         raise data.DuplicateId("duplicate candidate ids")
-    ref_ids = [str(r["id"]) for r in ref_rows]
+    ref_ids = [r["id"] for r in ref_rows]
     if len(set(ref_ids)) != len(ref_ids):
         raise data.DuplicateId("duplicate reference ids")
     if set(cands) != set(ref_ids):
         raise metrics.IdMismatch("candidate and reference ids differ")
-    items = [metrics.ScoredItem(id=str(r["id"]), candidate=cands[str(r["id"])],
+    items = [metrics.ScoredItem(id=r["id"], candidate=cands[r["id"]],
                                 references=r["captions"])
              for r in ref_rows]
     return _score_and_report(items, args)

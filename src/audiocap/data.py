@@ -91,6 +91,14 @@ def check_captions(lineno: int, captions) -> list[str]:
     return captions
 
 
+def check_string(lineno: int, obj: dict, key: str) -> str:
+    """obj[key] if it is a non-blank string, never coerced; else MalformedLine."""
+    val = obj[key]
+    if not isinstance(val, str) or not val.strip():
+        raise MalformedLine(lineno, f"{key} is {val!r}, not a non-blank string")
+    return val
+
+
 def parse_manifest(path) -> list[ManifestEntry]:
     """JSON Lines, one object per line: {"id", "audio", "captions"}."""
     entries: list[ManifestEntry] = []
@@ -99,11 +107,12 @@ def parse_manifest(path) -> list[ManifestEntry]:
         captions = check_captions(lineno, obj["captions"])
         if len(captions) > 5:
             raise MalformedLine(lineno, "more than 5 captions")
-        ident = str(obj["id"])
+        ident = check_string(lineno, obj, "id")
+        audio = check_string(lineno, obj, "audio")
         if ident in seen:
             raise DuplicateId(f"line {lineno}: duplicate id {ident!r}")
         seen.add(ident)
-        entries.append(ManifestEntry(id=ident, audio=str(obj["audio"]),
+        entries.append(ManifestEntry(id=ident, audio=audio,
                                      captions=[c.strip() for c in captions]))
     return entries
 

@@ -5,8 +5,9 @@ tokens, the bridged acoustic embeddings in the instruction's slot, the
 instruction tail, then (at training time) the caption and <eos>. The
 bridged rows are soft-prompt rows of the token table, so a batch's stream,
 and the inference prompt as its batch of one, is one gather. Loss is
-masked to caption positions only. Word-level vocabulary; greedy and beam
-decoding with deterministic tie-breaking.
+masked to caption positions only. Word-level vocabulary; one beam search
+writes every caption, greedy decoding being its width 1, with
+deterministic tie-breaking.
 """
 
 from __future__ import annotations
@@ -237,34 +238,17 @@ class CaptionDecoder(Module):
         seq = assemble_sequence(acoustic, None, vocab, self.cfg.max_seq)
         return self.embed_stream([seq], acoustic)
 
-    def _next_logits(self, x: Tensor, caches: list[nn.KVCache],
-                     start: int) -> np.ndarray:
-        """Next-token logits (B, V) after feeding x (B, n, d) at `start`."""
-        length = start + x.data.shape[1]
-        if length >= self.cfg.max_seq:
-            raise SequenceTooLong(f"decode length {length} hit the cap")
-        return self.logits(x, caches, start).data[:, -1]
-
     def greedy_decode(self, acoustic: Tensor, vocab: Vocabulary) -> str:
-        caches = [nn.KVCache() for _ in self.blocks]
-        x, start = self._prompt(acoustic, vocab), 0
-        generated: list[int] = []
-        for _ in range(self.cfg.max_caption):
-            row = self._next_logits(x, caches, start)[0]
-            start += x.data.shape[1]
-            tok = int(np.argmax(row))  # ties resolve to the lowest id
-            if tok == vocab.EOS:
-                break
-            generated.append(tok)
-            x = self.embed[np.array([[tok]])]
-        return vocab.decode(generated)
+        """Beam search of width 1; the benchmark's layer table binds this name."""
+        return self.beam_decode(acoustic, vocab, 1)
 
-    def beam_decode(self, acoustic: Tensor, vocab: Vocabulary, beam: int = 4) -> str:
+    def beam_decode(self, acoustic: Tensor, vocab: Vocabulary, beam: int) -> str:
         """Beam search over token ids, the live hypotheses run as one batch.
 
         Hypothesis score is total log-prob divided by length**LENGTH_NORM
-        (length counts <eos>); ties break lexicographically on token ids,
-        which makes beam=1 reproduce greedy decoding exactly.
+        (length counts <eos>); ties break lexicographically on token ids.
+        So at width 1 each step takes the highest log-prob token, the
+        lowest id on a tie, until <eos> or the cap.
 
         The search stops once the best finished score strictly beats
         total / max_caption**LENGTH_NORM for every live total. That bounds
@@ -287,32 +271,37 @@ class CaptionDecoder(Module):
         for step in range(self.cfg.max_caption):
             if not live or best > norm(totals.max(), self.cfg.max_caption):
                 break
-            rows = self._next_logits(x, caches, start)
-            start += x.data.shape[1]
-            logp = np.stack([_log_softmax(row) for row in rows])
+            n = x.data.shape[1]
+            if start + n >= self.cfg.max_seq:
+                raise SequenceTooLong(f"decode length {start + n} hit the cap")
+            rows = self.logits(x, caches, start).data[:, -1]
+            start += n
+            logp = np.array([_log_softmax(row) for row in rows])
             cand_totals = (totals[:, None] + logp).ravel()
             scores = cand_totals / ((step + 1) ** LENGTH_NORM)
             # every candidate tying the k-th best score, then the exact order
             k = min(beam, scores.size)
-            kth = scores[np.argpartition(scores, -k)[-k:]].min()
+            kth = np.partition(scores, -k)[-k]
             width = logp.shape[1]
             ranked = [(live[c // width] + [c % width], c)
                       for c in np.flatnonzero(scores >= kth).tolist()]
             ranked.sort(key=lambda r: (-scores[r[1]], r[0]))
-            survivors = []
+            live, survivors = [], []
             for ids, c in ranked[:beam]:
                 if ids[-1] == vocab.EOS:
                     total = float(cand_totals[c])
                     done.append((ids, total))
                     best = max(best, norm(total, len(ids)))
                 else:
+                    live.append(ids)
                     survivors.append(c)
             kept = np.array(survivors, dtype=np.int64)
-            live = [live[c // width] + [c % width] for c in kept.tolist()]
             totals = cand_totals[kept]
             if live:
-                for cache in caches:
-                    cache.select(kept // width)  # each survivor's parent row
+                parents = kept // width  # each survivor's row in the caches
+                if parents.tolist() != list(range(len(rows))):  # else in place
+                    for cache in caches:
+                        cache.select(parents)
                 x = self.embed[(kept % width)[:, None]]
         done.extend(zip(live, totals.tolist()))  # capped ones compete; stopped ones lose
         best_ids, _ = min(done, key=lambda d: (-norm(d[1], len(d[0])), d[0]))

@@ -15,7 +15,7 @@ import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-from .data import MalformedLine, MissingField, read_jsonl
+from .data import MalformedLine, MissingField, check_string, read_jsonl
 
 _CIDER_N_MAX = 4
 _CIDER_SIGMA = 6.0
@@ -280,7 +280,7 @@ def read_spice_sidecar(path) -> dict[str, float]:
     table: dict[str, float] = {}
     try:
         for lineno, obj in read_jsonl(path, ("id", "spice")):
-            key, val = str(obj["id"]), obj["spice"]
+            key, val = check_string(lineno, obj, "id"), obj["spice"]
             # NaN and the infinities fail the range test too
             if (isinstance(val, bool) or not isinstance(val, (int, float))
                     or not 0.0 <= val <= 1.0):

@@ -459,9 +459,8 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 init_std: float = 0.02):
-        self.weight = parameter(rng.normal(0.0, init_std, (d_out, d_in)))
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
+        self.weight = parameter(rng.normal(0.0, 0.02, (d_out, d_in)))
         self.bias = parameter(np.zeros(d_out))
 
     @classmethod

@@ -105,7 +105,8 @@ def test_criterion_01_gradient_fidelity():
 def test_criterion_02_lora_identity_and_adaptation():
     t0 = time.monotonic()
     r = nn.rng_from_seed(1)
-    base = nn.Linear(32, 32, r, init_std=0.1)
+    base = nn.Linear.from_weights(r.normal(0, 0.1, (32, 32)).astype(np.float32),
+                                  np.zeros(32, np.float32))
     x = nn.Tensor(r.normal(0, 1, (100, 32)).astype(np.float32))
     before = base(x).data.copy()
     wrapped = lora.wrap_linear(base, rank=4, alpha=8.0, seed=2)

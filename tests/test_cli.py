@@ -324,6 +324,22 @@ class TestScore:
         assert err.startswith("data error: line 3:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cand_id,ref_id", [
+        (1, "1"), (None, "None"), ("c", ["c"]), ("", ""),
+    ])
+    def test_ids_are_not_coerced(self, tmp_path, capsys, cand_id, ref_id):
+        # coercing both sides with str() would pair 1 with "1", null with "None"
+        cands, refs = self.write_corpus(tmp_path)
+        cands.write_text(cands.read_text()
+                         + json.dumps({"id": cand_id, "caption": "x y"}) + "\n")
+        refs.write_text(refs.read_text()
+                        + json.dumps({"id": ref_id, "captions": ["x y"]}) + "\n")
+        rc = cli.main(["score", "--candidates", str(cands),
+                       "--references", str(refs),
+                       "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("data error: line 3:")
+
     def test_empty_corpus_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

@@ -83,6 +83,18 @@ class TestManifest:
         with pytest.raises(data.IoError):
             parse_manifest(tmp_path / "absent.jsonl")
 
+    @pytest.mark.parametrize("ident,audio", [
+        (1, "a.wav"), ("a", True), (["a"], "a.wav"), (None, "a.wav"),
+        ("", "a.wav"), ("a", ""), ("a", "  "),
+    ])
+    def test_id_and_audio_are_non_blank_strings(self, tmp_path, ident, audio):
+        path = tmp_path / "m.jsonl"
+        row = {"id": ident, "audio": audio, "captions": ["x"]}
+        path.write_text('{"id": "z", "audio": "z.wav", "captions": ["x"]}\n'
+                        + json.dumps(row) + "\n")
+        with pytest.raises(data.MalformedLine, match="line 2"):
+            parse_manifest(path)
+
 
 class TestSyntheticCorpus:
     def test_deterministic_and_byte_identical(self, tmp_path):

@@ -331,15 +331,39 @@ class TestCausality:
 
 
 class TestDecoding:
-    @given(st.integers(0, 50))
-    @settings(max_examples=8, deadline=None)
-    def test_beam_one_equals_greedy(self, seed):
+    @given(seed=st.integers(0, 10_000),
+           head_scale=st.sampled_from([0.0, 1.0, 30.0, 300.0]),
+           eos_bias=st.sampled_from([0.0, 3.0]))
+    @settings(max_examples=24, deadline=None)
+    def test_beam_one_equals_greedy(self, seed, head_scale, eos_bias):
+        # head_scale 0 with eos_bias 0 ties every logit: greedy takes id 0
         vocab = tiny_vocab()
-        model = make_decoder(vocab, seed=seed, max_caption=8)
-        acoustic = acoustic_block(seed=seed)
-        greedy = model.greedy_decode(acoustic, vocab)
-        beam1 = model.beam_decode(acoustic, vocab, beam=1)
-        assert greedy == beam1
+        model = make_decoder(vocab, seed=seed, layers=2, max_caption=8)
+        model.head.weight.data *= head_scale
+        model.head.bias.data[vocab.EOS] = eos_bias
+        acoustic = acoustic_block(n=1 + seed % 5, seed=seed)
+        assert (model.beam_decode(acoustic, vocab, beam=1)
+                == reference_greedy(model, acoustic, vocab))
+
+    def test_beam_one_never_reorders_the_caches(self, monkeypatch):
+        # one survivor is always the one row the caches hold
+        selects = []
+        real = nn.KVCache.select
+
+        def spy(self, rows):
+            selects.append(rows)
+            real(self, rows)
+
+        monkeypatch.setattr(nn.KVCache, "select", spy)
+        vocab = tiny_vocab()
+        bias = np.zeros(len(vocab))
+        bias[vocab.EOS] = -50.0  # nothing ends: every step runs
+        model = bias_only_decoder(vocab, max_caption=6, bias=bias)
+        calls = count_logits(monkeypatch)
+        model.beam_decode(acoustic_block(), vocab, beam=1)
+        assert len(calls) == 6 and selects == []
+        model.beam_decode(acoustic_block(), vocab, beam=3)
+        assert selects  # wider beams still reorder
 
     def test_beam_finds_no_worse_unnormalized_hypothesis(self, monkeypatch):
         monkeypatch.setattr(dec, "LENGTH_NORM", 0.0)
@@ -471,8 +495,9 @@ class TestCachedDecoding:
 
             monkeypatch.setattr(CaptionDecoder, name, spy)
         model.caption_patches(random_patches(), beam=beam)
-        (acoustic,) = seen
-        assert acoustic._parents == () and not acoustic.requires_grad
+        # beam 1 enters through greedy_decode, which calls beam_decode
+        assert seen and all(a._parents == () and not a.requires_grad
+                            for a in seen)
         # grad mode is back on afterwards: a training loss builds its graph
         loss = model.loss_on_batch([(random_patches(), "a low tone")])
         assert loss.requires_grad and loss._backward is not None

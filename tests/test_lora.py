@@ -8,7 +8,9 @@ from conftest import random_patches, tiny_config, tiny_vocab
 
 
 def make_linear(d_in=16, d_out=16, seed=0):
-    return nn.Linear(d_in, d_out, nn.rng_from_seed(seed), init_std=0.1)
+    weight = nn.rng_from_seed(seed).normal(0, 0.1, (d_out, d_in))
+    return nn.Linear.from_weights(weight.astype(np.float32),
+                                  np.zeros(d_out, np.float32))
 
 
 class TestLoraLinear:

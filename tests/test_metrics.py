@@ -430,6 +430,14 @@ class TestSpiceSidecar:
         with pytest.raises(mt.MissingSpice, match="line 2"):
             read_spice_sidecar(path)
 
+    @pytest.mark.parametrize("ident", ["7", "null", '""', '["b"]'])
+    def test_id_not_a_string_reports_line(self, tmp_path, ident):
+        path = tmp_path / "spice.jsonl"
+        path.write_text('{"id": "a", "spice": 1}\n'
+                        '{"id": %s, "spice": 0.5}\n' % ident)
+        with pytest.raises(mt.MissingSpice, match="line 2"):
+            read_spice_sidecar(path)
+
     def test_unit_interval_ends_accepted(self, tmp_path):
         path = tmp_path / "spice.jsonl"
         path.write_text('{"id": "a", "spice": 0}\n{"id": "b", "spice": 1.0}\n')

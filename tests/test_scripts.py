@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -14,3 +15,36 @@ def test_correction_stub_demo_prints_canned_revision():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert "-- output: a man speaks while a horse gallops" in run.stdout
+
+
+def run_census(*args):
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "design_census.py"), *args],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def test_design_census_counts_the_package():
+    counts = run_census()
+    assert set(counts) == {"src_lines", "settable_values"}
+    assert counts["src_lines"] == sum(
+        len(p.read_text(encoding="utf-8").splitlines())
+        for p in (ROOT / "src" / "audiocap").glob("*.py"))
+    assert counts["settable_values"] > 0
+
+
+def test_design_census_counting_rule(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "def f(a, b=1, *, c=2, d): return lambda x=0: x\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    plain: int\n"
+        "    n: int = 3\n"
+        "    xs: list = field(default_factory=list)\n"
+        "    LIMIT = 4\n"
+        "class NotData:\n"
+        "    m: int = 5\n")
+    # b, c and the lambda's x; the dataclass's n and xs
+    assert run_census(str(tmp_path)) == {"src_lines": 10, "settable_values": 5}
