@@ -3,8 +3,9 @@
 The token stream is cut into consecutive windows of 17 (the last one may
 be short). Each window gets a single learned query, offset by a learned
 window-index embedding, which cross-attends over that window's tokens
-(plus within-window position embeddings). All windows of all clips in
-a batch attend in one call, the slots past a clip's end masked out. A
+(plus within-window position embeddings). A batch's clips arrive as
+the encoder packs them, row after row; all windows of all clips attend
+in one call, the slots past a clip's end masked out. A
 self-attention stage then mixes the per-window queries of each clip
 before projection to decoder width, so a clip's output length is always
 ceil(T / window).
@@ -64,13 +65,14 @@ class QueryBridge(Module):
         self.cfg = cfg
 
     def forward_batch(self, acoustic: Tensor, counts: list[int]) -> Tensor:
-        """(B, N, d_enc) padded tokens, counts[i] real in row i, -> the
-        (sum of ceil(counts[i] / window), d_dec) rows of every clip, clip
-        i's contiguous and in order.
+        """(sum of counts, d_enc) packed tokens, clip i's counts[i] rows
+        contiguous and in order, -> the (sum of ceil(counts[i] / window),
+        d_dec) rows of every clip, packed the same way.
 
-        One gather collects every clip's windows; padded slots of a short
-        last window are masked out of the cross-attention, and a
-        block-diagonal mask keeps the self-attention within each clip.
+        One gather collects every clip's windows from its rows; the slots
+        past a clip's end repeat its last token and are masked out of the
+        cross-attention, and a block-diagonal mask keeps the
+        self-attention within each clip.
         """
         w = self.cfg.window
         windows = [output_count(n, w) for n in counts]
@@ -79,13 +81,16 @@ class QueryBridge(Module):
         if max(windows) > self.cfg.max_windows:
             raise ValueError(f"{max(windows)} windows exceeds max_windows "
                              f"{self.cfg.max_windows}")
+        counts = np.asarray(counts)
         clip = np.repeat(np.arange(len(counts)), windows)
         index = np.concatenate([np.arange(c) for c in windows])
         slot = index[:, None] * w + np.arange(w)  # token position in its clip
-        kv = acoustic[clip[:, None], np.minimum(slot, acoustic.data.shape[1] - 1)]
+        first = np.cumsum(counts) - counts  # each clip's first packed row
+        kv = acoustic[first[clip, None]
+                      + np.minimum(slot, counts[clip, None] - 1)]
         kv = kv + self.token_pos
         dtype = acoustic.dtype
-        pad = np.where(slot < np.asarray(counts)[clip, None], 0.0, -np.inf)
+        pad = np.where(slot < counts[clip, None], 0.0, -np.inf)
         pad = pad.astype(dtype)[:, None, None, :]
         same_clip = np.where(clip[:, None] == clip, 0.0, -np.inf).astype(dtype)
         q = self.query + self.window_pos[index]
@@ -99,5 +104,4 @@ class QueryBridge(Module):
 
     def __call__(self, acoustic: Tensor) -> Tensor:
         """(n, d_enc) acoustic tokens -> (ceil(n / window), d_dec)."""
-        n, d_enc = acoustic.data.shape
-        return self.forward_batch(nn.reshape(acoustic, (1, n, d_enc)), [n])
+        return self.forward_batch(acoustic, [acoustic.data.shape[0]])

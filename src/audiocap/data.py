@@ -56,15 +56,21 @@ class ManifestEntry:
 def read_jsonl(path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) per non-blank line of a JSON Lines file.
 
-    Raises IoError if the file cannot be opened, MalformedLine on bad JSON
-    or a row that is not an object, and MissingField on a missing key.
+    Raises IoError if the file cannot be opened, MalformedLine on a line
+    that is not UTF-8, bad JSON or a row that is not an object, and
+    MissingField on a missing key.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()  # the line ends text mode reads
     except OSError as e:
         raise IoError(str(e)) from e
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise MalformedLine(lineno, f"not UTF-8 ({e.reason} at byte "
+                                        f"{e.start})") from e
         if not line.strip():
             continue
         try:

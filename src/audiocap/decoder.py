@@ -4,8 +4,10 @@ The decoder consumes a spliced stream: <bos>, the fixed instruction
 tokens, the bridged acoustic embeddings in the instruction's slot, the
 instruction tail, then (at training time) the caption and <eos>. The
 bridged rows are soft-prompt rows of the token table, so a batch's stream,
-and the inference prompt as its batch of one, is one gather. Loss is
-masked to caption positions only. Word-level vocabulary; one beam search
+and the inference prompt as its batch of one, is one gather. Training
+packs the batch's streams row after row, so no pad row is computed, and
+attention stays causal within each item. Loss is masked to caption
+positions only. Word-level vocabulary; one beam search
 writes every caption, greedy decoding being its width 1, with
 deterministic tie-breaking.
 """
@@ -184,34 +186,47 @@ class CaptionDecoder(Module):
 
         `acoustic` holds every item's bridged rows, (sum of n_acoustic, d),
         item i's contiguous and in order. The batch is one gather from the
-        token table with those rows appended: prompt and caption ids index
-        the table, item i's acoustic slot j indexes V + offset_i + j, and
-        rows past an item's end index <pad>.
+        token table with those rows appended, and rows past an item's end
+        index <pad>.
         """
-        index = _padded([s.ids for s in seqs], Vocabulary.PAD)
-        offset = 0
-        for row, s in zip(index, seqs):
-            start = len(s.prefix_ids)
-            row[start:start + s.n_acoustic] = (self.vocab_size + offset
+        rows = _padded(self._table_rows(seqs, acoustic), Vocabulary.PAD)
+        return nn.concat([self.embed, acoustic])[rows]
+
+    def _table_rows(self, seqs: list[SpliceSequence],
+                    acoustic: Tensor) -> list[np.ndarray]:
+        """Each item's rows of the token table with `acoustic` appended:
+        prompt and caption ids index the table, and item i's acoustic
+        slot j indexes V + offset_i + j.
+        """
+        rows, offset = [], 0
+        for s in seqs:
+            ids, start = s.ids, len(s.prefix_ids)
+            ids[start:start + s.n_acoustic] = (self.vocab_size + offset
                                                + np.arange(s.n_acoustic))
             offset += s.n_acoustic
+            rows.append(ids)
         if offset != acoustic.shape[0]:
             raise nn.ShapeMismatch(f"{acoustic.shape[0]} acoustic rows for {offset} slots")
-        return nn.concat([self.embed, acoustic])[index]
+        return rows
 
     def logits(self, x: Tensor, caches: list[nn.KVCache] | None = None,
-               start: int = 0) -> Tensor:
-        """Logits for embeddings x (..., n, d) at positions start..start+n-1.
+               at: int | nn.Packing = 0) -> Tensor:
+        """Logits for embeddings x (..., n, d) at positions at..at+n-1.
 
         With one cache per block, the rows attend causally over the keys
-        and values the caches hold (`start` of them) plus their own, the
+        and values the caches hold (`at` of them) plus their own, the
         caches keep theirs, and only the last row is scored: (..., 1, V).
-        Without, start is 0, x is the stream and every row is scored.
+        Without, x is the stream and every row is scored. At training, x
+        is a batch's streams packed as (R, d) and `at` their `nn.Packing`,
+        which gives each row's position.
         """
-        n = x.data.shape[-2]
-        x = x + self.pos[start:start + n]
-        # one row per hypothesis sees every cached key: its mask is all zeros
-        mask = nn.causal_mask(n, x.dtype, start) if n > 1 else None
+        if isinstance(at, nn.Packing):
+            x, mask = x + self.pos[at.pos], at
+        else:
+            n = x.data.shape[-2]
+            x = x + self.pos[at:at + n]
+            # one row per hypothesis sees every cached key: its mask is all zeros
+            mask = nn.causal_mask(n, x.dtype, at) if n > 1 else None
         for block, cache in zip(self.blocks, caches or [None] * len(self.blocks)):
             x = block(x, mask=mask, cache=cache)
         if caches is not None:
@@ -221,17 +236,24 @@ class CaptionDecoder(Module):
     def forward_loss(self, splices: list[SpliceSequence], acoustic: Tensor) -> Tensor:
         """Mean cross-entropy over all caption positions in the batch;
         `acoustic` is every item's bridged rows, as `embed_stream` takes them.
+
+        The items' streams are packed, (sum of lengths, d): every row is
+        real, and attention stays within each item (`nn.Packing`).
         """
         if not splices:
             raise nn.EmptyTargetSet("empty batch")
         t_max = max(s.length for s in splices)
         if t_max > self.cfg.max_seq:
             raise SequenceTooLong(f"batch length {t_max} exceeds {self.cfg.max_seq}")
-        ids = _padded([s.ids for s in splices], Vocabulary.PAD)
-        keep = _padded([s.loss_mask for s in splices], False)
-        logits = self.logits(self.embed_stream(splices, acoustic))
-        shifted = logits[:, :-1, :]
-        return nn.cross_entropy(shifted, ids[:, 1:], ignore_mask=~keep[:, 1:])
+        rows = np.concatenate(self._table_rows(splices, acoustic))
+        packing = nn.Packing([s.length for s in splices], causal=True)
+        logits = self.logits(nn.concat([self.embed, acoustic])[rows], at=packing)
+        # row r predicts row r + 1; an item's last row would predict the
+        # next item's <bos>, never a caption position, so it is ignored
+        ids = np.concatenate([s.ids for s in splices])
+        keep = np.concatenate([s.loss_mask for s in splices])
+        return nn.cross_entropy(logits, np.append(ids[1:], Vocabulary.PAD),
+                                ignore_mask=~np.append(keep[1:], False))
 
     def _prompt(self, acoustic: Tensor, vocab: Vocabulary) -> Tensor:
         """The inference stream, <bos> + head + acoustic + tail, as (1, T, d)."""

@@ -4,10 +4,10 @@ Embeds flattened spectrogram patches (16x16 under the default frontend;
 the model sizes them from `FrontendConfig`) with factorized learned
 time/frequency positions and runs a bidirectional pre-norm transformer
 stack, emitting one acoustic token per input patch. A batch of clips
-runs as one stack, padded to its longest clip with the padding masked
-out of attention; a single clip needs no padding. Patch
-values are standardized with corpus statistics carried on the encoder
-(and persisted in checkpoints).
+runs as one stack on their patches packed row after row; only attention
+pads each clip to the longest, masking the padding out, and a single
+clip needs no padding. Patch values are standardized with corpus
+statistics carried on the encoder (and persisted in checkpoints).
 """
 
 from __future__ import annotations
@@ -65,34 +65,29 @@ class PatchEncoder(Module):
         self.feat_std = float(std) if std > 0 else 1.0
 
     def forward_batch(self, seqs: list[PatchSequence]) -> Tensor:
-        """Clips -> (B, N, d_enc) acoustic tokens, N the longest patch count.
+        """Clips -> their acoustic tokens packed as (sum of counts, d_enc),
+        clip i's `count` rows contiguous and in order.
 
-        Shorter clips are zero-padded. Padded rows get positions like real
-        ones, but a (B, 1, 1, N) key-padding mask keeps every row from
-        attending to them, so real rows come out as they would alone.
+        Every row-wise layer sees real rows only. Attention runs each clip
+        in a padded layout whose pad keys are masked out (`nn.Packing`),
+        so every clip comes out as it would alone.
         """
-        counts = np.array([p.count for p in seqs])
         for p in seqs:
             if p.count == 0:
                 raise EmptyInput("no patches")
             if p.grid[0] > self.cfg.max_time_patches:
                 raise TooLong(f"{p.grid[0]} time patches exceeds "
                               f"{self.cfg.max_time_patches}")
-        n = int(counts.max())
-        x = np.zeros((len(seqs), n, seqs[0].patches.shape[-1]),
-                     dtype=self.time_pos.dtype)
-        for row, p in zip(x, seqs):
-            row[:p.count] = (p.patches - self.feat_mean) / self.feat_std
+        x = np.concatenate([(p.patches - self.feat_mean) / self.feat_std
+                            for p in seqs]).astype(self.time_pos.dtype, copy=False)
+        packing = nn.Packing([p.count for p in seqs], causal=False)
         fp = self.freq_pos.data.shape[0]
-        idx = np.arange(n)
-        h = (self.patch_proj(Tensor(x)) + self.time_pos[idx // fp]
-             + self.freq_pos[idx % fp])
-        mask = np.where(idx < counts[:, None], 0.0, -np.inf).astype(x.dtype)
-        mask = mask[:, None, None, :]
+        h = (self.patch_proj(Tensor(x)) + self.time_pos[packing.pos // fp]
+             + self.freq_pos[packing.pos % fp])
         for block in self.blocks:
-            h = block(h, mask=mask)
+            h = block(h, mask=packing)
         return nn.rms_norm(h, self.out_gain)
 
     def __call__(self, p: PatchSequence) -> Tensor:
         """One clip's (count, d_enc) tokens: the batch of one."""
-        return self.forward_batch([p])[0]
+        return self.forward_batch([p])

@@ -2,8 +2,9 @@
 
 Provides the Tensor graph, the op set needed by the captioning pipeline
 (affine, attention, RMS norm, GELU, cross-entropy, indexing gathers,
-concat and reshape), the AdamW optimizer with decoupled weight decay, and a
-central-difference gradient checker. Modules build in float32; gradient
+concat and reshape), the `Packing` layout in which a training batch's
+items share one 2-D block of rows, the AdamW optimizer with decoupled
+weight decay, and a central-difference gradient checker. Modules build in float32; gradient
 checks cast a built module to float64 with `Module.astype`.
 """
 
@@ -232,8 +233,9 @@ def parameter(data, dtype=np.float32) -> Tensor:
 def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight.T (+ bias) over the last axis; weight is (d_out, d_in).
 
-    The forward keeps numpy's batched product, so a layer computes the
-    same bits as before it became one node. The backward flattens the
+    The forward keeps numpy's batched product on 3-D input, so an
+    inference layer computes the same bits as before it became one node;
+    training's packed rows are 2-D, one GEMM. The backward flattens the
     rows to 2-D, so dW = g.T @ x is a single GEMM.
     """
     d_out, d_in = weight.data.shape
@@ -247,7 +249,8 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward(g):
         g = g.reshape(-1, d_out)
         if x.requires_grad:
-            x._accum((g @ weight.data).reshape(x.data.shape))
+            dx = g @ weight.data  # fresh: `_accum` keeps it without a copy
+            x._accum(dx if dx.shape == x.data.shape else dx.reshape(x.data.shape))
         if weight.requires_grad:
             weight._accum(g.T @ x.data.reshape(-1, d_in))
         if bias is not None and bias.requires_grad:
@@ -337,15 +340,58 @@ def rms_norm(t: Tensor, gain: Tensor) -> Tensor:
     return _result(x * inv * gain.data, (t, gain), backward)
 
 
+class Packing:
+    """Where the rows of several items sit in one packed (R, d) block.
+
+    Item i's `lengths[i]` rows are contiguous and in item order, so
+    row-wise ops (affine, GELU, RMS norm) run on real rows only. Attention
+    scatters the rows into the padded (B, T, d) layout, T the longest
+    item, with zero pad rows, and gathers the real rows back. `mask` is
+    additive over that layout's (B, heads, T, T) scores: causal, or else
+    the pad keys masked out (None when no item is padded). A causal mask
+    needs no key padding, as an item's pad keys follow all its real rows.
+    """
+
+    def __init__(self, lengths: Sequence[int], causal: bool):
+        lengths = np.asarray(lengths)
+        b, t = len(lengths), int(lengths.max())
+        self.shape = (b, t)
+        self.pos = np.concatenate([np.arange(n) for n in lengths])
+        # each row's index in the padded layout flattened to (B * T) rows
+        self.index = np.repeat(np.arange(b) * t, lengths) + self.pos
+        self.mask = None
+        if causal:
+            self.mask = causal_mask(t)
+        elif self.index.size < b * t:
+            self.mask = np.where(np.arange(t) < lengths[:, None], 0.0,
+                                 -np.inf).astype(np.float32)[:, None, None, :]
+
+    def scatter(self, rows: np.ndarray) -> np.ndarray:
+        """(R, d) packed rows -> (B, T, d); a batch without padding is a view."""
+        b, t = self.shape
+        if self.index.size == b * t:
+            return rows.reshape(b, t, -1)
+        out = np.zeros((b * t, rows.shape[-1]), dtype=rows.dtype)
+        out[self.index] = rows
+        return out.reshape(b, t, -1)
+
+    def gather(self, padded: np.ndarray) -> np.ndarray:
+        """(B, T, d) -> its (R, d) real rows."""
+        flat = padded.reshape(-1, padded.shape[-1])
+        return flat if flat.shape[0] == self.index.size else flat[self.index]
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-                         mask: np.ndarray | None = None) -> Tensor:
+                         mask: np.ndarray | Packing | None = None) -> Tensor:
     """Scaled dot-product attention over token matrices (..., T, d).
 
     `mask` is an additive array broadcastable to (..., heads, Tq, Tk);
     masked positions carry -inf and so receive zero attention weight.
-    One graph node: with P the attention weights and dO the output
-    gradient, the backward is dV = P^T dO, dP = dO V^T,
-    dS = P * (dP - rowsum(dP * P)), dQ = dS K / sqrt(dh) and
+    With a `Packing` instead, q, k and v are its packed (R, d) rows: they
+    attend within their item, in its padded layout under its mask, and
+    the output is packed rows again. One graph node: with P the attention
+    weights and dO the output gradient, the backward is dV = P^T dO,
+    dP = dO V^T, dS = P * (dP - rowsum(dP * P)), dQ = dS K / sqrt(dh) and
     dK = dS^T Q / sqrt(dh).
     """
     d = q.data.shape[-1]
@@ -355,6 +401,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         raise DimensionMismatch("q, k, v must share their last dimension")
     dh = d // n_heads
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
+    packing = mask if isinstance(mask, Packing) else None
+    qd, kd, vd = q.data, k.data, v.data
+    if packing is not None:
+        mask = packing.mask
+        qd, kd, vd = packing.scatter(qd), packing.scatter(kd), packing.scatter(vd)
 
     def split(a):  # (..., T, d) -> (..., heads, T, dh)
         return np.swapaxes(a.reshape(a.shape[:-1] + (n_heads, dh)), -2, -3)
@@ -363,21 +414,25 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         a = np.swapaxes(a, -2, -3)
         return a.reshape(a.shape[:-2] + (d,))
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = split(qd), split(kd), split(vd)
     scores = (qh @ np.swapaxes(kh, -1, -2)) * scale
     if mask is not None:
         scores = scores + mask
     p = _softmax(scores, -1)
+    out = merge(p @ vh)
 
     def backward(g):
-        go = split(g)
+        go = split(g if packing is None else packing.scatter(g))
         ds = _softmax_grad(p, go @ np.swapaxes(vh, -1, -2), -1) * scale
         for t, grad in ((q, ds @ kh), (k, np.swapaxes(ds, -1, -2) @ qh),
                         (v, np.swapaxes(p, -1, -2) @ go)):
             if t.requires_grad:
-                t._accum(_unbroadcast(merge(grad), t.data.shape))
+                grad = merge(grad)
+                t._accum(_unbroadcast(grad, t.data.shape) if packing is None
+                         else packing.gather(grad))
 
-    return _result(merge(p @ vh), (q, k, v), backward)
+    return _result(out if packing is None else packing.gather(out),
+                   (q, k, v), backward)
 
 
 def causal_mask(n: int, dtype=np.float32, start: int = 0) -> np.ndarray:
@@ -580,23 +635,42 @@ class AdamW:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._scratch: dict[tuple, np.ndarray] = {}
 
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
 
-    def _clip(self, grads: dict[str, np.ndarray]):
+    def _clip_scale(self, grads: dict[str, np.ndarray]) -> float | None:
+        """The factor that clips the global norm, or None if none is due."""
         if self.clip_norm is None:
-            return grads
-        total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
-                              for g in grads.values()))
+            return None
+        total = 0.0
+        for g in grads.values():
+            sq = self._buffer(g.shape, 0, np.float64)
+            np.copyto(sq, g)
+            total += float(np.multiply(sq, sq, out=sq).sum())
+        total = math.sqrt(total)
         if total > self.clip_norm and total > 0.0:
-            scale = self.clip_norm / total
-            grads = {k: g * np.asarray(scale, dtype=g.dtype)
-                     for k, g in grads.items()}
-        return grads
+            return self.clip_norm / total
+        return None
+
+    def _buffer(self, shape, which: int, dtype) -> np.ndarray:
+        """A view of shape `shape` into reused scratch buffer `which`."""
+        size = math.prod(shape)
+        key = (which, np.dtype(dtype))
+        buf = self._scratch.get(key)
+        if buf is None or buf.size < size:
+            buf = self._scratch[key] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
 
     def step(self):
+        """One update, in place: p.data, m and v keep their arrays.
+
+        The elementwise ops and their order are those of the textbook
+        form p - lr*wd*p - lr * (m/bc1) / (sqrt(v/bc2) + eps), so the
+        result is the same bits; temporaries live in reused buffers.
+        """
         grads = {}
         for k, p in self.params.items():
             g = p.grad
@@ -605,22 +679,30 @@ class AdamW:
             if g.shape != p.data.shape:
                 raise ShapeMismatch(f"gradient shape mismatch for {k}")
             grads[k] = g
-        grads = self._clip(grads)
+        scale = self._clip_scale(grads)
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
         for k, p in self.params.items():
-            g = grads[k]
-            m = self.m[k]
-            v = self.v[k]
+            g, m, v = grads[k], self.m[k], self.v[k]
+            a = self._buffer(g.shape, 0, g.dtype)
+            b = self._buffer(g.shape, 1, g.dtype)
+            if scale is not None:
+                g = np.multiply(g, np.asarray(scale, dtype=g.dtype), out=b)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            decay = self.lr * self.weight_decay * p.data if self.weight_decay else 0.0
-            mhat = m / bc1
-            vhat = v / bc2
-            p.data = p.data - decay - self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            np.multiply(g, g, out=a)
+            v += np.multiply(a, 1.0 - ADAM_BETA2, out=a)
+            step = np.divide(m, bc1, out=a)
+            step *= self.lr
+            denom = np.divide(v, bc2, out=b)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step /= denom
+            if self.weight_decay:
+                p.data -= np.multiply(p.data, self.lr * self.weight_decay, out=b)
+            p.data -= step
 
 
 # -- gradient checking -----------------------------------------------------

@@ -324,6 +324,17 @@ class TestScore:
         assert err.startswith("data error: line 3:")
         assert "Traceback" not in err
 
+    def test_non_utf8_candidate_is_malformed_line(self, tmp_path, capsys):
+        cands, refs = self.write_corpus(tmp_path)
+        cands.write_bytes(cands.read_bytes()
+                          + b'{"id": "c", "caption": "\xff"}\n')
+        rc = cli.main(["score", "--candidates", str(cands),
+                       "--references", str(refs),
+                       "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 3: not UTF-8")
+
     @pytest.mark.parametrize("cand_id,ref_id", [
         (1, "1"), (None, "None"), ("c", ["c"]), ("", ""),
     ])

@@ -41,6 +41,14 @@ class TestManifest:
             parse_manifest(path)
         assert ei.value.lineno == 2
 
+    def test_non_utf8_line_number(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b'{"id": "a", "audio": "a.wav", "captions": ["x"]}\n'
+                         b'{"id": "b", "audio": "b.wav", "captions": ["\xff"]}\n')
+        with pytest.raises(data.MalformedLine, match="line 2: not UTF-8") as ei:
+            parse_manifest(path)
+        assert ei.value.lineno == 2
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"id": "a", "captions": ["x"]}\n')

@@ -414,6 +414,13 @@ class TestSpiceSidecar:
         with pytest.raises(mt.MissingSpice):
             read_spice_sidecar(path)
 
+    def test_non_utf8_line_reports_number(self, tmp_path):
+        path = tmp_path / "spice.jsonl"
+        path.write_bytes(b'{"id": "a", "spice": 0.25}\n'
+                         b'{"id": "\xff", "spice": 0.5}\n')
+        with pytest.raises(mt.MissingSpice, match="line 2: not UTF-8"):
+            read_spice_sidecar(path)
+
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "spice.jsonl"
         path.write_text('{"id": "a", "spice": 0.1}\n{"id": "a", "spice": 0.2}\n')

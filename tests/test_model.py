@@ -2,10 +2,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from audiocap import nn
 from audiocap.bridge import output_count
-from audiocap.decoder import assemble_sequence
+from audiocap.decoder import CaptionDecoder, assemble_sequence
 from audiocap.lora import TrainStrategy
 from audiocap.model import build_model
 from conftest import random_patches, tiny_config, tiny_vocab
@@ -75,15 +77,58 @@ class TestBatchedLoss:
             assert g is not None and g.shape == ref_grads[name].shape, name
             assert relative(g, ref_grads[name], floor) < 1e-5, name
 
+    # (time patches, caption words) per clip; the words run from a
+    # per-clip offset through CAPTIONS' words, so lengths and words mix
+    @given(st.lists(st.tuples(st.integers(1, 20), st.integers(1, 12)),
+                    min_size=1, max_size=6))
+    @example([(6, 3)])  # a batch of one
+    @settings(max_examples=20, deadline=None)
+    def test_matches_per_clip_reference_property(self, clips):
+        words = " ".join(CAPTIONS).split()
+        model = build_model(tiny_config(seed=1), tiny_vocab(CAPTIONS))
+        batch = [(random_patches(seed=40 + i, time_patches=tp),
+                  " ".join((words * 2)[i:i + n]))
+                 for i, (tp, n) in enumerate(clips)]
+        loss, grads = loss_and_grads(
+            model, lambda m, b: m.loss_on_batch(b), batch)
+        ref_loss, ref_grads = loss_and_grads(
+            model, reference_loss_on_batch, batch)
+        assert loss == pytest.approx(ref_loss, rel=1e-5)
+        floor = 1e-5 * max(np.max(np.abs(g)) for g in ref_grads.values())
+        for name, g in grads.items():
+            assert g is not None and g.shape == ref_grads[name].shape, name
+            assert relative(g, ref_grads[name], floor) < 1e-5, name
+
+    def test_decoder_scores_real_rows_only(self, monkeypatch):
+        model = build_model(tiny_config(seed=1), tiny_vocab(CAPTIONS))
+        batch = [(random_patches(seed=50 + i, time_patches=tp), caption)
+                 for i, (tp, caption) in enumerate(zip([5, 2, 7], CAPTIONS))]
+        window = model.cfg.bridge.window
+        lengths = [assemble_sequence(output_count(p.count, window), caption,
+                                     model.vocab).length
+                   for p, caption in batch]
+        assert len(set(lengths)) > 1  # padded, the parent would score more
+        shapes = []
+        logits = CaptionDecoder.logits
+
+        def spy(self, x, *args, **kwargs):
+            shapes.append(x.shape)
+            return logits(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(CaptionDecoder, "logits", spy)
+        model.loss_on_batch(batch)
+        assert shapes == [(sum(lengths), model.cfg.decoder.d_dec)]
+
     def test_padding_changes_no_real_token(self):
         model = build_model(tiny_config(seed=2), tiny_vocab())
         clips = [random_patches(seed=20, time_patches=3),
                  random_patches(seed=21, time_patches=8)]
         with nn.no_grad():
             batched = model.encoder.forward_batch(clips)
-            for i, p in enumerate(clips):
+            starts = np.cumsum([0] + [p.count for p in clips])
+            for start, p in zip(starts, clips):
                 alone = model.encoder(p).data
-                assert np.allclose(batched.data[i, :p.count], alone,
+                assert np.allclose(batched.data[start:start + p.count], alone,
                                    rtol=1e-5, atol=1e-6)
             rows = model.bridge.forward_batch(batched, [p.count for p in clips])
             window = model.cfg.bridge.window

@@ -67,6 +67,23 @@ class TestAttention:
     def test_dimension_mismatch(self):
         with pytest.raises(nn.DimensionMismatch):
             nn.MultiHeadAttention(6, 4, rng())
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("lengths", [[3, 1, 5], [4, 4], [6]])
+    def test_packed_items_attend_alone(self, lengths, causal):
+        r = rng()
+        q, k, v = (r.normal(0, 1, (sum(lengths), 8)) for _ in range(3))
+        packing = nn.Packing(lengths, causal)
+        out = nn.multi_head_attention(nn.Tensor(q), nn.Tensor(k), nn.Tensor(v),
+                                      2, mask=packing).data
+        assert out.shape == q.shape
+        starts = np.cumsum([0] + lengths)
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            mask = nn.causal_mask(hi - lo, np.float64) if causal else None
+            alone = nn.multi_head_attention(
+                nn.Tensor(q[lo:hi]), nn.Tensor(k[lo:hi]), nn.Tensor(v[lo:hi]),
+                2, mask=mask).data
+            assert np.allclose(out[lo:hi], alone, rtol=1e-12, atol=1e-12)
+
 
 
 class TestRmsNorm:
@@ -115,7 +132,59 @@ class TestCrossEntropy:
                              ignore_mask=np.array([True, True]))
 
 
+def reference_adamw_step(opt):
+    """`AdamW.step` as it was before it updated in place: the bit oracle.
+
+    Every op makes a new array, and the parameters get new arrays.
+    """
+    grads = {k: np.zeros_like(p.data) if p.grad is None else p.grad
+             for k, p in opt.params.items()}
+    if opt.clip_norm is not None:
+        total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                              for g in grads.values()))
+        if total > opt.clip_norm and total > 0.0:
+            scale = opt.clip_norm / total
+            grads = {k: g * np.asarray(scale, dtype=g.dtype)
+                     for k, g in grads.items()}
+    opt.t += 1
+    bc1 = 1.0 - nn.ADAM_BETA1 ** opt.t
+    bc2 = 1.0 - nn.ADAM_BETA2 ** opt.t
+    for k, p in opt.params.items():
+        g, m, v = grads[k], opt.m[k], opt.v[k]
+        m *= nn.ADAM_BETA1
+        m += (1.0 - nn.ADAM_BETA1) * g
+        v *= nn.ADAM_BETA2
+        v += (1.0 - nn.ADAM_BETA2) * (g * g)
+        decay = opt.lr * opt.weight_decay * p.data if opt.weight_decay else 0.0
+        mhat = m / bc1
+        vhat = v / bc2
+        p.data = p.data - decay - opt.lr * mhat / (np.sqrt(vhat) + nn.ADAM_EPS)
+
+
 class TestAdamW:
+    # the gradients' global norm is 67-97: clip_norm 1e3 never clips, 1.0 always
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("clip_norm", [None, 1e3, 1.0])
+    def test_in_place_step_matches_reference_bits(self, weight_decay, clip_norm):
+        shapes = {"w": (7, 5), "b": (5,), "e": (3, 4, 2), "unused": (4,)}
+        r = nn.rng_from_seed(9)
+        init = {k: r.normal(0, 1, s).astype(np.float32) for k, s in shapes.items()}
+        runs = []
+        for step in (nn.AdamW.step, reference_adamw_step):
+            params = {k: nn.parameter(a.copy()) for k, a in init.items()}
+            opt = nn.AdamW(params, lr=1e-2, weight_decay=weight_decay,
+                           clip_norm=clip_norm)
+            g = nn.rng_from_seed(10)
+            for i in range(5):
+                for k, p in params.items():
+                    p.grad = (None if k == "unused" else
+                              g.normal(0, 10, p.shape).astype(np.float32))
+                opt.lr = 1e-2 / (i + 1)
+                step(opt)
+            runs.append({k: p.data.tobytes() for k, p in params.items()})
+        assert runs[0] == runs[1]
+        assert runs[0]["w"] != init["w"].tobytes()
+
     def test_hand_value_no_decay(self):
         p = nn.parameter(np.array([1.0]))
         p.grad = np.array([1.0], dtype=np.float32)
@@ -221,6 +290,10 @@ class TestFusedOps:
         # two new rows at positions 3 and 4 over five cached-plus-new keys
         self.attention_case((2, 2, 8), (2, 5, 8),
                             nn.causal_mask(2, np.float64, start=3))
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_attention_packed(self, causal):
+        self.attention_case((9, 8), (9, 8), nn.Packing([3, 1, 5], causal))
 
     def test_attention_broadcast_query(self):
         self.attention_case((3, 8), (2, 4, 8))
