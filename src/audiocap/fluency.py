@@ -10,13 +10,13 @@ chat-completions endpoint with a fixed revision prompt.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
 
-import requests
-
 from .metrics import metric_tokenize
+from .nn import require_at_least
 
 RULE_PROBABILITY = 0.95
 TRAILING_CONJUNCTIONS = ("and", "then", "with", "of", "a", "the", "to")
@@ -71,6 +71,12 @@ class CorrectorConfig:
             raise ValueError("threshold must lie in [0, 1]")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        require_at_least(0, self, "retries")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValueError("backoff_base must be finite and >= 0, "
+                             f"got {self.backoff_base}")
 
 
 def _repeat_run(tokens: list[str], start: int, n: int) -> int:
@@ -149,6 +155,7 @@ def build_revision_request(text: str, cfg: CorrectorConfig) -> dict:
 def correct_external(text: str, cfg: CorrectorConfig) -> str:
     if not cfg.endpoint:
         raise HttpError("no endpoint configured")
+    import requests  # only this path needs it, and loading it costs ~13 MB
     headers = {"Content-Type": "application/json"}
     if cfg.api_key_env:
         key = os.environ.get(cfg.api_key_env)
@@ -183,7 +190,6 @@ def correct_external(text: str, cfg: CorrectorConfig) -> str:
         if not isinstance(content, str):
             raise MalformedResponse("completion content is not a string")
         return _strip_quotes(content)
-    assert last is not None
     raise last
 
 

@@ -33,6 +33,10 @@ class NonFiniteValue(FloatingPointError):
     pass
 
 
+class SpentGraph(RuntimeError):
+    pass
+
+
 def rng_from_seed(seed) -> np.random.Generator:
     """Seed may be an int or a sequence of ints (SeedSequence entropy).
 
@@ -111,6 +115,9 @@ class Tensor:
         return self.data.dtype
 
     def backward(self):
+        """Fill the leaves' `.grad`. An op node's grad, closure and parents
+        go once its closure has run, freeing what it saved; a later
+        backward() that reaches such a spent node raises SpentGraph."""
         if self.data.ndim != 0:
             raise ShapeMismatch("backward() requires a scalar output")
         order: list[Tensor] = []
@@ -123,6 +130,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise SpentGraph("backward() reached a spent graph node")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -132,6 +141,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = node._backward = node._parents = None
 
     def _accum(self, g: np.ndarray):
         if self.grad is None:
@@ -295,25 +305,34 @@ _GELU_A = 0.044715
 def gelu(t: Tensor) -> Tensor:
     """Tanh-form GELU; the backward differentiates the same expression."""
     x = t.data
-    inner = _GELU_C * (x + _GELU_A * (x * x * x))
-    th = np.tanh(inner)
+    th = x * x  # tanh(C * (x + A * x^3)) in one buffer, ops in that order
+    th *= x
+    th *= _GELU_A
+    th += x
+    th *= _GELU_C
+    np.tanh(th, out=th)
 
-    def backward(g):
-        sech2 = 1.0 - th * th
-        d = 0.5 * (1.0 + th) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        t._accum(g * d)
+    def backward(g):  # the sum's terms swapped and g applied last, in place
+        d = 0.5 * x * (1.0 - th * th) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+        d += 0.5 * (1.0 + th)
+        d *= g
+        t._accum(d)
 
     return _result(0.5 * x * (1.0 + th), (t,), backward)
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     """Gradient at the input of a softmax with output y and output grad g."""
-    return y * (g - np.sum(g * y, axis=axis, keepdims=True))
+    d = g - np.sum(g * y, axis=axis, keepdims=True)
+    d *= y
+    return d
 
 
 RMS_EPS = 1e-6
@@ -333,7 +352,9 @@ def rms_norm(t: Tensor, gain: Tensor) -> Tensor:
         if t.requires_grad:
             gg = g * gain.data
             dot = np.sum(gg * x, axis=-1, keepdims=True)
-            t._accum(gg * inv - x * (inv ** 3) * dot / n)
+            gg *= inv
+            gg -= x * (inv ** 3) * dot / n
+            t._accum(gg)
         if gain.requires_grad:
             gain._accum(np.sum(g * x * inv, axis=tuple(range(x.ndim - 1))))
 
@@ -415,15 +436,17 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         return a.reshape(a.shape[:-2] + (d,))
 
     qh, kh, vh = split(qd), split(kd), split(vd)
-    scores = (qh @ np.swapaxes(kh, -1, -2)) * scale
+    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores *= scale
     if mask is not None:
-        scores = scores + mask
+        scores += mask
     p = _softmax(scores, -1)
     out = merge(p @ vh)
 
     def backward(g):
         go = split(g if packing is None else packing.scatter(g))
-        ds = _softmax_grad(p, go @ np.swapaxes(vh, -1, -2), -1) * scale
+        ds = _softmax_grad(p, go @ np.swapaxes(vh, -1, -2), -1)
+        ds *= scale
         for t, grad in ((q, ds @ kh), (k, np.swapaxes(ds, -1, -2) @ qh),
                         (v, np.swapaxes(p, -1, -2) @ go)):
             if t.requires_grad:

@@ -91,6 +91,23 @@ class TestRoundTrip:
         assert loaded.vocab.tokens == model.vocab.tokens
         assert loaded.cfg.to_dict() == model.cfg.to_dict()
 
+    def test_save_writes_exactly_serialize(self, tmp_path):
+        model = fresh_model(strategy=TrainStrategy("lora", "lora"))
+        ckpt.save_checkpoint(model, tmp_path / "m.ckpt")
+        assert (tmp_path / "m.ckpt").read_bytes() == ckpt.serialize(model)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_load_checkpoint_equals_deserialize(self, tmp_path, version):
+        blob = ckpt.serialize(fresh_model())
+        if version == 1:
+            blob = as_version_1(blob)
+        (tmp_path / "m.ckpt").write_bytes(blob)
+        loaded = ckpt.load_checkpoint(tmp_path / "m.ckpt")
+        parsed = ckpt.deserialize(blob)
+        assert ckpt.serialize(loaded) == ckpt.serialize(parsed)
+        for name, p in loaded.named_parameters().items():
+            assert p.data.dtype == np.float32 and p.data.flags.c_contiguous, name
+
     def test_version_1_still_loads(self):
         model = fresh_model()
         blob = ckpt.serialize(model)
@@ -194,6 +211,21 @@ class TestCorruption:
         blob[-1] ^= 1
         with pytest.raises(ckpt.CorruptCheckpoint, match="checksum"):
             ckpt.deserialize(bytes(blob))
+
+    @pytest.mark.parametrize("cut", ["inside-tensor", "bad-trailer"])
+    def test_damaged_file_raises(self, tmp_path, cut):
+        blob = ckpt.serialize(fresh_model())
+        (n,) = struct.unpack_from("<Q", blob, 8)
+        if cut == "inside-tensor":
+            blob = blob[:16 + n + 10]
+        else:
+            blob = blob[:-4] + bytes(b ^ 0xFF for b in blob[-4:])
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(ckpt.CorruptCheckpoint):
+            ckpt.load_checkpoint(path)
+        with pytest.raises(ckpt.CorruptCheckpoint):
+            ckpt.deserialize(blob)
 
     def test_tiny_blob(self):
         with pytest.raises(ckpt.CorruptCheckpoint):

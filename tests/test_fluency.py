@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from audiocap.fluency import (CorrectorConfig, ErrorAssessment,
                               correct_with_rules, correction_pipeline,
                               detect_errors)
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 LOOP = "a car drives by a car drives by a car drives by"
 
 
@@ -178,6 +183,27 @@ class TestPipelineGate:
     def test_mode_validated(self):
         with pytest.raises(ValueError):
             CorrectorConfig(mode="llm")
+
+    @pytest.mark.parametrize("field, value", [
+        ("retries", -1),
+        ("timeout", 0.0), ("timeout", -5.0), ("timeout", float("nan")),
+        ("timeout", float("inf")),
+        ("backoff_base", -0.5), ("backoff_base", float("nan")),
+        ("backoff_base", float("inf")),
+    ])
+    def test_client_settings_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CorrectorConfig(**{field: value})
+
+    def test_package_import_leaves_requests_unloaded(self):
+        # the HTTP client loads only when the external corrector runs
+        code = ("import sys, audiocap, audiocap.cli; "
+                "print('requests' in sys.modules)")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
 
 
 class TestExternalCorrector:

@@ -99,6 +99,32 @@ class TestBatchedLoss:
             assert g is not None and g.shape == ref_grads[name].shape, name
             assert relative(g, ref_grads[name], floor) < 1e-5, name
 
+    def test_backward_frees_every_op_node(self):
+        model = build_model(tiny_config(seed=1), tiny_vocab(CAPTIONS))
+        batch = [(random_patches(seed=60 + i, time_patches=tp), caption)
+                 for i, (tp, caption) in enumerate(zip([5, 2, 7], CAPTIONS))]
+        for p in model.parameters():
+            p.grad = None
+        loss = model.loss_on_batch(batch)
+        inner, seen, todo = [], {id(loss)}, [loss]
+        while todo:  # every op node, collected before backward spends them
+            t = todo.pop()
+            if t._backward is not None:
+                inner.append(t)
+            for p in t._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    todo.append(p)
+        assert len(inner) > 50
+        loss.backward()
+        for t in inner:
+            assert t.grad is None and t._backward is None and t._parents is None
+        grads = {k: p.grad for k, p in model.named_parameters().items()}
+        _, ref_grads = loss_and_grads(model, reference_loss_on_batch, batch)
+        floor = 1e-5 * max(np.max(np.abs(g)) for g in ref_grads.values())
+        for name, g in grads.items():
+            assert g is not None and relative(g, ref_grads[name], floor) < 1e-5, name
+
     def test_decoder_scores_real_rows_only(self, monkeypatch):
         model = build_model(tiny_config(seed=1), tiny_vocab(CAPTIONS))
         batch = [(random_patches(seed=50 + i, time_patches=tp), caption)

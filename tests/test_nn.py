@@ -458,3 +458,23 @@ class TestGraphLifetime:
         finally:
             gc.enable()
         assert x.grad is not None
+
+    def test_second_backward_raises(self):
+        # summing into the leaves again would silently turn 36 into 144
+        a = nn.parameter(np.array([2.0]))
+        c = nn.tsum((a * 3.0) * (a * 3.0))
+        c.backward()
+        with pytest.raises(nn.SpentGraph):
+            c.backward()
+        assert np.array_equal(a.grad, [36.0])
+        assert issubclass(nn.SpentGraph, RuntimeError)
+
+    def test_losses_sharing_a_subgraph_raise_on_the_second(self):
+        a = nn.parameter(np.array([2.0, -1.0]))
+        shared = a * 3.0
+        first, second = nn.tsum(shared * shared), nn.tsum(shared)
+        first.backward()
+        with pytest.raises(nn.SpentGraph):
+            second.backward()
+        # the shared node is found before any closure runs: a is untouched
+        assert np.array_equal(a.grad, [36.0, -18.0])
