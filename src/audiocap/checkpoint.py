@@ -85,7 +85,7 @@ def deserialize(blob: bytes) -> CaptionModel:
         raise CorruptCheckpoint("truncated header")
     try:
         header = json.loads(blob[16:body_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CorruptCheckpoint(f"unreadable header ({e})") from e
     try:
         if header["version"] != version:

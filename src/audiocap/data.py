@@ -77,6 +77,8 @@ def read_jsonl(path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise MalformedLine(lineno, f"invalid JSON ({e.msg})") from e
+        except RecursionError as e:
+            raise MalformedLine(lineno, "JSON nested too deeply") from e
         if not isinstance(obj, dict):
             raise MalformedLine(lineno, "record is not an object")
         for key in required:

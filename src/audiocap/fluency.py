@@ -155,37 +155,46 @@ def build_revision_request(text: str, cfg: CorrectorConfig) -> dict:
 def correct_external(text: str, cfg: CorrectorConfig) -> str:
     if not cfg.endpoint:
         raise HttpError("no endpoint configured")
-    import requests  # only this path needs it, and loading it costs ~13 MB
+    import http.client
+    import urllib.error
+    import urllib.request  # only this path loads an HTTP client (~6 MB)
     headers = {"Content-Type": "application/json"}
     if cfg.api_key_env:
         key = os.environ.get(cfg.api_key_env)
         if key is None:
             raise MissingApiKey(f"environment variable {cfg.api_key_env} unset")
         headers["Authorization"] = f"Bearer {key}"
-    body = build_revision_request(text, cfg)
+    body = json.dumps(build_revision_request(text, cfg)).encode("utf-8")
+    try:
+        request = urllib.request.Request(cfg.endpoint, data=body,
+                                         headers=headers)
+    except ValueError as e:
+        raise HttpError(f"invalid endpoint ({e})") from e
+    if request.type not in ("http", "https"):  # urlopen also reads file: URLs
+        raise HttpError(f"endpoint scheme {request.type!r} is not http(s)")
 
     last: CorrectorError | None = None
     for attempt in range(cfg.retries + 1):
         if attempt:
             time.sleep(cfg.backoff_base * (2 ** (attempt - 1)))
         try:
-            resp = requests.post(cfg.endpoint, json=body, headers=headers,
-                                 timeout=cfg.timeout)
-        except requests.Timeout as e:
-            last = Timeout(str(e))
+            with urllib.request.urlopen(request, timeout=cfg.timeout) as resp:
+                raw = resp.read()
+        except urllib.error.HTTPError as e:
+            e.close()
+            if e.code < 500:
+                raise HttpError(f"status {e.code}") from e
+            last = HttpError(f"status {e.code}")
             continue
-        except requests.RequestException as e:
-            last = HttpError(str(e))
+        except (OSError, ValueError, http.client.HTTPException) as e:
+            # a URLError carries the socket's error as its reason
+            timed_out = isinstance(getattr(e, "reason", e), TimeoutError)
+            last = (Timeout if timed_out else HttpError)(str(e))
             continue
-        if resp.status_code >= 500:
-            last = HttpError(f"status {resp.status_code}")
-            continue
-        if resp.status_code >= 400:
-            raise HttpError(f"status {resp.status_code}")
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, ValueError, KeyError, IndexError,
-                TypeError) as e:
+            content = json.loads(raw)["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError,
+                RecursionError) as e:
             raise MalformedResponse(str(e)) from e
         if not isinstance(content, str):
             raise MalformedResponse("completion content is not a string")

@@ -3,16 +3,16 @@
 Provides the Tensor graph, the op set needed by the captioning pipeline
 (affine, attention, RMS norm, GELU, cross-entropy, indexing gathers,
 concat and reshape), the `Packing` layout in which a training batch's
-items share one 2-D block of rows, the AdamW optimizer with decoupled
-weight decay, and a central-difference gradient checker. Modules build in float32; gradient
-checks cast a built module to float64 with `Module.astype`.
+items share one 2-D block of rows, and the AdamW optimizer with decoupled
+weight decay. Modules build in float32; the tests' gradient checks cast a
+built module to float64 with `Module.astype`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,10 +26,6 @@ class DimensionMismatch(ValueError):
 
 
 class EmptyTargetSet(ValueError):
-    pass
-
-
-class NonFiniteValue(FloatingPointError):
     pass
 
 
@@ -727,65 +723,3 @@ class AdamW:
                 p.data -= np.multiply(p.data, self.lr * self.weight_decay, out=b)
             p.data -= step
 
-
-# -- gradient checking -----------------------------------------------------
-
-def relative_error(a: float, n: float) -> float:
-    return abs(a - n) / max(abs(a), abs(n), 1e-8)
-
-
-def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor] | dict,
-               h: float | tuple[float, ...] = 1e-5,
-               samples_per_param: int | None = None,
-               seed: int = 0) -> float:
-    """Compare reverse-mode gradients of f() against central differences.
-
-    f is a closure over `params` returning a scalar Tensor. With
-    samples_per_param=None every entry of every parameter is perturbed;
-    otherwise that many entries per parameter are drawn from a seeded RNG.
-    Returns the max relative error |a-n| / max(|a|, |n|, 1e-8).
-
-    h may be a single step or several; with several, each entry scores
-    the best-agreeing step. No single global step serves every entry:
-    small-gradient coordinates need a large step to rise above float64
-    cancellation noise, while high-curvature coordinates need a small one
-    to keep truncation down. A genuinely wrong backward pass disagrees at
-    every step size, so the per-entry choice does not mask defects.
-    """
-    if isinstance(params, dict):
-        params = list(params.values())
-    else:
-        params = list(params)
-    steps = (h,) if isinstance(h, float) else tuple(h)
-    for p in params:
-        p.grad = None
-    out = f()
-    if not np.isfinite(out.data):
-        raise NonFiniteValue("objective is not finite")
-    out.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-                for p in params]
-    rng = rng_from_seed(seed)
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        size = p.data.size
-        if samples_per_param is None or samples_per_param >= size:
-            entries = np.arange(size)
-        else:
-            entries = rng.choice(size, size=samples_per_param, replace=False)
-        for j in entries:
-            orig = p.data.flat[j]
-            best = math.inf
-            for step in steps:
-                p.data.flat[j] = orig + step
-                f1 = float(f().data)
-                p.data.flat[j] = orig - step
-                f2 = float(f().data)
-                p.data.flat[j] = orig
-                if not (math.isfinite(f1) and math.isfinite(f2)):
-                    raise NonFiniteValue(
-                        "objective is not finite under perturbation")
-                numeric = (f1 - f2) / (2.0 * step)
-                best = min(best, relative_error(float(a.flat[j]), numeric))
-            worst = max(worst, best)
-    return worst

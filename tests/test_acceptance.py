@@ -27,6 +27,7 @@ from audiocap.model import PipelineConfig, build_model
 from conftest import tiny_config, tiny_vocab
 from test_fluency import StubServer, completion, external_cfg
 from _cider_oracle import oracle_cider
+from _grad_check import grad_check
 
 
 def report(num, name, detail):
@@ -89,9 +90,9 @@ def test_criterion_01_gradient_fidelity():
     params = trainable_parameters(model)
     worst, worst_name = 0.0, ""
     for name, p in sorted(params.items()):
-        err = nn.grad_check(lambda: model.loss_on_batch(batch), {name: p},
-                            h=(1e-5, 1e-4, 1e-3), samples_per_param=3,
-                            seed=13)
+        err = grad_check(lambda: model.loss_on_batch(batch), {name: p},
+                         h=(1e-5, 1e-4, 1e-3), samples_per_param=3,
+                         seed=13)
         if err > worst:
             worst, worst_name = err, name
     elapsed = time.monotonic() - t0

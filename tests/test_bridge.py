@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from audiocap import bridge as br
 from audiocap import nn
 from audiocap.nn import Tensor
+from _grad_check import grad_check
 
 
 def make_bridge(seed=0, window=17, self_layers=1, max_windows=128, d_enc=24,
@@ -164,6 +165,6 @@ class TestBatchedWindows:
         t = tokens(12, dtype=np.float64)
         t.requires_grad = True
         params = dict(model.named_parameters(), input=t)
-        err = nn.grad_check(lambda: nn.tsum(model(t) * model(t)), params,
-                            h=(1e-5, 1e-4, 1e-3), samples_per_param=4, seed=3)
+        err = grad_check(lambda: nn.tsum(model(t) * model(t)), params,
+                         h=(1e-5, 1e-4, 1e-3), samples_per_param=4, seed=3)
         assert err < 1e-6

@@ -153,6 +153,13 @@ class TestCorruption:
         with pytest.raises(ckpt.CorruptCheckpoint):
             ckpt.deserialize(head)
 
+    def test_deeply_nested_header(self):
+        header = b"[" * 100_000
+        blob = sealed(ckpt.MAGIC + struct.pack("<I", ckpt.VERSION)
+                      + struct.pack("<Q", len(header)) + header)
+        with pytest.raises(ckpt.CorruptCheckpoint):
+            ckpt.deserialize(blob)
+
     def test_config_not_an_object(self):
         with pytest.raises(ckpt.CorruptCheckpoint):
             ckpt.deserialize(with_header(lambda h: h.update(config=[])))

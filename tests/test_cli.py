@@ -5,6 +5,7 @@ import pytest
 from audiocap import cli, fluency
 from audiocap.data import parse_manifest
 from conftest import tiny_config
+from test_fluency import BAD_ENDPOINTS, completion
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
         assert "Traceback" not in err
+
+    def test_deeply_nested_config_is_data_error(self, workdir, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[" * 100_000)
+        rc = cli.main(["train", "--manifest",
+                       str(workdir["corpus"] / "manifest.jsonl"),
+                       "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("data error: ")
 
     @pytest.mark.parametrize("frontend", [
         {"hop": -160}, {"n_fft": 256}, {"f_max": 12000.0}, {"log_floor": 0.0},
@@ -311,6 +322,7 @@ class TestScore:
         ("refs", '{"id": "a", "captions": ["  "]}'),
         ("cands", '{"id": "c", "caption": null}'),
         ("cands", '{"id": "c", "caption": ["x"]}'),
+        pytest.param("cands", "[" * 100_000, id="cands-deeply-nested"),
     ])
     def test_malformed_row_is_data_error(self, tmp_path, capsys, which, row):
         cands, refs = self.write_corpus(tmp_path)
@@ -380,6 +392,7 @@ class TestCorrect:
         assert json.loads(lines[1])["corrected"] is False
 
     def test_unreachable_endpoint_is_external_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("AUDIOCAP_API_KEY", "sk-test")
         monkeypatch.setattr(fluency.time, "sleep", lambda s: None)
         rc = cli.main(["correct", "--text", "a man speaks and",
                        "--endpoint", "http://127.0.0.1:9/v1",
@@ -388,6 +401,7 @@ class TestCorrect:
         capsys.readouterr()
 
     def test_fallback_mode_recovers(self, capsys, monkeypatch):
+        monkeypatch.setenv("AUDIOCAP_API_KEY", "sk-test")
         monkeypatch.setattr(fluency.time, "sleep", lambda s: None)
         rc = cli.main(["correct", "--text", "a man speaks and",
                        "--endpoint", "http://127.0.0.1:9/v1"])
@@ -395,6 +409,21 @@ class TestCorrect:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "a man speaks"
         assert json.loads(lines[1])["warnings"]
+
+    @pytest.mark.parametrize("endpoint", BAD_ENDPOINTS)
+    def test_bad_endpoint_is_external_error(self, tmp_path, capsys,
+                                            monkeypatch, endpoint):
+        monkeypatch.setenv("AUDIOCAP_API_KEY", "sk-test")
+        monkeypatch.setattr(fluency.time, "sleep", lambda s: None)
+        reply = tmp_path / "reply.json"
+        reply.write_text(json.dumps(completion("read from a file")))
+        rc = cli.main(["correct", "--text", "a man speaks and",
+                       "--endpoint", endpoint.format(reply=reply),
+                       "--mode", "external"])
+        assert rc == 4
+        out, err = capsys.readouterr()
+        assert err.startswith("external service error: ")
+        assert "read from a file" not in out
 
 
 class TestUsage:
@@ -414,10 +443,3 @@ class TestUsage:
         assert cli.main(["synth", "--out", "x", "--n", "lots"]) == 1
         capsys.readouterr()
 
-
-class TestSelftest:
-    def test_passes(self, capsys):
-        assert cli.main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 7

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -20,12 +21,24 @@ from audiocap.fluency import (CorrectorConfig, ErrorAssessment,
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 LOOP = "a car drives by a car drives by a car drives by"
+# endpoints the client must refuse or fail on with HttpError; "{reply}" is
+# a local file holding a valid completion, which must never be read
+BAD_ENDPOINTS = [
+    pytest.param("not-a-url", id="no-scheme"),
+    pytest.param("http://127.0.0.1:abc/x", id="bad-port"),
+    pytest.param("http://[::1", id="bad-ipv6-host"),
+    pytest.param("file://{reply}", id="file-scheme"),
+    pytest.param("http:///v1", id="no-host"),
+]
 
 
 class StubServer:
-    """In-process chat-completions endpoint with a scripted response queue."""
+    """In-process chat-completions endpoint with a scripted response queue.
 
-    def __init__(self, script):
+    Each response is sent `stall` seconds after its request arrives.
+    """
+
+    def __init__(self, script, stall=0.0):
         self.script = list(script)  # [(status, body_dict_or_str), ...]
         self.requests = []  # (path, headers dict, parsed json body)
         outer = self
@@ -35,6 +48,8 @@ class StubServer:
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length))
                 outer.requests.append((self.path, dict(self.headers), body))
+                if stall:  # some tests replace time.sleep with a recorder
+                    time.sleep(stall)
                 status, payload = (outer.script.pop(0) if outer.script
                                    else (500, {"error": "script exhausted"}))
                 raw = (payload if isinstance(payload, str)
@@ -195,15 +210,21 @@ class TestPipelineGate:
         with pytest.raises(ValueError, match=field):
             CorrectorConfig(**{field: value})
 
-    def test_package_import_leaves_requests_unloaded(self):
+    def test_package_import_loads_only_numpy_and_stdlib(self):
         # the HTTP client loads only when the external corrector runs
-        code = ("import sys, audiocap, audiocap.cli; "
-                "print('requests' in sys.modules)")
+        code = ("import json, sys; before = set(sys.modules); "
+                "import audiocap, audiocap.cli; "
+                "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+                "print(json.dumps({'third_party': sorted("
+                "new - sys.stdlib_module_names), 'http': sorted("
+                "{'urllib.request', 'http.client'} & set(sys.modules))}))")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, timeout=120,
                              env=dict(os.environ, PYTHONPATH=str(SRC)))
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "False"
+        loaded = json.loads(run.stdout)
+        assert set(loaded["third_party"]) <= {"audiocap", "numpy"}
+        assert loaded["http"] == []
 
 
 class TestExternalCorrector:
@@ -274,6 +295,19 @@ class TestExternalCorrector:
         with pytest.raises(fl.HttpError):
             correct_external("x", cfg)
 
+    @pytest.mark.parametrize("endpoint", BAD_ENDPOINTS)
+    def test_bad_endpoint(self, tmp_path, endpoint):
+        reply = tmp_path / "reply.json"
+        reply.write_text(json.dumps(completion("read from a file")))
+        cfg = external_cfg(endpoint.format(reply=reply))
+        with pytest.raises(fl.HttpError):
+            correct_external("x", cfg)
+
+    def test_stalled_server_times_out(self):
+        with StubServer([(200, completion("too late"))], stall=1.0) as srv:
+            with pytest.raises(fl.Timeout):
+                correct_external("x", external_cfg(srv.endpoint, timeout=0.2))
+
     def test_no_endpoint(self):
         with pytest.raises(fl.HttpError):
             correct_external("x", CorrectorConfig(mode="external"))
@@ -309,6 +343,14 @@ class TestFallbackMode:
             res = correction_pipeline(LOOP, cfg)
         assert res.text == "a car passes"
         assert res.warnings == []
+
+    def test_deeply_nested_reply_falls_back_to_rules(self):
+        with StubServer([(200, "[" * 100_000)]) as srv:
+            cfg = external_cfg(srv.endpoint,
+                               mode="external_with_rules_fallback")
+            res = correction_pipeline(LOOP, cfg)
+        assert res.text == "a car drives by"
+        assert res.warnings and "used rules" in res.warnings[0]
 
     def test_external_mode_propagates_error(self):
         cfg = external_cfg("http://127.0.0.1:9/unreachable", mode="external")

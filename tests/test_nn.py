@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audiocap import nn
+from _grad_check import NonFiniteValue, grad_check
 
 
 def rng():
@@ -256,8 +257,8 @@ class TestBackwardOps:
 
     def test_gelu_grad_check(self):
         x = nn.Tensor(rng().normal(0, 2, (4, 3)), requires_grad=True)
-        err = nn.grad_check(lambda: nn.tsum(nn.gelu(x) * nn.gelu(x)), [x],
-                            h=1e-5)
+        err = grad_check(lambda: nn.tsum(nn.gelu(x) * nn.gelu(x)), [x],
+                         h=1e-5)
         assert err < 1e-6
 
 
@@ -267,7 +268,7 @@ class TestFusedOps:
     H = (1e-5, 1e-4, 1e-3)
 
     def check(self, f, tensors):
-        assert nn.grad_check(f, tensors, h=self.H) < 1e-6
+        assert grad_check(f, tensors, h=self.H) < 1e-6
 
     def attention_case(self, q_shape, kv_shape, mask=None, seed=0):
         r = nn.rng_from_seed(seed)
@@ -324,7 +325,7 @@ class TestFusedOps:
 class TestGradCheck:
     def test_polynomial_exactness(self):
         w = nn.Tensor(np.array(3.0), requires_grad=True)
-        err = nn.grad_check(lambda: w * w, [w], h=1e-4)
+        err = grad_check(lambda: w * w, [w], h=1e-4)
         assert err < 1e-8
 
     def test_tiny_attention_model_all_entries(self):
@@ -342,7 +343,7 @@ class TestGradCheck:
                 h = b(h)
             return nn.tsum(h * h)
 
-        err = nn.grad_check(f, params, h=(1e-5, 1e-4, 1e-3))
+        err = grad_check(f, params, h=(1e-5, 1e-4, 1e-3))
         assert err < 1e-4
 
     def test_corrupted_backward_detected(self):
@@ -355,13 +356,13 @@ class TestGradCheck:
             return nn.Tensor(t.data * t.data, requires_grad=True, parents=(t,),
                              backward=backward)
 
-        err = nn.grad_check(lambda: nn.tsum(doubled_square(w)), [w], h=1e-5)
+        err = grad_check(lambda: nn.tsum(doubled_square(w)), [w], h=1e-5)
         assert abs(err - 0.5) < 1e-3
 
     def test_nonfinite_objective_raises(self):
         w = nn.Tensor(np.array(np.inf), requires_grad=True)
-        with pytest.raises(nn.NonFiniteValue):
-            nn.grad_check(lambda: w * w, [w])
+        with pytest.raises(NonFiniteValue):
+            grad_check(lambda: w * w, [w])
 
 
 class TestModule:
