@@ -3,44 +3,7 @@
 Log-mel patch frontend, transformer encoder with optional LoRA adapters,
 fixed-rate querying-transformer bridge, instruction-prompted decoder,
 caption metrics with a fluency-gated corrector, and a training harness.
+Each name is imported from its submodule, e.g. `audiocap.model`.
 """
 
-from .bridge import BridgeConfig, QueryBridge, output_count
-from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (ManifestEntry, StageConfig, TrainingSchedule,
-                   make_batches, parse_manifest, run_schedule,
-                   synthesize_corpus)
-from .decoder import (CaptionDecoder, DecoderConfig, Vocabulary,
-                      assemble_sequence, build_vocab, tokenize)
-from .encoder import EncoderConfig, PatchEncoder
-from .fluency import (CorrectorConfig, ErrorAssessment, correct_with_rules,
-                      correction_pipeline, detect_errors)
-from .frontend import (FrontendConfig, LogMelSpectrogram, PatchSequence,
-                       Waveform, compute_log_mel, load_wav, patchify,
-                       wave_to_patches)
-from .lora import LoraConfig, LoraLinear, TrainStrategy, apply_strategy, wrap_linear
-from .metrics import (MetricReport, ScoredItem, cider_d, evaluate_corpus,
-                      meteor_lite, metric_tokenize, spider, spider_fl)
-from .model import CaptionModel, PipelineConfig, build_model
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BridgeConfig", "QueryBridge", "output_count",
-    "load_checkpoint", "save_checkpoint",
-    "ManifestEntry", "StageConfig", "TrainingSchedule", "make_batches",
-    "parse_manifest", "run_schedule", "synthesize_corpus",
-    "CaptionDecoder", "DecoderConfig", "Vocabulary", "assemble_sequence",
-    "build_vocab", "tokenize",
-    "EncoderConfig", "PatchEncoder",
-    "CorrectorConfig", "ErrorAssessment", "correct_with_rules",
-    "correction_pipeline", "detect_errors",
-    "FrontendConfig", "LogMelSpectrogram", "PatchSequence", "Waveform",
-    "compute_log_mel", "load_wav", "patchify", "wave_to_patches",
-    "LoraConfig", "LoraLinear", "TrainStrategy", "apply_strategy",
-    "wrap_linear",
-    "MetricReport", "ScoredItem", "cider_d", "evaluate_corpus",
-    "meteor_lite", "metric_tokenize", "spider", "spider_fl",
-    "CaptionModel", "PipelineConfig", "build_model",
-    "__version__",
-]

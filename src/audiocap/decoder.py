@@ -78,7 +78,12 @@ class Vocabulary:
     def from_tokens(cls, tokens: list[str]) -> "Vocabulary":
         if list(tokens[:4]) != list(SPECIAL_TOKENS):
             raise ValueError("special tokens must occupy ids 0-3")
-        return cls(tokens=list(tokens), index={t: i for i, t in enumerate(tokens)})
+        if not all(isinstance(t, str) for t in tokens):
+            raise ValueError("every token must be a string")
+        index = {t: i for i, t in enumerate(tokens)}
+        if len(index) != len(tokens):
+            raise ValueError(f"{len(tokens) - len(index)} duplicate tokens")
+        return cls(tokens=list(tokens), index=index)
 
 
 def build_vocab(captions) -> Vocabulary:
@@ -157,15 +162,6 @@ def assemble_sequence(acoustic: Tensor | int, caption: str | None,
     return seq
 
 
-def _padded(rows: list[np.ndarray], fill) -> np.ndarray:
-    """Right-pad 1-D arrays with `fill` into one (B, longest) array."""
-    out = np.full((len(rows), max(len(r) for r in rows)), fill,
-                  dtype=rows[0].dtype)
-    for row, r in zip(out, rows):
-        row[:len(r)] = r
-    return out
-
-
 class CaptionDecoder(Module):
     def __init__(self, cfg: DecoderConfig, vocab_size: int,
                  rng: np.random.Generator):
@@ -182,21 +178,13 @@ class CaptionDecoder(Module):
         return self.embed.data.shape[0]
 
     def embed_stream(self, seqs: list[SpliceSequence], acoustic: Tensor) -> Tensor:
-        """The decoder input of `seqs`, (B, T, d) without positions.
+        """The items' streams packed row after row, (sum of lengths, d),
+        without positions.
 
         `acoustic` holds every item's bridged rows, (sum of n_acoustic, d),
-        item i's contiguous and in order. The batch is one gather from the
-        token table with those rows appended, and rows past an item's end
-        index <pad>.
-        """
-        rows = _padded(self._table_rows(seqs, acoustic), Vocabulary.PAD)
-        return nn.concat([self.embed, acoustic])[rows]
-
-    def _table_rows(self, seqs: list[SpliceSequence],
-                    acoustic: Tensor) -> list[np.ndarray]:
-        """Each item's rows of the token table with `acoustic` appended:
-        prompt and caption ids index the table, and item i's acoustic
-        slot j indexes V + offset_i + j.
+        item i's contiguous and in order. The stream is one gather from the
+        token table with those rows appended: prompt and caption ids index
+        the table, and item i's acoustic slot j indexes V + offset_i + j.
         """
         rows, offset = [], 0
         for s in seqs:
@@ -207,7 +195,7 @@ class CaptionDecoder(Module):
             rows.append(ids)
         if offset != acoustic.shape[0]:
             raise nn.ShapeMismatch(f"{acoustic.shape[0]} acoustic rows for {offset} slots")
-        return rows
+        return nn.concat([self.embed, acoustic])[np.concatenate(rows)]
 
     def logits(self, x: Tensor, caches: list[nn.KVCache] | None = None,
                at: int | nn.Packing = 0) -> Tensor:
@@ -237,17 +225,16 @@ class CaptionDecoder(Module):
         """Mean cross-entropy over all caption positions in the batch;
         `acoustic` is every item's bridged rows, as `embed_stream` takes them.
 
-        The items' streams are packed, (sum of lengths, d): every row is
-        real, and attention stays within each item (`nn.Packing`).
+        Every row of the packed stream is real, and attention stays within
+        each item (`nn.Packing`).
         """
         if not splices:
             raise nn.EmptyTargetSet("empty batch")
         t_max = max(s.length for s in splices)
         if t_max > self.cfg.max_seq:
             raise SequenceTooLong(f"batch length {t_max} exceeds {self.cfg.max_seq}")
-        rows = np.concatenate(self._table_rows(splices, acoustic))
         packing = nn.Packing([s.length for s in splices], causal=True)
-        logits = self.logits(nn.concat([self.embed, acoustic])[rows], at=packing)
+        logits = self.logits(self.embed_stream(splices, acoustic), at=packing)
         # row r predicts row r + 1; an item's last row would predict the
         # next item's <bos>, never a caption position, so it is ignored
         ids = np.concatenate([s.ids for s in splices])
@@ -258,7 +245,8 @@ class CaptionDecoder(Module):
     def _prompt(self, acoustic: Tensor, vocab: Vocabulary) -> Tensor:
         """The inference stream, <bos> + head + acoustic + tail, as (1, T, d)."""
         seq = assemble_sequence(acoustic, None, vocab, self.cfg.max_seq)
-        return self.embed_stream([seq], acoustic)
+        x = self.embed_stream([seq], acoustic)
+        return nn.reshape(x, (1,) + x.shape)
 
     def greedy_decode(self, acoustic: Tensor, vocab: Vocabulary) -> str:
         """Beam search of width 1; the benchmark's layer table binds this name."""

@@ -79,13 +79,19 @@ class CorrectorConfig:
                              f"got {self.backoff_base}")
 
 
-def _repeat_run(tokens: list[str], start: int, n: int) -> int:
-    """Count of consecutive occurrences of tokens[start:start+n]."""
-    unit = tokens[start:start + n]
-    k = 1
-    while tokens[start + k * n:start + (k + 1) * n] == unit:
-        k += 1
-    return k
+def _loop(tokens: list[str], sizes) -> tuple[int, int, int] | None:
+    """The first (start, n, k) where tokens[start:start+n] occurs k >= 3
+    times in a row, trying the unit sizes in the order given, then starts.
+    """
+    for n in sizes:
+        for i in range(len(tokens) - 3 * n + 1):
+            unit = tokens[i:i + n]
+            k = 1
+            while tokens[i + k * n:i + (k + 1) * n] == unit:
+                k += 1
+            if k >= 3:
+                return i, n, k
+    return None
 
 
 def detect_errors(text: str) -> ErrorAssessment:
@@ -98,15 +104,13 @@ def detect_errors(text: str) -> ErrorAssessment:
     """
     tokens = metric_tokenize(text)
     fired = []
-    if any(_repeat_run(tokens, i, n) >= 3
-           for n in range(3, len(tokens) // 3 + 1)
-           for i in range(len(tokens) - 3 * n + 1)):
+    if _loop(tokens, range(3, len(tokens) // 3 + 1)):
         fired.append("R1")
     if tokens and tokens[-1] in TRAILING_CONJUNCTIONS:
         fired.append("R2")
     if len(tokens) < 2:
         fired.append("R3")
-    if any(_repeat_run(tokens, i, 1) >= 3 for i in range(len(tokens) - 2)):
+    if _loop(tokens, (1,)):
         fired.append("R4")
     prob = RULE_PROBABILITY if fired else 0.0
     return ErrorAssessment(probability=prob, triggered_rules=fired)
@@ -119,17 +123,7 @@ def correct_with_rules(text: str) -> str:
     rather than via its sub-repetitions; idempotent by fixpoint.
     """
     tokens = metric_tokenize(text)
-    while True:
-        site = None
-        for n in range(len(tokens) // 3, 0, -1):  # longest unit first
-            for i in range(len(tokens) - 3 * n + 1):
-                if _repeat_run(tokens, i, n) >= 3:
-                    site = (i, n, _repeat_run(tokens, i, n))
-                    break
-            if site:
-                break
-        if site is None:
-            break
+    while site := _loop(tokens, range(len(tokens) // 3, 0, -1)):
         i, n, k = site
         tokens = tokens[:i + n] + tokens[i + k * n:]
     while tokens and tokens[-1] in TRAILING_CONJUNCTIONS:

@@ -10,7 +10,7 @@ non-overlapping 16x16 blocks, time-major with frequency ascending.
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,16 +67,6 @@ class FrontendConfig:
 class Waveform:
     samples: np.ndarray
     sample_rate: int
-
-
-@dataclass
-class LogMelSpectrogram:
-    values: np.ndarray  # (frames, n_mels)
-    frame_rate: int = 100
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
@@ -143,7 +133,8 @@ def frame_count(n_samples: int, cfg: FrontendConfig) -> int:
     return 1 + (n_samples - cfg.window) // cfg.hop
 
 
-def compute_log_mel(w: Waveform, cfg: FrontendConfig | None = None) -> LogMelSpectrogram:
+def compute_log_mel(w: Waveform, cfg: FrontendConfig | None = None) -> np.ndarray:
+    """The (frames, n_mels) log-mel spectrogram of `w`."""
     cfg = cfg or FrontendConfig()
     x = np.asarray(w.samples, dtype=np.float64)
     if x.size < cfg.window:
@@ -152,16 +143,14 @@ def compute_log_mel(w: Waveform, cfg: FrontendConfig | None = None) -> LogMelSpe
     spec = np.fft.rfft(frames * hann_window(cfg.window), n=cfg.n_fft)
     power = spec.real ** 2 + spec.imag ** 2
     mel = power @ mel_filterbank(cfg).T
-    values = np.log(np.maximum(mel, cfg.log_floor))
-    return LogMelSpectrogram(values=values,
-                             frame_rate=cfg.sample_rate // cfg.hop)
+    return np.log(np.maximum(mel, cfg.log_floor))
 
 
-def patchify(m: LogMelSpectrogram, cfg: FrontendConfig | None = None) -> PatchSequence:
-    """Tile into 16x16 patches, right-padding time with the log floor."""
+def patchify(values: np.ndarray, cfg: FrontendConfig | None = None) -> PatchSequence:
+    """Tile (frames, n_mels) into 16x16 patches, right-padding time with
+    the log floor."""
     cfg = cfg or FrontendConfig()
     p = cfg.patch
-    values = m.values
     if values.shape[1] != cfg.n_mels:
         raise ValueError(f"expected {cfg.n_mels} mel bands, got {values.shape[1]}")
     freq_patches = cfg.n_mels // p

@@ -158,17 +158,6 @@ class Tensor:
 
         return _result(self.data + other.data, (self, other), backward)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _result(-self.data, (self,), lambda g: self._accum(-g))
-
-    def __sub__(self, other):
-        return self + (-_as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return _as_tensor(other, self.dtype) + (-self)
-
     def __mul__(self, other):
         other = _as_tensor(other, self.dtype)
 
@@ -179,8 +168,6 @@ class Tensor:
                 other._accum(_unbroadcast(g * self.data, other.data.shape))
 
         return _result(self.data * other.data, (self, other), backward)
-
-    __rmul__ = __mul__
 
     def __getitem__(self, key):
         def backward(g):

@@ -182,12 +182,14 @@ class TestCorruption:
         lambda h: h["config"]["strategy"].update(encoder=1),
         lambda h: h["config"]["decoder"].update(max_caption=0),
         lambda h: h["config"]["lora"].update(alpha=float("nan")),
+        lambda h: h["vocab"].__setitem__(-1, 5),
+        lambda h: h["vocab"].__setitem__(-1, h["vocab"][-2]),
     ], ids=["stats-empty", "no-shape", "stats-list", "entry-list",
             "tensors-object", "mean-string", "shape-string", "mean-nan",
             "std-inf", "std-zero", "heads-zero", "hop-negative",
             "f_max-past-nyquist", "strategy-unknown-component",
             "strategy-mode-not-string", "max_caption-zero",
-            "alpha-nan"])
+            "alpha-nan", "vocab-int-token", "vocab-duplicate-word"])
     def test_bad_header_field(self, edit):
         with pytest.raises(ckpt.CorruptCheckpoint):
             ckpt.deserialize(with_header(edit))

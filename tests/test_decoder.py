@@ -131,6 +131,14 @@ class TestTokenizer:
         with pytest.raises(ValueError):
             Vocabulary.from_tokens(["<eos>", "<bos>", "<pad>", "<unk>", "a"])
 
+    @pytest.mark.parametrize("rest", [[5], ["a", "a"], ["a", "<pad>"],
+                                      ["a", None], [["a"]]],
+                             ids=["int", "duplicate", "duplicate-special",
+                                  "none", "list"])
+    def test_from_tokens_rejects_non_string_and_duplicate_tokens(self, rest):
+        with pytest.raises(ValueError):
+            Vocabulary.from_tokens(list(dec.SPECIAL_TOKENS) + rest)
+
     def test_literals_present_once(self):
         vocab = tiny_vocab()
         for lit in (":", "---", "\n"):
@@ -222,7 +230,7 @@ class TestForwardLoss:
         a = acoustic_block()
         seq = assemble_sequence(a, "an upward chirp", vocab)
         loss = float(stream_loss(model, [(seq, a)]).data)
-        logits = model.logits(model.embed_stream([seq], a)).data[0]
+        logits = model.logits(model.embed_stream([seq], a)).data
         ids, mask = seq.ids, seq.loss_mask
         rows = logits[:-1].copy()
         targets = ids[1:]
@@ -256,8 +264,8 @@ class TestForwardLoss:
         long = assemble_sequence(a_long, "a noise burst followed by silence",
                                  vocab)
         alone = float(stream_loss(model, [(short, a_short)]).data)
-        # in a mixed batch the short item is right-padded; its per-position
-        # losses must be unaffected
+        # in a mixed batch the short item is packed beside the long one; its
+        # per-position losses must be unaffected
         mixed = float(stream_loss(model, [(short, a_short),
                                           (long, a_long)]).data)
         other = float(stream_loss(model, [(long, a_long)]).data)
@@ -287,11 +295,13 @@ class TestStream:
             blocks.append(block)
             seqs.append(assemble_sequence(block, caption, vocab))
         got = model.embed_stream(seqs, nn.concat(blocks))
-        want = reference_stream(model, seqs, blocks)
+        # the packed layout: each item's real rows, item after item
+        padded = reference_stream(model, seqs, blocks)
+        want = nn.concat([padded[i, :s.length] for i, s in enumerate(seqs)])
         assert got.dtype == want.dtype and np.array_equal(got.data, want.data)
         if len(items) == 1 and items[0][1] is None:
             assert np.array_equal(model._prompt(blocks[0], vocab).data,
-                                  want.data)
+                                  want.data[None])
         # the gradients: the acoustic rows' exactly, the token table's up
         # to the order in which its repeated rows are summed
         weights = r.normal(0, 1, want.shape).astype(np.float32)
@@ -323,10 +333,10 @@ class TestCausality:
         assert np.array_equal(a, b)
         # extending the sequence must not alter the logits at earlier steps
         seq = assemble_sequence(acoustic, "a low tone", vocab)
-        full = model.logits(model.embed_stream([seq], acoustic)).data[0]
+        full = model.logits(model.embed_stream([seq], acoustic)).data
         trunc_seq = SpliceSequence(seq.prefix_ids, seq.n_acoustic,
                                    seq.suffix_ids, seq.caption_ids[:1])
-        trunc = model.logits(model.embed_stream([trunc_seq], acoustic)).data[0]
+        trunc = model.logits(model.embed_stream([trunc_seq], acoustic)).data
         assert np.allclose(full[:trunc.shape[0]], trunc, atol=1e-5)
 
 
@@ -442,8 +452,7 @@ class TestCachedDecoding:
         model = make_decoder(vocab, seed=seed, layers=2)
         acoustic = acoustic_block(n=4, seed=seed)
         caches = [nn.KVCache() for _ in model.blocks]
-        prompt = model.embed_stream([assemble_sequence(acoustic, None, vocab)],
-                                    acoustic)
+        prompt = model._prompt(acoustic, vocab)
         start = prompt.shape[1]
         rows = model.logits(prompt, caches)
         want = reference_step_logits(model, acoustic, [], vocab)

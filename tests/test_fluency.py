@@ -226,6 +226,17 @@ class TestPipelineGate:
         assert set(loaded["third_party"]) <= {"audiocap", "numpy"}
         assert loaded["http"] == []
 
+    def test_package_import_loads_no_submodule(self):
+        # each name has one import path, its submodule; the root binds none
+        code = ("import sys; import audiocap; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('audiocap.')))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
 
 class TestExternalCorrector:
     def test_request_body_and_verbatim_prompt(self):
