@@ -11,8 +11,10 @@ save -> load -> save round-trips byte-identically.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 import zlib
 
@@ -41,7 +43,8 @@ def _tensor_table(model: CaptionModel) -> list[tuple[str, "np.ndarray"]]:
                   key=lambda kv: kv[0])
 
 
-def serialize(model: CaptionModel) -> bytes:
+def serialize(model: CaptionModel) -> bytearray:
+    """The checkpoint file's bytes, written into one buffer of its size."""
     table = _tensor_table(model)
     header = {
         "version": VERSION,
@@ -54,23 +57,41 @@ def serialize(model: CaptionModel) -> bytes:
     }
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
-    parts = [MAGIC, struct.pack("<I", VERSION),
-             struct.pack("<Q", len(header_bytes)), header_bytes]
-    parts.extend(arr.astype("<f4").tobytes(order="C") for _, arr in table)
-    crc = 0
-    for part in parts:
-        crc = zlib.crc32(part, crc)
-    parts.append(struct.pack("<I", crc))
-    return b"".join(parts)
+    offset = 16 + len(header_bytes)
+    end = offset + sum(4 * arr.size for _, arr in table)
+    blob = bytearray(end + 4)
+    struct.pack_into("<4sIQ", blob, 0, MAGIC, VERSION, len(header_bytes))
+    blob[16:offset] = header_bytes
+    for _, arr in table:
+        np.frombuffer(blob, dtype="<f4", count=arr.size,
+                      offset=offset)[:] = arr.reshape(-1)
+        offset += 4 * arr.size
+    struct.pack_into("<I", blob, end, zlib.crc32(memoryview(blob)[:end]))
+    return blob
 
 
 def save_checkpoint(model: CaptionModel, path) -> None:
+    """Write the checkpoint to a sibling temporary file, then move it over
+    `path`, so a failed or interrupted save leaves any old file whole."""
     blob = serialize(model)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(blob)
+        os.replace(tmp, path)
     except OSError as e:
         raise IoError(str(e)) from e
+    finally:
+        with contextlib.suppress(OSError):  # gone once it has replaced `path`
+            os.remove(tmp)
+
+
+def _shape(dims) -> tuple[int, ...]:
+    if not isinstance(dims, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 0
+            for n in dims):
+        raise ValueError(f"tensor shape {dims!r} is not a list of sizes")
+    return tuple(dims)
 
 
 def deserialize(blob: bytes) -> CaptionModel:
@@ -96,7 +117,7 @@ def deserialize(blob: bytes) -> CaptionModel:
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                    and math.isfinite(v) for v in (mean, std)) or std <= 0:
             raise ValueError(f"feature stats mean {mean!r}, std {std!r}")
-        tensors = [(t["name"], tuple(int(n) for n in t["shape"]), t["dtype"])
+        tensors = [(t["name"], _shape(t["shape"]), t["dtype"])
                    for t in header["tensors"]]
     except VersionMismatch:
         raise

@@ -396,7 +396,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     the output is packed rows again. One graph node: with P the attention
     weights and dO the output gradient, the backward is dV = P^T dO,
     dP = dO V^T, dS = P * (dP - rowsum(dP * P)), dQ = dS K / sqrt(dh) and
-    dK = dS^T Q / sqrt(dh).
+    dK = dS^T Q / sqrt(dh). The backward keeps only P: it takes Q, K and V
+    again from its parents, so packed rows are not also held padded.
     """
     d = q.data.shape[-1]
     if d % n_heads:
@@ -406,31 +407,31 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     dh = d // n_heads
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
     packing = mask if isinstance(mask, Packing) else None
-    qd, kd, vd = q.data, k.data, v.data
     if packing is not None:
         mask = packing.mask
-        qd, kd, vd = packing.scatter(qd), packing.scatter(kd), packing.scatter(vd)
 
-    def split(a):  # (..., T, d) -> (..., heads, T, dh)
+    def heads(a):  # (..., T, d), or packed (R, d) -> (..., heads, T, dh)
+        if packing is not None:
+            a = packing.scatter(a)
         return np.swapaxes(a.reshape(a.shape[:-1] + (n_heads, dh)), -2, -3)
 
     def merge(a):  # (..., heads, T, dh) -> (..., T, d)
         a = np.swapaxes(a, -2, -3)
         return a.reshape(a.shape[:-2] + (d,))
 
-    qh, kh, vh = split(qd), split(kd), split(vd)
-    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores = heads(q.data) @ np.swapaxes(heads(k.data), -1, -2)
     scores *= scale
     if mask is not None:
         scores += mask
     p = _softmax(scores, -1)
-    out = merge(p @ vh)
+    out = merge(p @ heads(v.data))
 
     def backward(g):
-        go = split(g if packing is None else packing.scatter(g))
-        ds = _softmax_grad(p, go @ np.swapaxes(vh, -1, -2), -1)
+        go = heads(g)
+        ds = _softmax_grad(p, go @ np.swapaxes(heads(v.data), -1, -2), -1)
         ds *= scale
-        for t, grad in ((q, ds @ kh), (k, np.swapaxes(ds, -1, -2) @ qh),
+        for t, grad in ((q, ds @ heads(k.data)),
+                        (k, np.swapaxes(ds, -1, -2) @ heads(q.data)),
                         (v, np.swapaxes(p, -1, -2) @ go)):
             if t.requires_grad:
                 grad = merge(grad)
@@ -675,7 +676,9 @@ class AdamW:
 
         The elementwise ops and their order are those of the textbook
         form p - lr*wd*p - lr * (m/bc1) / (sqrt(v/bc2) + eps), so the
-        result is the same bits; temporaries live in reused buffers.
+        result is the same bits; temporaries live in reused buffers. Each
+        `p.grad` is released (set to None) once applied, so no gradient
+        stays alive through the next forward.
         """
         grads = {}
         for k, p in self.params.items():
@@ -690,7 +693,8 @@ class AdamW:
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
         for k, p in self.params.items():
-            g, m, v = grads[k], self.m[k], self.v[k]
+            g, m, v = grads.pop(k), self.m[k], self.v[k]
+            p.grad = None
             a = self._buffer(g.shape, 0, g.dtype)
             b = self._buffer(g.shape, 1, g.dtype)
             if scale is not None:

@@ -1,9 +1,13 @@
+import builtins
+import errno
 import json
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audiocap import checkpoint as ckpt
 from audiocap import nn
@@ -19,6 +23,30 @@ def fresh_model(strategy=None, seed=3):
     model = build_model(cfg, tiny_vocab())
     model.encoder.set_feature_stats(-4.5, 3.25)
     return model
+
+
+def reference_serialize(model) -> bytes:
+    """The file's bytes built as parts and joined, as `serialize` once did."""
+    table = ckpt._tensor_table(model)
+    header = {
+        "version": ckpt.VERSION,
+        "config": model.cfg.to_dict(),
+        "vocab": model.vocab.tokens,
+        "feature_stats": {"mean": model.encoder.feat_mean,
+                          "std": model.encoder.feat_std},
+        "tensors": [{"name": name, "dtype": "f32", "shape": list(arr.shape)}
+                    for name, arr in table],
+    }
+    header_bytes = json.dumps(header, sort_keys=True,
+                              separators=(",", ":")).encode("utf-8")
+    parts = [ckpt.MAGIC, struct.pack("<I", ckpt.VERSION),
+             struct.pack("<Q", len(header_bytes)), header_bytes]
+    parts.extend(arr.astype("<f4").tobytes(order="C") for _, arr in table)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(struct.pack("<I", crc))
+    return b"".join(parts)
 
 
 def sealed(body: bytes) -> bytes:
@@ -91,6 +119,19 @@ class TestRoundTrip:
         assert loaded.vocab.tokens == model.vocab.tokens
         assert loaded.cfg.to_dict() == model.cfg.to_dict()
 
+    @pytest.mark.parametrize("kind", ["fresh", "lora", "float64"])
+    def test_serialize_matches_parts_and_join(self, kind):
+        model = fresh_model(TrainStrategy("lora", "lora") if kind == "lora"
+                            else None)
+        for i, p in enumerate(model.parameters()):  # distinct, nonzero data
+            p.data = p.data + np.float32(0.001 * (i + 1))
+        if kind == "float64":
+            model.astype(np.float64)
+            model.parameters()[0].data[0] += 1e-12  # not a float32 value
+        blob = ckpt.serialize(model)
+        assert blob == reference_serialize(model)
+        assert ckpt.serialize(ckpt.deserialize(blob)) == blob
+
     def test_save_writes_exactly_serialize(self, tmp_path):
         model = fresh_model(strategy=TrainStrategy("lora", "lora"))
         ckpt.save_checkpoint(model, tmp_path / "m.ckpt")
@@ -124,6 +165,9 @@ class TestRoundTrip:
         p = random_patches(2)
         assert np.array_equal(model.acoustic_tokens(p).data,
                               loaded.acoustic_tokens(p).data)
+
+
+TORN_BASE = bytes(ckpt.serialize(fresh_model()))
 
 
 class TestCorruption:
@@ -184,12 +228,16 @@ class TestCorruption:
         lambda h: h["config"]["lora"].update(alpha=float("nan")),
         lambda h: h["vocab"].__setitem__(-1, 5),
         lambda h: h["vocab"].__setitem__(-1, h["vocab"][-2]),
+        lambda h: h["tensors"][0].update(shape=[float("inf")]),
+        lambda h: h["tensors"][0]["shape"].__setitem__(
+            0, h["tensors"][0]["shape"][0] + 0.5),
     ], ids=["stats-empty", "no-shape", "stats-list", "entry-list",
             "tensors-object", "mean-string", "shape-string", "mean-nan",
             "std-inf", "std-zero", "heads-zero", "hop-negative",
             "f_max-past-nyquist", "strategy-unknown-component",
             "strategy-mode-not-string", "max_caption-zero",
-            "alpha-nan", "vocab-int-token", "vocab-duplicate-word"])
+            "alpha-nan", "vocab-int-token", "vocab-duplicate-word",
+            "shape-inf", "shape-fraction"])
     def test_bad_header_field(self, edit):
         with pytest.raises(ckpt.CorruptCheckpoint):
             ckpt.deserialize(with_header(edit))
@@ -215,6 +263,31 @@ class TestCorruption:
             loaded.append((i, mask))
         assert len(flips) > 3 * 5000 and loaded == []
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_torn_writes_never_load(self, tmp_path_factory, data):
+        # a run of 1-64 bytes overwritten anywhere, or the file cut short
+        blob = TORN_BASE
+        if data.draw(st.booleans(), label="truncate"):
+            torn = blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")]
+            hits_version = False
+        else:
+            start = data.draw(st.integers(0, len(blob) - 1), label="start")
+            run = data.draw(st.binary(min_size=1, max_size=64), label="run")
+            run = run[:len(blob) - start]
+            torn = blob[:start] + run + blob[start + len(run):]
+            hits_version = torn[4:8] != blob[4:8]
+        if torn == blob:
+            return
+        allowed = ((ckpt.CorruptCheckpoint, ckpt.VersionMismatch)
+                   if hits_version else ckpt.CorruptCheckpoint)
+        path = tmp_path_factory.mktemp("torn") / "m.ckpt"
+        path.write_bytes(torn)
+        for load in (lambda: ckpt.deserialize(torn),
+                     lambda: ckpt.load_checkpoint(path)):
+            with pytest.raises(allowed):
+                load()
+
     def test_checksum_mismatch(self):
         blob = bytearray(ckpt.serialize(fresh_model()))
         blob[-1] ^= 1
@@ -239,6 +312,36 @@ class TestCorruption:
     def test_tiny_blob(self):
         with pytest.raises(ckpt.CorruptCheckpoint):
             ckpt.deserialize(b"LO")
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        ckpt.save_checkpoint(fresh_model(seed=3), path)
+        old = path.read_bytes()
+
+        class HalfWritten:  # writes half its data, then the disk is full
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(memoryview(data)[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = builtins.open(file, mode, *args, **kwargs)
+            return HalfWritten(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(ckpt, "open", failing_open, raising=False)
+        from audiocap.data import IoError
+        with pytest.raises(IoError, match="No space"):
+            ckpt.save_checkpoint(fresh_model(seed=4), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_missing_file(self, tmp_path):
         from audiocap.data import IoError

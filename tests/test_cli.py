@@ -5,6 +5,7 @@ import pytest
 from audiocap import cli, fluency
 from audiocap.data import parse_manifest
 from conftest import tiny_config
+from test_checkpoint import with_header
 from test_fluency import BAD_ENDPOINTS, completion
 
 
@@ -223,6 +224,15 @@ class TestCaption:
         wav = workdir["corpus"] / "clip_0000.wav"
         rc = cli.main(["caption", "--ckpt", str(bad), "--wav", str(wav)])
         assert rc == 2
+
+    def test_bad_tensor_shape_is_data_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(with_header(
+            lambda h: h["tensors"][0].update(shape=[float("inf")])))
+        wav = workdir["corpus"] / "clip_0000.wav"
+        rc = cli.main(["caption", "--ckpt", str(bad), "--wav", str(wav)])
+        assert rc == 2
+        assert "tensor shape" in capsys.readouterr().err
 
     def test_non_wav_input_is_data_error(self, workdir, tmp_path):
         txt = tmp_path / "not.wav"

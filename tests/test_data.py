@@ -13,7 +13,7 @@ from audiocap.data import (EVENT_NAMES, EVENT_SAMPLES, ManifestEntry,
                            make_batches, parse_manifest, render_events,
                            run_schedule, synthesize_corpus, write_manifest)
 from audiocap.frontend import FrontendConfig, load_wav
-from audiocap.lora import TrainStrategy
+from audiocap.lora import TrainStrategy, trainable_parameters
 from audiocap.model import build_model
 from conftest import tiny_config
 
@@ -280,6 +280,42 @@ class TestTraining:
         expected = float(model2.loss_on_batch(
             [(feats[e.id], e.captions[0]) for e in batch3]).data)
         assert result.loss_curve[2] == pytest.approx(expected, abs=1e-6)
+
+    def test_gradients_are_released_after_each_update(self, tmp_path):
+        entries, model = self._corpus_and_model(tmp_path)
+        held = []
+
+        def log(step, loss, lr):
+            held.append([k for k, p in model.named_parameters().items()
+                         if p.grad is not None])
+
+        schedule = TrainingSchedule([StageConfig(2, 2, 1e-3, 1)])
+        run_schedule(model, schedule, entries, tmp_path, seed=0, log=log)
+        assert held == [[]] * 4
+
+    def test_loss_curve_matches_zero_before_backward_loop(self, tmp_path):
+        entries, model = self._corpus_and_model(tmp_path)
+        stage = StageConfig(3, 2, 1e-3, 1)
+        result = run_schedule(model, TrainingSchedule([stage]), entries,
+                              tmp_path, seed=0, max_steps=5)
+
+        entries, model = self._corpus_and_model(tmp_path)
+        feats = extract_features(entries, tmp_path, model.cfg.frontend)
+        model.encoder.set_feature_stats(*corpus_feature_stats(feats))
+        items = [(feats[e.id], c) for e in entries for c in e.captions]
+        opt = nn.AdamW(trainable_parameters(model), lr=stage.peak_lr,
+                       weight_decay=data.WEIGHT_DECAY)
+        curve = []
+        for epoch in range(stage.epochs):
+            for batch in make_batches(items, stage.batch_size, 0, epoch):
+                loss = model.loss_on_batch(batch)
+                opt.zero_grad()
+                loss.backward()
+                opt.lr = lr_at_step(stage, len(curve) + 1, 2)
+                opt.step()
+                curve.append(float(loss.data))
+        assert len(curve) == 6
+        assert [v.hex() for v in result.loss_curve] == [v.hex() for v in curve[:5]]
 
     def test_epoch_counter_advances_across_stages(self, tmp_path):
         # batch permutations keep advancing instead of repeating epoch 0

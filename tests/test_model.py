@@ -82,10 +82,14 @@ class TestBatchedLoss:
     @given(st.lists(st.tuples(st.integers(1, 20), st.integers(1, 12)),
                     min_size=1, max_size=6))
     @example([(6, 3)])  # a batch of one
+    @example([(7, 2), (16, 3), (15, 9)])  # off by 1.11e-5 in float32
     @settings(max_examples=20, deadline=None)
     def test_matches_per_clip_reference_property(self, clips):
+        # in float64, so that the key biases' zero gradients are not
+        # float32 rounding noise measured against rounding noise
         words = " ".join(CAPTIONS).split()
-        model = build_model(tiny_config(seed=1), tiny_vocab(CAPTIONS))
+        model = build_model(tiny_config(seed=1),
+                            tiny_vocab(CAPTIONS)).astype(np.float64)
         batch = [(random_patches(seed=40 + i, time_patches=tp),
                   " ".join((words * 2)[i:i + n]))
                  for i, (tp, n) in enumerate(clips)]

@@ -85,6 +85,68 @@ class TestAttention:
                 2, mask=mask).data
             assert np.allclose(out[lo:hi], alone, rtol=1e-12, atol=1e-12)
 
+    @staticmethod
+    def packed_node(causal, lengths=(3, 1, 5), d=8):
+        r = rng()
+        q, k, v = (nn.Tensor(r.normal(0, 1, (sum(lengths), d)).astype(np.float32),
+                             requires_grad=True) for _ in range(3))
+        w = r.normal(0, 1, (sum(lengths), d)).astype(np.float32)
+        packing = nn.Packing(lengths, causal)
+        out = nn.multi_head_attention(q, k, v, 2, mask=packing)
+        return q, k, v, w, packing, out
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_packed_backward_keeps_no_padded_copy(self, causal):
+        # 3 items padded to 5 rows of width 8, 2 heads of width 4
+        *_, out = self.packed_node(causal)
+        padded = {(3, 5, 8), (15, 8), (3, 5, 2, 4), (3, 2, 5, 4)}
+        held, todo = [], list(out._backward.__closure__)
+        while todo:
+            value = todo.pop().cell_contents
+            if callable(value) and getattr(value, "__closure__", None):
+                todo.extend(value.__closure__)
+            elif isinstance(value, nn.Packing):
+                held.extend(v for v in vars(value).values()
+                            if isinstance(v, np.ndarray))
+            elif isinstance(value, np.ndarray):
+                held.append(value)
+        shapes = []
+        for a in held:
+            while a is not None:
+                shapes.append(a.shape)
+                a = a.base
+        assert (3, 2, 5, 5) in shapes  # the attention weights P
+        assert padded.isdisjoint(shapes)
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_packed_gradients_match_padded_copies_bit_for_bit(self, causal):
+        q, k, v, w, packing, out = self.packed_node(causal)
+        nn.tsum(out * w).backward()
+        # the same ops on padded copies of q, k and v kept from the forward
+        dh = 4
+        scale = np.asarray(1.0 / math.sqrt(dh), dtype=np.float32)
+
+        def split(a):
+            return np.swapaxes(a.reshape(a.shape[:-1] + (2, dh)), -2, -3)
+
+        def merge(a):
+            a = np.swapaxes(a, -2, -3)
+            return a.reshape(a.shape[:-2] + (8,))
+
+        qh, kh, vh = (split(packing.scatter(t.data)) for t in (q, k, v))
+        scores = qh @ np.swapaxes(kh, -1, -2)
+        scores *= scale
+        if packing.mask is not None:
+            scores += packing.mask
+        p = nn._softmax(scores, -1)
+        assert out.data.tobytes() == packing.gather(merge(p @ vh)).tobytes()
+        go = split(packing.scatter(w))
+        ds = nn._softmax_grad(p, go @ np.swapaxes(vh, -1, -2), -1)
+        ds *= scale
+        for t, grad in ((q, ds @ kh), (k, np.swapaxes(ds, -1, -2) @ qh),
+                        (v, np.swapaxes(p, -1, -2) @ go)):
+            assert t.grad.tobytes() == packing.gather(merge(grad)).tobytes()
+
 
 
 class TestRmsNorm:
