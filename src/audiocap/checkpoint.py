@@ -119,6 +119,8 @@ def deserialize(blob: bytes) -> CaptionModel:
             raise ValueError(f"feature stats mean {mean!r}, std {std!r}")
         tensors = [(t["name"], _shape(t["shape"]), t["dtype"])
                    for t in header["tensors"]]
+        with nn.no_init():  # every weight is read from the blob below
+            model = build_model(cfg, vocab)  # a LoRA rank past a layer's width raises
     except VersionMismatch:
         raise
     except (KeyError, TypeError, ValueError) as e:
@@ -134,8 +136,6 @@ def deserialize(blob: bytes) -> CaptionModel:
                     != struct.unpack_from("<I", blob, end)[0]):
         raise CorruptCheckpoint("checksum mismatch")
 
-    with nn.no_init():  # every weight is read from the blob below
-        model = build_model(cfg, vocab)
     model.encoder.set_feature_stats(mean, std)
     params = model.named_parameters()
     if [name for name, _, _ in tensors] != sorted(params.keys()):

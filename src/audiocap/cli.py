@@ -9,6 +9,7 @@ file named by --out.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -85,7 +86,7 @@ def build_parser() -> Parser:
     crp.add_argument("--text", required=True)
     crp.add_argument("--endpoint", default="")
     crp.add_argument("--mode", choices=fluency.MODES)
-    crp.add_argument("--threshold", type=float, default=0.90)
+    crp.add_argument("--threshold", type=float, default=metrics.FLUENCY_GATE)
     return p
 
 
@@ -104,7 +105,7 @@ def _load_config(args) -> PipelineConfig:
         cfg.strategy.encoder = mode
         cfg.strategy.decoder = mode
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)  # checks the seed
     return cfg
 
 
@@ -166,7 +167,7 @@ def _corrector_config(args) -> fluency.CorrectorConfig:
 
 
 def _gate(text: str) -> str:
-    """The default rules gate at 0.90 that `caption/evaluate --correct` apply."""
+    """The default rules gate that `caption/evaluate --correct` apply."""
     return fluency.correction_pipeline(text, fluency.CorrectorConfig()).text
 
 

@@ -186,13 +186,13 @@ def caption_for_events(indices) -> str:
     return " followed by ".join(EVENT_NAMES[i] for i in indices)
 
 
-def write_wav(path, samples: np.ndarray, rate: int = SAMPLE_RATE) -> None:
+def write_wav(path, samples: np.ndarray) -> None:
     pcm = np.clip(np.round(samples * 32767.0), -32768, 32767).astype("<i2")
     try:
         with wave.open(str(path), "wb") as wf:
             wf.setnchannels(1)
             wf.setsampwidth(2)
-            wf.setframerate(rate)
+            wf.setframerate(SAMPLE_RATE)
             wf.writeframes(pcm.tobytes())
     except OSError as e:
         raise IoError(str(e)) from e

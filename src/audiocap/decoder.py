@@ -214,7 +214,7 @@ class CaptionDecoder(Module):
             n = x.data.shape[-2]
             x = x + self.pos[at:at + n]
             # one row per hypothesis sees every cached key: its mask is all zeros
-            mask = nn.causal_mask(n, x.dtype, at) if n > 1 else None
+            mask = nn.causal_mask(n, at) if n > 1 else None
         for block, cache in zip(self.blocks, caches or [None] * len(self.blocks)):
             x = block(x, mask=mask, cache=cache)
         if caches is not None:
@@ -235,12 +235,11 @@ class CaptionDecoder(Module):
             raise SequenceTooLong(f"batch length {t_max} exceeds {self.cfg.max_seq}")
         packing = nn.Packing([s.length for s in splices], causal=True)
         logits = self.logits(self.embed_stream(splices, acoustic), at=packing)
-        # row r predicts row r + 1; an item's last row would predict the
-        # next item's <bos>, never a caption position, so it is ignored
+        # row r predicts row r + 1, so the rows that count are those just
+        # before a caption position; an item's first row never is one
         ids = np.concatenate([s.ids for s in splices])
-        keep = np.concatenate([s.loss_mask for s in splices])
-        return nn.cross_entropy(logits, np.append(ids[1:], Vocabulary.PAD),
-                                ignore_mask=~np.append(keep[1:], False))
+        targets = np.flatnonzero(np.concatenate([s.loss_mask for s in splices]))
+        return nn.cross_entropy(logits[targets - 1], ids[targets])
 
     def _prompt(self, acoustic: Tensor, vocab: Vocabulary) -> Tensor:
         """The inference stream, <bos> + head + acoustic + tail, as (1, T, d)."""

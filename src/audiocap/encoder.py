@@ -46,7 +46,7 @@ class EncoderConfig:
 
 class PatchEncoder(Module):
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator,
-                 patch_dim: int = 256, freq_patches: int = 4):
+                 patch_dim: int, freq_patches: int):
         self.patch_proj = Linear(patch_dim, cfg.d_enc, rng)
         self.time_pos = nn.parameter(
             rng.normal(0.0, 0.02, (cfg.max_time_patches, cfg.d_enc)))

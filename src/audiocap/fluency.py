@@ -1,10 +1,11 @@
 """Fluency error detection and gated post-correction.
 
 A deterministic rule detector stands in for a learned error classifier:
-each rule fires at a fixed 0.95 probability, strictly above the 0.90
-activation gate. Correction is rule-based (loop collapse, stutter
-collapse, trailing-conjunction strip) or delegated to an external
-chat-completions endpoint with a fixed revision prompt.
+each rule fires at a fixed 0.95 probability, strictly above the
+activation gate, `metrics.FLUENCY_GATE`, which also gates SPIDEr-FL.
+Correction is rule-based (loop collapse, stutter collapse,
+trailing-conjunction strip) or delegated to an external chat-completions
+endpoint with a fixed revision prompt.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .metrics import metric_tokenize
+from .metrics import FLUENCY_GATE, metric_tokenize
 from .nn import require_at_least
 
 RULE_PROBABILITY = 0.95
@@ -57,7 +58,7 @@ class ErrorAssessment:
 
 @dataclass
 class CorrectorConfig:
-    threshold: float = 0.90
+    threshold: float = FLUENCY_GATE
     mode: str = "rules"
     endpoint: str = ""
     model: str = "gpt-3.5-turbo"
@@ -205,11 +206,10 @@ class CorrectionResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def correction_pipeline(text: str, cfg: CorrectorConfig | None = None,
+def correction_pipeline(text: str, cfg: CorrectorConfig,
                         detector=detect_errors) -> CorrectionResult:
-    """Correct only when the error probability strictly exceeds the gate."""
-    if cfg is None:
-        cfg = CorrectorConfig()
+    """Correct only when the error probability strictly exceeds the gate,
+    `cfg.threshold`."""
     pre = detector(text)
     if not pre.probability > cfg.threshold:
         return CorrectionResult(text=text, pre=pre, post=pre, corrected=False)

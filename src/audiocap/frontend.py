@@ -133,9 +133,8 @@ def frame_count(n_samples: int, cfg: FrontendConfig) -> int:
     return 1 + (n_samples - cfg.window) // cfg.hop
 
 
-def compute_log_mel(w: Waveform, cfg: FrontendConfig | None = None) -> np.ndarray:
+def compute_log_mel(w: Waveform, cfg: FrontendConfig) -> np.ndarray:
     """The (frames, n_mels) log-mel spectrogram of `w`."""
-    cfg = cfg or FrontendConfig()
     x = np.asarray(w.samples, dtype=np.float64)
     if x.size < cfg.window:
         raise InputTooShort(f"need at least {cfg.window} samples, got {x.size}")
@@ -146,10 +145,9 @@ def compute_log_mel(w: Waveform, cfg: FrontendConfig | None = None) -> np.ndarra
     return np.log(np.maximum(mel, cfg.log_floor))
 
 
-def patchify(values: np.ndarray, cfg: FrontendConfig | None = None) -> PatchSequence:
+def patchify(values: np.ndarray, cfg: FrontendConfig) -> PatchSequence:
     """Tile (frames, n_mels) into 16x16 patches, right-padding time with
     the log floor."""
-    cfg = cfg or FrontendConfig()
     p = cfg.patch
     if values.shape[1] != cfg.n_mels:
         raise ValueError(f"expected {cfg.n_mels} mel bands, got {values.shape[1]}")
@@ -162,5 +160,5 @@ def patchify(values: np.ndarray, cfg: FrontendConfig | None = None) -> PatchSequ
     return PatchSequence(patches=patches, grid=(time_patches, freq_patches))
 
 
-def wave_to_patches(w: Waveform, cfg: FrontendConfig | None = None) -> PatchSequence:
+def wave_to_patches(w: Waveform, cfg: FrontendConfig) -> PatchSequence:
     return patchify(compute_log_mel(w, cfg), cfg)

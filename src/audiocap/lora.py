@@ -32,6 +32,7 @@ class LoraConfig:
     alpha: float = 16.0
 
     def __post_init__(self):
+        nn.require_at_least(1, self, "rank")
         if not math.isfinite(self.alpha):
             raise ValueError(f"LoraConfig.alpha must be finite, got {self.alpha}")
 
@@ -58,10 +59,9 @@ class LoraLinear(Module):
             raise ValueError("rank must be >= 1")
         if rank > min(d_in, d_out):
             raise RankTooLarge(f"rank {rank} exceeds min({d_in}, {d_out})")
-        dtype = base.weight.data.dtype
         self.base = base
-        self.lora_a = nn.parameter(rng.normal(0.0, 0.02, (rank, d_in)), dtype)
-        self.lora_b = nn.parameter(np.zeros((d_out, rank)), dtype)
+        self.lora_a = nn.parameter(rng.normal(0.0, 0.02, (rank, d_in)))
+        self.lora_b = nn.parameter(np.zeros((d_out, rank)))
         self.rank = rank
         self.alpha = alpha
         set_trainable(base, False)
@@ -112,10 +112,9 @@ def apply_mode(component: Module, mode: str, cfg: LoraConfig, seed) -> None:
                     nn.rng_from_seed([seed, i, j])))
 
 
-def apply_strategy(model, strategy: TrainStrategy, cfg: LoraConfig | None = None,
-                   seed: int = 0) -> None:
+def apply_strategy(model, strategy: TrainStrategy, cfg: LoraConfig,
+                   seed: int) -> None:
     """Assign per-component trainability; bridge is always fully trainable."""
-    cfg = cfg or LoraConfig()
     for component, mode in strategy.modes().items():
         apply_mode(getattr(model, component), mode, cfg,
                    [seed, component == "decoder"])

@@ -2,9 +2,10 @@
 
 CIDEr-D and METEOR-lite computed natively; SPICE supplied externally per
 item (scene-graph parsing is out of scope and silent zeros are forbidden);
-SPIDEr combines the two; SPIDEr-FL applies a fluency penalty above a
-strict 0.90 probability gate. Corpus means are reported scaled by 100 and
-rounded to one decimal.
+SPIDEr combines the two; SPIDEr-FL applies a fluency penalty above the
+strict `FLUENCY_GATE` on the error probability, the gate at which the
+fluency corrector also acts. Corpus means are reported scaled by 100
+and rounded to one decimal.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .data import MalformedLine, MissingField, check_string, read_jsonl
 
 _CIDER_N_MAX = 4
 _CIDER_SIGMA = 6.0
-_FL_THRESHOLD = 0.90  # strict gate on the fluency error probability
-_FL_PENALTY = 0.9     # share of the score removed above the gate
+FLUENCY_GATE = 0.90  # strict gate on the fluency error probability
+_FL_PENALTY = 0.9    # share of the score removed above the gate
+_CHUNK_SEARCH_BUDGET = 200_000  # search nodes before the greedy fallback
 
 
 class EmptyCorpus(ValueError):
@@ -114,13 +116,12 @@ def cider_d(candidates: list[str], references: list[list[str]]) -> list[float]:
 
 # -- METEOR-lite -------------------------------------------------------------
 
-def _min_chunks(cand: list[str], ref: list[str], m: int,
-                budget: int = 200_000) -> int:
+def _min_chunks(cand: list[str], ref: list[str], m: int) -> int:
     """Minimum chunk count over maximum exact-unigram alignments.
 
-    Exact backtracking over candidate positions within a node budget;
-    greedy longest-common-run fallback when the budget is exhausted
-    (chunk minimization is NP-hard in general).
+    Exact backtracking over candidate positions within a node budget
+    (`_CHUNK_SEARCH_BUDGET`); greedy longest-common-run fallback when the
+    budget is exhausted (chunk minimization is NP-hard in general).
     """
     counts = Counter(cand) & Counter(ref)
     best = [m]  # upper bound: every match its own chunk
@@ -129,7 +130,7 @@ def _min_chunks(cand: list[str], ref: list[str], m: int,
     def search(ci: int, remaining: Counter, used: int, chunks: int,
                last_ref: int, taken: set[int]) -> None:
         """last_ref = ref index matched at candidate position ci-1, else -2."""
-        if nodes[0] > budget or chunks >= best[0]:
+        if nodes[0] > _CHUNK_SEARCH_BUDGET or chunks >= best[0]:
             return
         nodes[0] += 1
         if used == m:
@@ -154,7 +155,7 @@ def _min_chunks(cand: list[str], ref: list[str], m: int,
         search(ci + 1, remaining, used, chunks, -2, taken)
 
     search(0, counts.copy(), 0, 0, -2, set())
-    if nodes[0] > budget:
+    if nodes[0] > _CHUNK_SEARCH_BUDGET:
         return min(best[0], _greedy_chunks(cand, ref))
     return best[0]
 
@@ -206,16 +207,15 @@ def spider(cider: float, spice: float) -> float:
 
 
 def spider_fl(spider_score: float, fluency_prob: float,
-              threshold: float = _FL_THRESHOLD,
               penalty: float = _FL_PENALTY) -> float:
     """Scale the score by (1 - penalty) when fluency_prob exceeds the gate.
 
-    The gate is strict: a probability exactly at the threshold is not
-    penalized. penalty=0.9 multiplies by 0.1; penalty=1.0 zeroes instead.
+    The gate, `FLUENCY_GATE`, is strict: a probability exactly at it is
+    not penalized. penalty=0.9 multiplies by 0.1; penalty=1.0 zeroes instead.
     """
     if not 0.0 <= fluency_prob <= 1.0:
         raise ValueError("fluency probability outside [0, 1]")
-    if fluency_prob > threshold:
+    if fluency_prob > FLUENCY_GATE:
         return spider_score * (1.0 - penalty)
     return spider_score
 

@@ -24,6 +24,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        nn.require_at_least(0, self, "seed")
         if self.bridge.d_dec != self.decoder.d_dec:
             raise ValueError("bridge output width must match decoder width")
 

@@ -217,8 +217,8 @@ def _as_tensor(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def parameter(data, dtype=np.float32) -> Tensor:
-    return Tensor(np.ascontiguousarray(data, dtype=dtype), requires_grad=True)
+def parameter(data) -> Tensor:
+    return Tensor(np.ascontiguousarray(data, dtype=np.float32), requires_grad=True)
 
 
 # -- shape ops -------------------------------------------------------------
@@ -442,43 +442,43 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                    (q, k, v), backward)
 
 
-def causal_mask(n: int, dtype=np.float32, start: int = 0) -> np.ndarray:
-    """Additive mask for n queries at positions start.. over start + n keys."""
-    return np.triu(np.full((n, start + n), -np.inf, dtype=dtype), k=start + 1)
+def causal_mask(n: int, start: int = 0) -> np.ndarray:
+    """Additive mask for n queries at positions start.. over start + n keys.
+
+    float32: 0 and -inf are exact in every float type, so adding it to
+    scores of any dtype masks the same positions.
+    """
+    return np.triu(np.full((n, start + n), -np.inf, dtype=np.float32), k=start + 1)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray,
-                  ignore_mask: np.ndarray | None = None) -> Tensor:
-    """Mean negative log-softmax over non-ignored positions.
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean negative log-softmax of the targets over every position.
 
-    logits: (..., V); targets: integer ids (...,); ignore_mask: bool (...,)
-    with True marking positions EXCLUDED from the loss.
+    logits: (..., V); targets: integer ids (...,). A caller that scores
+    only some positions gathers their rows first.
     """
     vocab = logits.data.shape[-1]
-    flat = logits.data.reshape(-1, vocab)
+    rows = logits.data.reshape(-1, vocab)
     tgt = np.asarray(targets).reshape(-1)
-    if tgt.min(initial=0) < 0 or tgt.max(initial=0) >= vocab:
+    if tgt.size == 0:
+        raise EmptyTargetSet("no target positions")
+    if tgt.size != rows.shape[0]:
+        raise ShapeMismatch(f"{tgt.size} targets for {rows.shape[0]} rows")
+    if tgt.min() < 0 or tgt.max() >= vocab:
         raise ShapeMismatch("target id outside vocabulary range")
-    if ignore_mask is None:
-        keep = np.ones(tgt.shape[0], dtype=bool)
-    else:
-        keep = ~np.asarray(ignore_mask).reshape(-1)
-    idx = np.nonzero(keep)[0]
-    if idx.size == 0:
-        raise EmptyTargetSet("all positions are ignored")
-    rows = flat[idx]
+    n = tgt.size
     m = rows.max(axis=-1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(rows - m).sum(axis=-1))
-    picked = rows[np.arange(idx.size), tgt[idx]]
+    picked = rows[np.arange(n), tgt]
     loss = (lse - picked).mean()
 
     def backward(g):
         probs = np.exp(rows - m)
         probs /= probs.sum(axis=-1, keepdims=True)
-        probs[np.arange(idx.size), tgt[idx]] -= 1.0
-        full = np.zeros_like(flat)
-        full[idx] = probs * (g / idx.size)
-        logits._accum(full.reshape(logits.data.shape))
+        probs[np.arange(n), tgt] -= 1.0
+        probs *= g / n  # fresh: `_accum` keeps it without a copy
+        logits._accum(probs if probs.shape == logits.data.shape
+                      else probs.reshape(logits.data.shape))
 
     return _result(np.asarray(loss, dtype=logits.dtype), (logits,), backward)
 
@@ -504,8 +504,8 @@ class Module:
                 elif isinstance(child, Tensor):
                     yield prefix + key, child
 
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {k: v for k, v in self._walk(prefix) if isinstance(v, Tensor)}
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {k: v for k, v in self._walk() if isinstance(v, Tensor)}
 
     def parameters(self) -> list[Tensor]:
         return [v for _, v in self._walk() if isinstance(v, Tensor)]
@@ -633,7 +633,7 @@ class AdamW:
     the pre-step value), separately from the bias-corrected adaptive step.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
+    def __init__(self, params: dict[str, Tensor], lr: float,
                  weight_decay: float = 0.0, clip_norm: float | None = 1.0):
         self.params = dict(params)
         self.lr = lr

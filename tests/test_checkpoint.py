@@ -231,13 +231,19 @@ class TestCorruption:
         lambda h: h["tensors"][0].update(shape=[float("inf")]),
         lambda h: h["tensors"][0]["shape"].__setitem__(
             0, h["tensors"][0]["shape"][0] + 0.5),
+        lambda h: h["config"].update(seed=-1),
+        lambda h: (h["config"]["strategy"].update(encoder="lora"),
+                   h["config"]["lora"].update(rank=0)),
+        lambda h: (h["config"]["strategy"].update(encoder="lora"),
+                   h["config"]["lora"].update(rank=99)),
     ], ids=["stats-empty", "no-shape", "stats-list", "entry-list",
             "tensors-object", "mean-string", "shape-string", "mean-nan",
             "std-inf", "std-zero", "heads-zero", "hop-negative",
             "f_max-past-nyquist", "strategy-unknown-component",
             "strategy-mode-not-string", "max_caption-zero",
             "alpha-nan", "vocab-int-token", "vocab-duplicate-word",
-            "shape-inf", "shape-fraction"])
+            "shape-inf", "shape-fraction", "seed-negative",
+            "lora-rank-zero", "lora-rank-past-width"])
     def test_bad_header_field(self, edit):
         with pytest.raises(ckpt.CorruptCheckpoint):
             ckpt.deserialize(with_header(edit))

@@ -120,6 +120,18 @@ class TestTrain:
         assert err.startswith("data error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("doc, override", [
+        ({"seed": -1}, []), ({"lora": {"rank": 0}}, []), ({}, ["--seed", "-1"]),
+    ], ids=["seed-negative", "lora-rank-zero", "seed-override-negative"])
+    def test_unbuildable_config_is_data_error(self, tmp_path, capsys, doc,
+                                              override):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        rc = cli.main(["train", "--config", str(cfg), "--dump-config"]
+                      + override)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+
     def test_deeply_nested_config_is_data_error(self, workdir, tmp_path,
                                                  capsys):
         cfg = tmp_path / "config.json"

@@ -12,7 +12,7 @@ from conftest import random_patches
 def make_encoder(seed=0, max_time_patches=16):
     cfg = enc.EncoderConfig(d_enc=32, layers=2, heads=2, ffn_mult=2,
                             max_time_patches=max_time_patches)
-    return enc.PatchEncoder(cfg, nn.rng_from_seed(seed))
+    return enc.PatchEncoder(cfg, nn.rng_from_seed(seed), 256, 4)
 
 
 class TestContract:

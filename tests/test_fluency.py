@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from audiocap import cli, metrics
 from audiocap import fluency as fl
 from audiocap.fluency import (CorrectorConfig, ErrorAssessment,
                               REVISION_PROMPT, TEXT_SLOT,
@@ -169,7 +171,7 @@ class TestRuleCorrector:
 class TestPipelineGate:
     def test_clean_text_passes_through_identically(self):
         text = "rain falls on a tin roof"
-        res = correction_pipeline(text)
+        res = correction_pipeline(text, CorrectorConfig())
         assert res.text is text
         assert not res.corrected
         assert res.post is res.pre
@@ -177,15 +179,28 @@ class TestPipelineGate:
     def test_probability_at_threshold_not_corrected(self):
         stub = lambda t: ErrorAssessment(probability=0.90,
                                          triggered_rules=["stub"])
-        res = correction_pipeline(LOOP, detector=stub)
+        res = correction_pipeline(LOOP, CorrectorConfig(), detector=stub)
         assert not res.corrected
         assert res.text == LOOP
 
     def test_probability_above_threshold_corrected(self):
-        res = correction_pipeline(LOOP)
+        res = correction_pipeline(LOOP, CorrectorConfig())
         assert res.corrected
         assert res.text == "a car drives by"
         assert res.post.probability == 0.0
+
+    def test_one_gate_for_penalty_correction_and_cli(self):
+        # exactly at the gate neither penalizes nor corrects; one ulp above,
+        # both do, and the corrector's and the CLI's defaults are the gate
+        gate = metrics.FLUENCY_GATE
+        for prob, fires in ((gate, False), (math.nextafter(gate, 1.0), True)):
+            stub = lambda t: ErrorAssessment(probability=prob,
+                                             triggered_rules=["stub"])
+            res = correction_pipeline(LOOP, CorrectorConfig(), detector=stub)
+            assert res.corrected is fires
+            assert (metrics.spider_fl(0.5, prob) != 0.5) is fires
+        args = cli.build_parser().parse_args(["correct", "--text", LOOP])
+        assert args.threshold == CorrectorConfig().threshold == gate
 
     def test_custom_threshold(self):
         cfg = CorrectorConfig(threshold=0.99)

@@ -154,13 +154,13 @@ class TestFraming:
     def test_too_short(self):
         w = Waveform(np.zeros(399), 16000)
         with pytest.raises(frontend.InputTooShort):
-            frontend.compute_log_mel(w)
+            frontend.compute_log_mel(w, FrontendConfig())
 
     @given(st.integers(400, 20000))
     @settings(max_examples=30, deadline=None)
     def test_spectrogram_shape_matches_count(self, n):
         w = Waveform(np.zeros(n), 16000)
-        m = frontend.compute_log_mel(w)
+        m = frontend.compute_log_mel(w, FrontendConfig())
         assert m.shape[0] == 1 + (n - 400) // 160
         assert m.shape[1] == 64
 
@@ -193,13 +193,14 @@ class TestMelAnalysis:
                               reference_filterbank(cfg))
 
     def test_silence_hits_log_floor(self):
-        m = frontend.compute_log_mel(Waveform(np.zeros(16000), 16000))
+        m = frontend.compute_log_mel(Waveform(np.zeros(16000), 16000),
+                                     FrontendConfig())
         assert np.all(m == math.log(1e-10))
 
     def test_1khz_tone_band(self):
         t = np.arange(16000) / 16000.0
         w = Waveform(0.5 * np.sin(2 * np.pi * 1000.0 * t), 16000)
-        m = frontend.compute_log_mel(w)
+        m = frontend.compute_log_mel(w, FrontendConfig())
         band = int(np.argmax(m.mean(axis=0)))
         cfg = FrontendConfig()
         edges = np.linspace(frontend.hz_to_mel(cfg.f_min),
@@ -213,7 +214,7 @@ class TestMelAnalysis:
         bands = []
         for hz in (220.0, 1000.0, 1760.0):
             w = Waveform(0.5 * np.sin(2 * np.pi * hz * t), 16000)
-            m = frontend.compute_log_mel(w)
+            m = frontend.compute_log_mel(w, FrontendConfig())
             bands.append(int(np.argmax(m.mean(axis=0))))
         assert bands[0] < bands[1] < bands[2]
 
@@ -224,7 +225,7 @@ class TestPatchify:
     def test_count_and_inverse(self, frames):
         r = np.random.Generator(np.random.PCG64(frames))
         values = r.normal(0, 1, (frames, 64))
-        p = frontend.patchify(values)
+        p = frontend.patchify(values, FrontendConfig())
         tp = -(-frames // 16)
         assert p.count == 4 * tp
         assert p.grid == (tp, 4)
@@ -237,7 +238,7 @@ class TestPatchify:
 
     def test_grid_is_time_major_freq_ascending(self):
         values = np.arange(32 * 64, dtype=np.float64).reshape(32, 64)
-        p = frontend.patchify(values)
+        p = frontend.patchify(values, FrontendConfig())
         for t in range(2):
             for f in range(4):
                 block = values[t * 16:(t + 1) * 16, f * 16:(f + 1) * 16]
@@ -247,10 +248,10 @@ class TestPatchify:
     def test_thirty_seconds_gives_752_patches(self):
         frames = frontend.frame_count(480000, FrontendConfig())
         values = np.zeros((frames, 64))
-        assert frontend.patchify(values).count == 752
+        assert frontend.patchify(values, FrontendConfig()).count == 752
 
     def test_wave_to_patches_chain(self):
         w = Waveform(np.zeros(16000), 16000)
-        p = frontend.wave_to_patches(w)
+        p = frontend.wave_to_patches(w, FrontendConfig())
         # 98 frames -> ceil(98/16)=7 time patches x 4 freq patches
         assert p.count == 28

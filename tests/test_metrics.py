@@ -101,7 +101,7 @@ def reference_evaluate_corpus(items, detector=None, spice=None):
 
     fl_scores = None
     if spider_scores is not None and probs is not None:
-        fl_scores = [spider_fl(s, p, 0.90, 0.9)
+        fl_scores = [spider_fl(s, p, penalty=0.9)
                      for s, p in zip(spider_scores, probs)]
         flags["spider_fl"] = "computed"
     else:
@@ -240,10 +240,10 @@ class TestMeteorLite:
         # only the alignment a->r1, b->r2, a->r0 achieves two chunks
         assert mt._min_chunks(["a", "b", "a"], ["a", "a", "b"], 3) == 2
 
-    def test_budget_fallback_uses_greedy(self):
+    def test_budget_fallback_uses_greedy(self, monkeypatch):
         exact = mt._min_chunks(["a", "b", "a"], ["a", "a", "b"], 3)
-        fallback = mt._min_chunks(["a", "b", "a"], ["a", "a", "b"], 3,
-                                  budget=0)
+        monkeypatch.setattr(mt, "_CHUNK_SEARCH_BUDGET", 0)
+        fallback = mt._min_chunks(["a", "b", "a"], ["a", "a", "b"], 3)
         assert fallback == mt._greedy_chunks(["a", "b", "a"], ["a", "a", "b"])
         assert fallback >= exact
 
