@@ -213,28 +213,25 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    cand_rows = []
+    cands: dict[str, str] = {}
     for lineno, r in data.read_jsonl(args.candidates, ("id", "caption")):
-        data.check_string(lineno, r, "id")
+        ident = data.check_string(lineno, r, "id")
         if not isinstance(r["caption"], str):
             raise data.MalformedLine(lineno, "caption is not a string")
-        cand_rows.append(r)
-    ref_rows = []
+        if ident in cands:
+            raise data.DuplicateId(f"line {lineno}: duplicate candidate id {ident!r}")
+        cands[ident] = r["caption"]
+    refs: dict[str, list[str]] = {}
     for lineno, r in data.read_jsonl(args.references, ("id", "captions")):
-        data.check_string(lineno, r, "id")
+        ident = data.check_string(lineno, r, "id")
         data.check_captions(lineno, r["captions"])
-        ref_rows.append(r)
-    cands = {r["id"]: r["caption"] for r in cand_rows}
-    if len(cands) != len(cand_rows):
-        raise data.DuplicateId("duplicate candidate ids")
-    ref_ids = [r["id"] for r in ref_rows]
-    if len(set(ref_ids)) != len(ref_ids):
-        raise data.DuplicateId("duplicate reference ids")
-    if set(cands) != set(ref_ids):
+        if ident in refs:
+            raise data.DuplicateId(f"line {lineno}: duplicate reference id {ident!r}")
+        refs[ident] = r["captions"]
+    if set(cands) != set(refs):
         raise metrics.IdMismatch("candidate and reference ids differ")
-    items = [metrics.ScoredItem(id=r["id"], candidate=cands[r["id"]],
-                                references=r["captions"])
-             for r in ref_rows]
+    items = [metrics.ScoredItem(id=i, candidate=cands[i], references=captions)
+             for i, captions in refs.items()]
     return _score_and_report(items, args)
 
 

@@ -241,7 +241,7 @@ class StageConfig:
     epochs: int
     batch_size: int
     peak_lr: float
-    warmup_epochs: int = 2
+    warmup_epochs: int
 
     def __post_init__(self):
         if min(self.epochs, self.batch_size, self.warmup_epochs) < 1:

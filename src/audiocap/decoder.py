@@ -144,7 +144,7 @@ class SpliceSequence:
 
 
 def assemble_sequence(acoustic: Tensor | int, caption: str | None,
-                      vocab: Vocabulary, max_seq: int = 512) -> SpliceSequence:
+                      vocab: Vocabulary) -> SpliceSequence:
     """The layout of one item; `acoustic` is its bridged block or row count."""
     n = acoustic.shape[0] if isinstance(acoustic, Tensor) else int(acoustic)
     if n == 0:
@@ -156,10 +156,7 @@ def assemble_sequence(acoustic: Tensor | int, caption: str | None,
         caption_ids = np.zeros(0, dtype=np.int64)
     else:
         caption_ids = np.array(vocab.encode(caption) + [vocab.EOS], dtype=np.int64)
-    seq = SpliceSequence(prefix, n, suffix, caption_ids)
-    if seq.length > max_seq:
-        raise SequenceTooLong(f"spliced length {seq.length} exceeds {max_seq}")
-    return seq
+    return SpliceSequence(prefix, n, suffix, caption_ids)
 
 
 class CaptionDecoder(Module):
@@ -243,7 +240,7 @@ class CaptionDecoder(Module):
 
     def _prompt(self, acoustic: Tensor, vocab: Vocabulary) -> Tensor:
         """The inference stream, <bos> + head + acoustic + tail, as (1, T, d)."""
-        seq = assemble_sequence(acoustic, None, vocab, self.cfg.max_seq)
+        seq = assemble_sequence(acoustic, None, vocab)
         x = self.embed_stream([seq], acoustic)
         return nn.reshape(x, (1,) + x.shape)
 

@@ -22,7 +22,7 @@ _CIDER_N_MAX = 4
 _CIDER_SIGMA = 6.0
 FLUENCY_GATE = 0.90  # strict gate on the fluency error probability
 _FL_PENALTY = 0.9    # share of the score removed above the gate
-_CHUNK_SEARCH_BUDGET = 200_000  # search nodes before the greedy fallback
+_CHUNK_SEARCH_BUDGET = 50_000  # search calls, <0.4 s: minimum chunking is NP-hard
 
 
 class EmptyCorpus(ValueError):
@@ -119,67 +119,73 @@ def cider_d(candidates: list[str], references: list[list[str]]) -> list[float]:
 def _min_chunks(cand: list[str], ref: list[str], m: int) -> int:
     """Minimum chunk count over maximum exact-unigram alignments.
 
-    Exact backtracking over candidate positions within a node budget
-    (`_CHUNK_SEARCH_BUDGET`); greedy longest-common-run fallback when the
-    budget is exhausted (chunk minimization is NP-hard in general).
+    A link is two adjacent candidate matches on adjacent reference
+    positions; chunks = m - links. A depth-first search over candidate
+    positions maximises links. A match tries first the reference position
+    that continues the current chunk, and the first descent matches while
+    a match of the word is left, so it completes an alignment. After it, a
+    branch must be able to beat the best under two admissible bounds on
+    the links still possible between free reference positions: per bigram,
+    the smaller of its counts there and in the rest of the candidate; per
+    run of free positions, its length less its fewest pieces that occur in
+    the rest of the candidate. The search stops at one chunk, or past
+    `_CHUNK_SEARCH_BUDGET` calls with the best alignment found.
     """
-    counts = Counter(cand) & Counter(ref)
-    best = [m]  # upper bound: every match its own chunk
-    nodes = [0]
+    n, r = len(cand), len(ref)
+    left = Counter(cand) & Counter(ref)  # matches still to place, per word
+    spare = [cand[i + 1:].count(w) for i, w in enumerate(cand)]
+    places = {w: [j for j, t in enumerate(ref) if t == w] for w in left}
+    bigrams = list(zip(ref, ref[1:]))
+    free, rest, best, nodes = [True] * r, [], -1, 0
 
-    def search(ci: int, remaining: Counter, used: int, chunks: int,
-               last_ref: int, taken: set[int]) -> None:
-        """last_ref = ref index matched at candidate position ci-1, else -2."""
-        if nodes[0] > _CHUNK_SEARCH_BUDGET or chunks >= best[0]:
+    def bound(ci: int, last: int) -> int:
+        if not rest:  # per ci: cand[ci:]'s bigram counts, and per reference
+            # position the longest run from it that occurs in cand[ci:]
+            pairs, run, reach = Counter(), [0] * (r + 1), [0] * (r + 1)
+            for i in range(n - 1, -1, -1):
+                run = [run[p + 1] + 1 if cand[i] == ref[p] else 0
+                       for p in range(r)] + [0]
+                reach = [max(a, b) for a, b in zip(run, reach)]
+                pairs[tuple(cand[i:i + 2])] += 1  # the last adds (w,): no bigram
+                rest.insert(0, (pairs.copy(), reach))
+        pairs, reach = rest[ci]
+        seen, by_pair, by_run, start = {}, 0, 0, 0
+        for j, pair in enumerate(bigrams):
+            if free[j] and free[j + 1]:
+                seen[pair] = k = seen.get(pair, 0) + 1
+                by_pair += k <= pairs.get(pair, 0)
+                if j + 2 - start <= reach[start]:
+                    by_run += 1
+                    continue
+            start = j + 1
+        attach = (last >= 0 and last + 1 < r and free[last + 1]
+                  and ref[last + 1] == cand[ci])
+        return attach + min(by_pair, by_run)
+
+    def search(ci: int, last: int, links: int, todo: int) -> None:
+        """Decide position ci; last = the reference position of ci-1, or -2."""
+        nonlocal best, nodes
+        nodes += 1
+        if todo == 0:
+            best = max(best, links)
             return
-        nodes[0] += 1
-        if used == m:
-            best[0] = chunks
-            return
-        if ci == len(cand):
-            return
-        need = m - used
-        if need > len(cand) - ci:
+        if best >= 0 and (nodes > _CHUNK_SEARCH_BUDGET or best == m - 1
+                          or links + todo <= best or links + bound(ci, last) <= best):
             return
         w = cand[ci]
-        if remaining[w] > 0:
-            for rj in range(len(ref)):
-                if ref[rj] != w or rj in taken:
-                    continue
-                extra = 0 if rj == last_ref + 1 and last_ref >= 0 else 1
-                remaining[w] -= 1
-                taken.add(rj)
-                search(ci + 1, remaining, used + 1, chunks + extra, rj, taken)
-                taken.remove(rj)
-                remaining[w] += 1
-        search(ci + 1, remaining, used, chunks, -2, taken)
+        if left[w]:
+            left[w] -= 1
+            for j in sorted((j for j in places[w] if free[j]),
+                            key=lambda j: j != last + 1):
+                free[j] = False
+                search(ci + 1, j, links + (j == last + 1), todo - 1)
+                free[j] = True
+            left[w] += 1
+        if spare[ci] >= left[w]:
+            search(ci + 1, -2, links, todo)
 
-    search(0, counts.copy(), 0, 0, -2, set())
-    if nodes[0] > _CHUNK_SEARCH_BUDGET:
-        return min(best[0], _greedy_chunks(cand, ref))
-    return best[0]
-
-
-def _greedy_chunks(cand: list[str], ref: list[str]) -> int:
-    """Repeatedly remove the longest common contiguous run; count runs."""
-    c = list(cand)
-    r = list(ref)
-    chunks = 0
-    while True:
-        best_len, best_ci, best_rj = 0, -1, -1
-        for i in range(len(c)):
-            for j in range(len(r)):
-                k = 0
-                while (i + k < len(c) and j + k < len(r)
-                       and c[i + k] == r[j + k]):
-                    k += 1
-                if k > best_len:
-                    best_len, best_ci, best_rj = k, i, j
-        if best_len == 0:
-            return chunks
-        chunks += 1
-        del c[best_ci:best_ci + best_len]
-        del r[best_rj:best_rj + best_len]
+    search(0, -2, 0, m)
+    return m - best
 
 
 def meteor_lite(candidate: str, references: list[str]) -> float:

@@ -98,8 +98,7 @@ class CaptionModel(Module):
                                              [p.count for p in patches])
         window = self.cfg.bridge.window
         return self.decoder.forward_loss([
-            assemble_sequence(output_count(p.count, window), caption, self.vocab,
-                              self.cfg.decoder.max_seq)
+            assemble_sequence(output_count(p.count, window), caption, self.vocab)
             for p, caption in batch], acoustic)
 
     def caption_patches(self, patches: PatchSequence, beam: int = 1) -> str:

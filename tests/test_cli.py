@@ -358,6 +358,21 @@ class TestScore:
         assert err.startswith("data error: line 3:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("which,row", [
+        ("candidate", {"id": "a", "caption": "a cat"}),
+        ("reference", {"id": "b", "captions": ["rain"]}),
+    ])
+    def test_duplicate_id_names_id_and_line(self, tmp_path, capsys, which, row):
+        cands, refs = self.write_corpus(tmp_path)
+        path = cands if which == "candidate" else refs
+        path.write_text(path.read_text() + json.dumps(row) + "\n")
+        rc = cli.main(["score", "--candidates", str(cands),
+                       "--references", str(refs),
+                       "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: line 3: duplicate {which} id {row['id']!r}\n"
+
     def test_non_utf8_candidate_is_malformed_line(self, tmp_path, capsys):
         cands, refs = self.write_corpus(tmp_path)
         cands.write_bytes(cands.read_bytes()

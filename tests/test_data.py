@@ -228,9 +228,9 @@ class TestSchedule:
 
     def test_stage_validation(self):
         with pytest.raises(ValueError):
-            StageConfig(0, 8, 1e-3)
+            StageConfig(0, 8, 1e-3, 2)
         with pytest.raises(ValueError):
-            StageConfig(1, 8, 0.0)
+            StageConfig(1, 8, 0.0, 2)
 
 
 class TestTraining:

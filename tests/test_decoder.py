@@ -59,7 +59,7 @@ def stream_loss(model, items):
 
 def reference_step_logits(model, acoustic, generated, vocab):
     """Next-token logits from re-splicing and re-running the whole stream."""
-    seq = assemble_sequence(acoustic, None, vocab, model.cfg.max_seq)
+    seq = assemble_sequence(acoustic, None, vocab)
     seq = SpliceSequence(seq.prefix_ids, seq.n_acoustic, seq.suffix_ids,
                          np.array(generated, dtype=np.int64))
     if seq.length >= model.cfg.max_seq:
@@ -197,9 +197,9 @@ class TestSplice:
 
     def test_sequence_too_long(self):
         vocab = tiny_vocab()
+        model = make_decoder(vocab, max_seq=64)
         with pytest.raises(dec.SequenceTooLong):
-            assemble_sequence(acoustic_block(n=200), "a low tone", vocab,
-                              max_seq=64)
+            model.beam_decode(acoustic_block(n=200), vocab, beam=1)
 
 
 class TestForwardLoss:
@@ -252,7 +252,7 @@ class TestForwardLoss:
         vocab = tiny_vocab()
         model = make_decoder(vocab, max_seq=32)
         a = acoustic_block(n=40)
-        seq = assemble_sequence(a, None, vocab, max_seq=512)
+        seq = assemble_sequence(a, None, vocab)
         with pytest.raises(dec.SequenceTooLong):
             stream_loss(model, [(seq, a)])
 

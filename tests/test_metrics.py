@@ -12,9 +12,24 @@ from audiocap.metrics import (MetricReport, ScoredItem, cider_d,
                               evaluate_corpus, fense_proxy, meteor_lite,
                               metric_tokenize, read_spice_sidecar, scaled,
                               spider, spider_fl)
+from _chunk_oracle import backtrack_chunks, brute_chunks
 from _cider_oracle import oracle_cider
 
 WORDS = ["a", "dog", "barks", "rain", "falls", "wind", "blows", "loud"]
+# a looping caption, its first 50 tokens
+CAR_LOOP = " ".join(("a car drives by" + " and then another car drives by" * 8)
+                    .split()[:50])
+# 11 synthetic events against 5: the backtracking search runs out of budget
+CAPTION_LOOP = " followed by ".join([
+    "a downward chirp", "silence", "a noise burst", "an upward chirp",
+    "a noise burst", "an upward chirp", "an upward chirp", "a downward chirp",
+    "a high tone", "a downward chirp", "silence"])
+CAPTION_REF = " followed by ".join([
+    "silence", "a downward chirp", "silence", "a noise burst", "a high tone"])
+
+
+def matches(cand, ref):
+    return sum((Counter(cand) & Counter(ref)).values())
 
 
 def random_corpus(seed, max_items=5):
@@ -240,12 +255,43 @@ class TestMeteorLite:
         # only the alignment a->r1, b->r2, a->r0 achieves two chunks
         assert mt._min_chunks(["a", "b", "a"], ["a", "a", "b"], 3) == 2
 
-    def test_budget_fallback_uses_greedy(self, monkeypatch):
-        exact = mt._min_chunks(["a", "b", "a"], ["a", "a", "b"], 3)
+    def test_budget_returns_first_descent(self, monkeypatch):
+        cand, ref = list("ababc"), list("abcab")
+        assert mt._min_chunks(cand, ref, 5) == 2  # ab -> ref 3-4, abc -> 0-2
         monkeypatch.setattr(mt, "_CHUNK_SEARCH_BUDGET", 0)
-        fallback = mt._min_chunks(["a", "b", "a"], ["a", "a", "b"], 3)
-        assert fallback == mt._greedy_chunks(["a", "b", "a"], ["a", "a", "b"])
-        assert fallback >= exact
+        # the first descent takes the first free position of each word
+        # unless one continues the chunk: a0 b1 | a3 b4 | c2
+        assert mt._min_chunks(cand, ref, 5) == 3
+
+    @pytest.mark.parametrize("cand,ref,chunks", [
+        ("c c c b a c b b a c a b c c", "c c c a b c c b c c b c a", 6),
+        (CAPTION_LOOP, CAPTION_REF, 4),
+        (CAR_LOOP, "a car drives by and another car drives by and a car passes", 3),
+    ], ids=["letters", "caption", "car-loop"])
+    def test_pinned_minima_within_small_budget(self, monkeypatch, cand, ref,
+                                               chunks):
+        # the budget counts search calls, not wall time, so a busy host
+        # cannot fail this guard against the search's exponential tail
+        monkeypatch.setattr(mt, "_CHUNK_SEARCH_BUDGET", 1_000)
+        c, r = metric_tokenize(cand), metric_tokenize(ref)
+        assert mt._min_chunks(c, r, matches(c, r)) == chunks
+
+    @given(st.lists(st.sampled_from("abc"), max_size=8),
+           st.lists(st.sampled_from("abc"), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_chunks_match_brute_force(self, cand, ref):
+        m = matches(cand, ref)
+        if m:
+            assert mt._min_chunks(cand, ref, m) == brute_chunks(cand, ref)
+
+    @given(st.lists(st.sampled_from("abcd"), max_size=14),
+           st.lists(st.sampled_from("abcd"), max_size=14))
+    @settings(max_examples=300, deadline=None)
+    def test_chunks_match_backtracking_reference(self, cand, ref):
+        m = matches(cand, ref)
+        expected = backtrack_chunks(cand, ref, m) if m else None
+        if expected is not None:
+            assert mt._min_chunks(cand, ref, m) == expected
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

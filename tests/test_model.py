@@ -19,8 +19,7 @@ CAPTIONS = ["a low tone", "a high tone followed by silence",
 def reference_loss_on_batch(model, batch):
     """The loss with the encoder and the bridge run once per clip."""
     blocks = [model.bridge(model.encoder(p)) for p, _ in batch]
-    splices = [assemble_sequence(a, caption, model.vocab,
-                                 model.cfg.decoder.max_seq)
+    splices = [assemble_sequence(a, caption, model.vocab)
                for a, (_, caption) in zip(blocks, batch)]
     return model.decoder.forward_loss(splices, nn.concat(blocks))
 
