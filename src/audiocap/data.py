@@ -8,8 +8,10 @@ run can be checked exactly.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import platform
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -303,6 +305,24 @@ def corpus_feature_stats(features: dict[str, PatchSequence]) -> tuple[float, flo
     return mean, max(std, 1e-8)
 
 
+def _keep_freed_memory() -> None:
+    """Keep the heap memory that a training step frees inside the process.
+
+    Each step frees its activations and gradients and the next allocates
+    them again. glibc returns a freed heap top to the system and maps
+    large arrays afresh, so every step faulted its memory back in, 1,000
+    to 3,000 pages at batch 8. Both thresholds are set, because setting
+    either one switches off glibc's dynamic mmap threshold, which raises
+    them together. Idempotent; without glibc it does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's largest, 32 MiB
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: keep up to 1 GiB of free top
+
+
 def run_schedule(model, schedule: TrainingSchedule,
                  entries: list[ManifestEntry], base_dir, seed: int,
                  max_steps: int | None = None,
@@ -312,9 +332,11 @@ def run_schedule(model, schedule: TrainingSchedule,
 
     Each epoch permutes one (clip, caption) item per reference caption.
     A `max_steps` cap below 1 is a ValueError, raised before training.
+    The process keeps the heap memory that steps free (`_keep_freed_memory`).
     """
     if max_steps is not None and max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _keep_freed_memory()
     if features is None:
         features = extract_features(entries, base_dir, model.cfg.frontend)
     mean, std = corpus_feature_stats(features)

@@ -129,10 +129,6 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
-def frame_count(n_samples: int, cfg: FrontendConfig) -> int:
-    return 1 + (n_samples - cfg.window) // cfg.hop
-
-
 def compute_log_mel(w: Waveform, cfg: FrontendConfig) -> np.ndarray:
     """The (frames, n_mels) log-mel spectrogram of `w`."""
     x = np.asarray(w.samples, dtype=np.float64)

@@ -162,8 +162,9 @@ def _min_chunks(cand: list[str], ref: list[str], m: int) -> int:
                   and ref[last + 1] == cand[ci])
         return attach + min(by_pair, by_run)
 
-    def search(ci: int, last: int, links: int, todo: int) -> None:
-        """Decide position ci; last = the reference position of ci-1, or -2."""
+    def search(ci: int, last: int, links: int, todo: int):
+        """Decide position ci; last = the reference position of ci-1, or -2.
+        Yields each child call's arguments, in order, to the stack below."""
         nonlocal best, nodes
         nodes += 1
         if todo == 0:
@@ -178,13 +179,19 @@ def _min_chunks(cand: list[str], ref: list[str], m: int) -> int:
             for j in sorted((j for j in places[w] if free[j]),
                             key=lambda j: j != last + 1):
                 free[j] = False
-                search(ci + 1, j, links + (j == last + 1), todo - 1)
+                yield ci + 1, j, links + (j == last + 1), todo - 1
                 free[j] = True
             left[w] += 1
         if spare[ci] >= left[w]:
-            search(ci + 1, -2, links, todo)
+            yield ci + 1, -2, links, todo
 
-    search(0, -2, 0, m)
+    stack = [search(0, -2, 0, m)]  # no recursion: a frame per position
+    while stack:
+        call = next(stack[-1], None)
+        if call is None:
+            stack.pop()
+        else:
+            stack.append(search(*call))
     return m - best
 
 

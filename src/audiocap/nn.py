@@ -1,11 +1,12 @@
 """Minimal reverse-mode autodiff substrate on numpy arrays.
 
 Provides the Tensor graph, the op set needed by the captioning pipeline
-(affine, attention, RMS norm, GELU, cross-entropy, indexing gathers,
-concat and reshape), the `Packing` layout in which a training batch's
-items share one 2-D block of rows, and the AdamW optimizer with decoupled
-weight decay. Modules build in float32; the tests' gradient checks cast a
-built module to float64 with `Module.astype`.
+(affine, attention, RMS norm, GELU, cross-entropy, the residual add,
+indexing gathers, concat and reshape), the `Packing` layout in which a
+training batch's items share one 2-D block of rows, and the AdamW
+optimizer with decoupled weight decay. Modules build in float32; the
+tests' gradient checks cast a built module to float64 with
+`Module.astype`.
 """
 
 from __future__ import annotations
@@ -274,9 +275,23 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                    tensors, backward)
 
 
-def tsum(t: Tensor) -> Tensor:
-    return _result(t.data.sum(), (t,),
-                   lambda g: t._accum(np.broadcast_to(g, t.data.shape)))
+def add_into(x: Tensor, y: Tensor) -> Tensor:
+    """`x + y`, bit for bit, written into y's array: a residual add.
+
+    `y` must be an op's fresh output of the sum's shape and dtype that no
+    backward reads, such as an affine's; the sum needs no array of its own.
+    """
+    assert (y.data.shape == x.data.shape and y.data.flags.owndata
+            and y.data.dtype == np.result_type(x.data, y.data)
+            and (y._backward is not None or not y.requires_grad)), \
+        "add_into needs a fresh op output of the sum's shape and dtype"
+
+    def backward(g):
+        for p in (x, y):
+            if p.requires_grad:
+                p._accum(g)
+
+    return _result(np.add(x.data, y.data, out=y.data), (x, y), backward)
 
 
 # -- nonlinearities --------------------------------------------------------
@@ -286,7 +301,11 @@ _GELU_A = 0.044715
 
 
 def gelu(t: Tensor) -> Tensor:
-    """Tanh-form GELU; the backward differentiates the same expression."""
+    """Tanh-form GELU; the backward differentiates the same expression.
+
+    Both write in place, with the textbook form's ops in its order; only
+    operands of + and * are swapped, which keeps every bit.
+    """
     x = t.data
     th = x * x  # tanh(C * (x + A * x^3)) in one buffer, ops in that order
     th *= x
@@ -294,14 +313,26 @@ def gelu(t: Tensor) -> Tensor:
     th += x
     th *= _GELU_C
     np.tanh(th, out=th)
+    out = np.multiply(x, 0.5)  # (0.5 * x) * (1 + th)
+    out *= th + 1.0
 
-    def backward(g):  # the sum's terms swapped and g applied last, in place
-        d = 0.5 * x * (1.0 - th * th) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        d += 0.5 * (1.0 + th)
+    def backward(g):
+        # 0.5*x * (1 - th*th) * C * (1 + 3A*x*x) + 0.5 * (1 + th), times g
+        d = np.multiply(x, 0.5)
+        s = np.multiply(th, th)
+        d *= np.subtract(1.0, s, out=s)
+        d *= _GELU_C
+        np.multiply(x, 3.0 * _GELU_A, out=s)
+        s *= x
+        s += 1.0
+        d *= s
+        np.add(th, 1.0, out=s)
+        s *= 0.5
+        d += s
         d *= g
         t._accum(d)
 
-    return _result(0.5 * x * (1.0 + th), (t,), backward)
+    return _result(out, (t,), backward)
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -332,16 +363,24 @@ def rms_norm(t: Tensor, gain: Tensor) -> Tensor:
     inv = inv.astype(x.dtype, copy=False)
 
     def backward(g):
+        s = np.empty_like(x)  # the one scratch array for the temporaries
         if t.requires_grad:
             gg = g * gain.data
-            dot = np.sum(gg * x, axis=-1, keepdims=True)
+            dot = np.sum(np.multiply(gg, x, out=s), axis=-1, keepdims=True)
             gg *= inv
-            gg -= x * (inv ** 3) * dot / n
+            np.multiply(x, inv ** 3, out=s)  # x * inv^3 * dot / n
+            s *= dot
+            s /= n
+            gg -= s
             t._accum(gg)
         if gain.requires_grad:
-            gain._accum(np.sum(g * x * inv, axis=tuple(range(x.ndim - 1))))
+            np.multiply(g, x, out=s)
+            s *= inv
+            gain._accum(np.sum(s, axis=tuple(range(x.ndim - 1))))
 
-    return _result(x * inv * gain.data, (t, gain), backward)
+    out = x * inv
+    out *= gain.data
+    return _result(out, (t, gain), backward)
 
 
 class Packing:
@@ -616,8 +655,8 @@ class TransformerBlock(Module):
                  cache: KVCache | None = None) -> Tensor:
         h = rms_norm(x, self.attn_gain)
         kv = h if context is None else context
-        x = x + self.attn(h, kv, mask, cache)
-        x = x + self.ffn(rms_norm(x, self.ffn_gain))
+        x = add_into(x, self.attn(h, kv, mask, cache))
+        x = add_into(x, self.ffn(rms_norm(x, self.ffn_gain)))
         return x
 
 
@@ -655,8 +694,7 @@ class AdamW:
         total = 0.0
         for g in grads.values():
             sq = self._buffer(g.shape, 0, np.float64)
-            np.copyto(sq, g)
-            total += float(np.multiply(sq, sq, out=sq).sum())
+            total += float(np.square(g, out=sq, dtype=np.float64).sum())
         total = math.sqrt(total)
         if total > self.clip_norm and total > 0.0:
             return self.clip_norm / total

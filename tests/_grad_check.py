@@ -10,7 +10,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from audiocap.nn import Tensor, rng_from_seed
+from audiocap.nn import Tensor, _result, rng_from_seed
 
 
 class NonFiniteValue(FloatingPointError):
@@ -76,3 +76,9 @@ def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor] | dict,
                 best = min(best, relative_error(float(a.flat[j]), numeric))
             worst = max(worst, best)
     return worst
+
+
+def tsum(t: Tensor) -> Tensor:
+    """The sum of every element as a scalar graph node: a test's loss."""
+    return _result(t.data.sum(), (t,),
+                   lambda g: t._accum(np.broadcast_to(g, t.data.shape)))

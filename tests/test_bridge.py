@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from audiocap import bridge as br
 from audiocap import nn
 from audiocap.nn import Tensor
-from _grad_check import grad_check
+from _grad_check import grad_check, tsum
 
 
 def make_bridge(seed=0, window=17, self_layers=1, max_windows=128, d_enc=24,
@@ -120,7 +120,7 @@ class TestForward:
         model = make_bridge()
         t = tokens(20)
         t.requires_grad = True
-        nn.tsum(model(t) * model(t)).backward()
+        tsum(model(t) * model(t)).backward()
         assert t.grad is not None and np.any(t.grad)
         assert model.query.grad is not None
 
@@ -144,12 +144,12 @@ class TestBatchedWindows:
         ref = reference_bridge(model, t)
         assert out.data.shape == ref.data.shape == (br.output_count(n, window), 16)
         assert relative(out.data, ref.data) < 1e-5
-        nn.tsum(out * out).backward()
+        tsum(out * out).backward()
         grads = {k: p.grad for k, p in model.named_parameters().items()}
         grads["input"] = t.grad
         for p in list(model.parameters()) + [t]:
             p.grad = None
-        nn.tsum(ref * ref).backward()
+        tsum(ref * ref).backward()
         ref_grads = dict(
             {k: p.grad for k, p in model.named_parameters().items()},
             input=t.grad)
@@ -165,6 +165,6 @@ class TestBatchedWindows:
         t = tokens(12, dtype=np.float64)
         t.requires_grad = True
         params = dict(model.named_parameters(), input=t)
-        err = grad_check(lambda: nn.tsum(model(t) * model(t)), params,
+        err = grad_check(lambda: tsum(model(t) * model(t)), params,
                          h=(1e-5, 1e-4, 1e-3), samples_per_param=4, seed=3)
         assert err < 1e-6

@@ -314,6 +314,21 @@ class TestScore:
         summary = json.loads(capsys.readouterr().out)
         assert summary == report["corpus"]
 
+    def test_long_candidate_scores(self, tmp_path, capsys):
+        # 1,202 tokens: the METEOR chunk search used to recurse once per
+        # candidate position and raise RecursionError
+        cands, refs = tmp_path / "cands.jsonl", tmp_path / "refs.jsonl"
+        cands.write_text(json.dumps({"id": "a", "caption": "x " * 1200 + "a car"}))
+        refs.write_text(json.dumps({"id": "a", "captions": ["a car drives by"]}))
+        out = tmp_path / "report.json"
+        rc = cli.main(["score", "--candidates", str(cands),
+                       "--references", str(refs), "--out", str(out)])
+        assert rc == 0
+        p, r = 2 / 1202, 2 / 4  # "a car" matches as one chunk
+        meteor = 10 * p * r / (r + 9 * p) * (1 - 0.5 * (1 / 2) ** 3)
+        item = json.loads(out.read_text())["items"][0]
+        assert item["scores"]["meteor_lite"] == pytest.approx(meteor, rel=1e-12)
+
     @pytest.mark.parametrize("value", ["NaN", '"7"'])
     def test_bad_spice_value_is_data_error(self, tmp_path, capsys, value):
         cands, refs = self.write_corpus(tmp_path)

@@ -1,5 +1,7 @@
 import json
 import math
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from audiocap.data import (EVENT_NAMES, EVENT_SAMPLES, ManifestEntry,
                            run_schedule, synthesize_corpus, write_manifest)
 from audiocap.frontend import FrontendConfig, load_wav
 from audiocap.lora import TrainStrategy, trainable_parameters
-from audiocap.model import build_model
+from audiocap.decoder import build_vocab
+from audiocap.model import PipelineConfig, build_model
 from conftest import tiny_config
 
 
@@ -238,7 +241,6 @@ class TestTraining:
         entries = synthesize_corpus(n, seed=21, out_dir=tmp_path)
         cfg = tiny_config(strategy=TrainStrategy("full_finetune",
                                                  "full_finetune"))
-        from audiocap.decoder import build_vocab
         vocab = build_vocab([e.captions[0] for e in entries])
         return entries, build_model(cfg, vocab)
 
@@ -354,6 +356,26 @@ class TestTraining:
         schedule = TrainingSchedule([StageConfig(1, 2, 1e-3, 1)])
         with pytest.raises(data.NonFiniteLoss):
             run_schedule(model, schedule, entries, tmp_path, seed=0)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap settings are glibc's")
+    def test_warm_steps_take_no_page_faults(self, tmp_path):
+        # batch-8 desk steps: each used to fault ~1,000-3,000 pages of
+        # the memory the previous step freed back in. Now most take none;
+        # a step whose batch order first needs a larger heap still faults
+        # its growth in (up to ~100 pages seen), so the test bounds the mean.
+        entries = synthesize_corpus(8, seed=7, out_dir=tmp_path)
+        model = build_model(PipelineConfig(seed=0),
+                            build_vocab(e.captions[0] for e in entries))
+        faults = []
+
+        def log(step, loss, lr):
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+        run_schedule(model, TrainingSchedule.desk(), entries, tmp_path, seed=0,
+                     max_steps=13, log=log)
+        per_step = np.diff(faults[2:])  # 10 steps after 3 warm-up steps
+        assert per_step.sum() < 100 * len(per_step), per_step
 
     def test_corpus_feature_stats(self, tmp_path):
         entries, model = self._corpus_and_model(tmp_path, n=2)

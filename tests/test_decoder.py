@@ -13,6 +13,7 @@ from audiocap.decoder import (ACOUSTIC_SLOT, CAPTION_INSTRUCTION,
                               tokenize)
 from audiocap.model import build_model
 from audiocap.nn import Tensor
+from _grad_check import tsum
 from conftest import random_patches, tiny_config, tiny_vocab
 
 
@@ -309,7 +310,7 @@ class TestStream:
         for stream in (got, want):
             for t in blocks + [model.embed]:
                 t.grad = None
-            nn.tsum(stream * weights).backward()
+            tsum(stream * weights).backward()
             grads.append([t.grad for t in blocks + [model.embed]])
         for g, w in zip(grads[0][:-1], grads[1][:-1]):
             assert np.array_equal(g, w)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from audiocap import encoder as enc
 from audiocap import nn
 from audiocap.frontend import PatchSequence
+from _grad_check import tsum
 from conftest import random_patches
 
 
@@ -86,7 +87,7 @@ class TestBehaviour:
     def test_gradients_reach_all_parameters(self):
         model = make_encoder()
         out = model(random_patches(1, time_patches=1))
-        nn.tsum(out * out).backward()
+        tsum(out * out).backward()
         for name, p in model.named_parameters().items():
             if name == "time_pos":
                 assert p.grad is not None and np.any(p.grad[:1])

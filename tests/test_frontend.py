@@ -20,6 +20,11 @@ def write_pcm16(path, ints, rate=16000, channels=1, width=2):
         f.writeframes(np.asarray(ints, dtype="<i2").tobytes())
 
 
+def frame_count(n_samples, cfg):
+    """Frames in a log-mel of n_samples: one per hop while a window fits."""
+    return 1 + (n_samples - cfg.window) // cfg.hop
+
+
 def reference_filterbank(cfg):
     """The filterbank built one band at a time."""
     n_bins = cfg.n_fft // 2 + 1
@@ -149,7 +154,9 @@ class TestFraming:
         (400, 1), (559, 1), (560, 2), (16000, 98), (480000, 2998),
     ])
     def test_frame_count(self, n, expected):
-        assert frontend.frame_count(n, FrontendConfig()) == expected
+        cfg = FrontendConfig()
+        mel = frontend.compute_log_mel(Waveform(np.zeros(n), 16000), cfg)
+        assert frame_count(n, cfg) == expected == mel.shape[0]
 
     def test_too_short(self):
         w = Waveform(np.zeros(399), 16000)
@@ -246,7 +253,7 @@ class TestPatchify:
                                       block.reshape(-1))
 
     def test_thirty_seconds_gives_752_patches(self):
-        frames = frontend.frame_count(480000, FrontendConfig())
+        frames = frame_count(480000, FrontendConfig())
         values = np.zeros((frames, 64))
         assert frontend.patchify(values, FrontendConfig()).count == 752
 

@@ -4,6 +4,7 @@ import pytest
 from audiocap import lora, nn
 from audiocap.lora import LoraConfig, LoraLinear, TrainStrategy
 from audiocap.model import PipelineConfig, build_model
+from _grad_check import tsum
 from conftest import random_patches, tiny_config, tiny_vocab
 
 
@@ -65,7 +66,7 @@ class TestAdapterTraining:
         for _ in range(steps):
             opt.zero_grad()
             diff = wrapped(x) + nn.Tensor(-target)
-            loss = nn.tsum(diff * diff) * (1.0 / diff.data.size)
+            loss = tsum(diff * diff) * (1.0 / diff.data.size)
             loss.backward()
             opt.step()
         return wrapped

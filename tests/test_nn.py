@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audiocap import nn
-from _grad_check import NonFiniteValue, grad_check
+from _grad_check import NonFiniteValue, grad_check, tsum
 
 
 def rng():
@@ -121,7 +121,7 @@ class TestAttention:
     @pytest.mark.parametrize("causal", [True, False])
     def test_packed_gradients_match_padded_copies_bit_for_bit(self, causal):
         q, k, v, w, packing, out = self.packed_node(causal)
-        nn.tsum(out * w).backward()
+        tsum(out * w).backward()
         # the same ops on padded copies of q, k and v kept from the forward
         dh = 4
         scale = np.asarray(1.0 / math.sqrt(dh), dtype=np.float32)
@@ -287,28 +287,28 @@ class TestBackwardOps:
     def test_broadcast_add_backward(self):
         a = nn.Tensor(np.ones((3, 1)), requires_grad=True)
         b = nn.Tensor(np.ones((1, 4)), requires_grad=True)
-        nn.tsum((a + b) * 2.0).backward()
+        tsum((a + b) * 2.0).backward()
         assert np.array_equal(a.grad, np.full((3, 1), 8.0))
         assert np.array_equal(b.grad, np.full((1, 4), 6.0))
 
     def test_embedding_accumulates_repeated_ids(self):
         table = nn.Tensor(np.zeros((4, 2)), requires_grad=True)
         out = table[np.array([1, 1, 3])]
-        nn.tsum(out).backward()
+        tsum(out).backward()
         assert np.array_equal(table.grad[1], [2.0, 2.0])
         assert np.array_equal(table.grad[3], [1.0, 1.0])
         assert np.array_equal(table.grad[0], [0.0, 0.0])
 
     def test_getitem_scatter(self):
         t = nn.Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-        nn.tsum(t[1:, :2]).backward()
+        tsum(t[1:, :2]).backward()
         expected = np.zeros((3, 4))
         expected[1:, :2] = 1.0
         assert np.array_equal(t.grad, expected)
 
     def test_gelu_grad_check(self):
         x = nn.Tensor(rng().normal(0, 2, (4, 3)), requires_grad=True)
-        err = grad_check(lambda: nn.tsum(nn.gelu(x) * nn.gelu(x)), [x],
+        err = grad_check(lambda: tsum(nn.gelu(x) * nn.gelu(x)), [x],
                          h=1e-5)
         assert err < 1e-6
 
@@ -327,7 +327,7 @@ class TestFusedOps:
                    for shape in (q_shape, kv_shape, kv_shape))
         out_w = r.normal(0, 1, np.broadcast_shapes(q_shape[:-2], kv_shape[:-2])
                          + q_shape[-2:])
-        self.check(lambda: nn.tsum(
+        self.check(lambda: tsum(
             nn.multi_head_attention(q, k, v, 2, mask) * out_w), [q, k, v])
 
     def test_attention_causal_mask(self):
@@ -358,7 +358,7 @@ class TestFusedOps:
         mask = np.zeros((4, 1, 1, 5))
         mask[-1, ..., 3:] = -np.inf
         params = dict(attn.named_parameters(), q=q, kv=kv)
-        self.check(lambda: nn.tsum(attn(q, kv, mask) * attn(q, kv, mask)),
+        self.check(lambda: tsum(attn(q, kv, mask) * attn(q, kv, mask)),
                    params)
 
     @pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4)])
@@ -369,8 +369,128 @@ class TestFusedOps:
         w = nn.Tensor(r.normal(0, 1, (3, 4)), requires_grad=True)
         b = nn.Tensor(r.normal(0, 1, 3), requires_grad=True) if bias else None
         out_w = r.normal(0, 1, x_shape[:-1] + (3,))
-        self.check(lambda: nn.tsum(nn.affine(x, w, b) * out_w),
+        self.check(lambda: tsum(nn.affine(x, w, b) * out_w),
                    [x, w] + ([b] if bias else []))
+
+
+# -- textbook forms, one new array per op: the bit oracles of the ops
+# that write their temporaries in place ------------------------------------
+
+def reference_gelu(x, g):
+    """GELU's output and input gradient at output gradient g."""
+    th = np.tanh(nn._GELU_C * (x + nn._GELU_A * (x * x * x)))
+    out = 0.5 * x * (1.0 + th)
+    dx = (0.5 * x * (1.0 - th * th) * nn._GELU_C
+          * (1.0 + 3.0 * nn._GELU_A * x * x) + 0.5 * (1.0 + th)) * g
+    return out, dx
+
+
+def reference_rms_norm(x, gain, g):
+    """RMS norm's output and its input and gain gradients at g."""
+    n = x.shape[-1]
+    inv = (1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True)
+                         + nn.RMS_EPS)).astype(x.dtype)
+    out = x * inv * gain
+    gg = g * gain
+    dot = np.sum(gg * x, axis=-1, keepdims=True)
+    dx = gg * inv - x * inv ** 3 * dot / n
+    dgain = np.sum(g * x * inv, axis=tuple(range(x.ndim - 1)))
+    return out, dx, dgain
+
+
+def reference_clip_scale(grads, clip_norm):
+    """The global-norm clip factor, summed in float64, or None."""
+    wide = [g.astype(np.float64) for g in grads]
+    total = math.sqrt(sum(float((w * w).sum()) for w in wide))
+    return clip_norm / total if total > clip_norm else None
+
+
+shapes = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple)
+float_types = st.sampled_from([np.float32, np.float64])
+
+
+def draws(seed, dtype, *sizes, scale=2.0):
+    r = nn.rng_from_seed(seed)
+    return [r.normal(0.0, scale, s).astype(dtype) for s in sizes]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestInPlaceOps:
+    """The ops that write temporaries in place match their textbook forms
+    bit for bit."""
+
+    @given(shapes, float_types, st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_gelu(self, shape, dtype, seed):
+        x, g = draws(seed, dtype, shape, shape)
+        t = nn.Tensor(x.copy(), requires_grad=True)
+        out = nn.gelu(t)
+        tsum(out * nn.Tensor(g)).backward()
+        want_out, want_dx = reference_gelu(x, g)
+        assert same_bits(out.data, want_out) and same_bits(t.grad, want_dx)
+
+    @given(shapes, float_types, st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_rms_norm(self, shape, dtype, seed):
+        x, g, gain = draws(seed, dtype, shape, shape, shape[-1:])
+        t, w = (nn.Tensor(a.copy(), requires_grad=True) for a in (x, gain))
+        out = nn.rms_norm(t, w)
+        tsum(out * nn.Tensor(g)).backward()
+        want = reference_rms_norm(x, gain, g)
+        assert all(map(same_bits, (out.data, t.grad, w.grad), want))
+
+    @given(shapes, float_types, st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_add_into(self, shape, dtype, seed):
+        x, y, g = draws(seed, dtype, shape, shape, shape)
+        a, b = (nn.Tensor(v.copy(), requires_grad=True) for v in (x, y))
+        out = nn.add_into(a, b * 1.0)  # into a fresh op output
+        tsum(out * nn.Tensor(g)).backward()
+        assert same_bits(out.data, x + y)
+        assert same_bits(a.grad, g) and same_bits(b.grad, g)
+
+    def test_add_into_refuses_a_parameter(self):
+        x, w = nn.parameter(np.ones(3)), nn.parameter(np.ones(3))
+        with pytest.raises(AssertionError):
+            nn.add_into(x, w)
+        assert np.array_equal(w.data, np.ones(3))
+
+    @given(st.lists(shapes, min_size=1, max_size=4), float_types,
+           st.integers(0, 2**31), st.sampled_from([1.0, 1e6]))
+    @settings(max_examples=40, deadline=None)
+    def test_clip_scale(self, grad_shapes, dtype, seed, clip_norm):
+        grads = draws(seed, dtype, *grad_shapes, scale=10.0)
+        opt = nn.AdamW({}, lr=1e-3, clip_norm=clip_norm)
+        got = opt._clip_scale(dict(enumerate(grads)))
+        assert got == reference_clip_scale(grads, clip_norm)
+
+    def test_block_keeps_one_array_per_residual(self):
+        # the sum of each residual add is written into its sublayer's
+        # output, the o or the down projection's
+        r = rng()
+        block = nn.TransformerBlock(8, 2, 2, r)
+        x = nn.Tensor(r.normal(0, 1, (7, 8)).astype(np.float32),
+                      requires_grad=True)
+        held, todo, seen = set(), [block(x)], set()
+        while todo:
+            node = todo.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            todo.extend(node._parents)
+            cells = node._backward.__closure__ if node._backward else None
+            for a in [node.data] + [c.cell_contents for c in cells or ()]:
+                if isinstance(a, np.ndarray):
+                    while a.base is not None:
+                        a = a.base
+                    if a.size == 7 * 8:  # one (7, 8) array in any layout
+                        held.add(id(a))
+        # x, the two norms' outputs, q, k, v, the attention output and
+        # the two residual sums
+        assert len(held) == 9
 
 
 class TestGradCheck:
@@ -392,7 +512,7 @@ class TestGradCheck:
             h = x
             for b in blocks:
                 h = b(h)
-            return nn.tsum(h * h)
+            return tsum(h * h)
 
         err = grad_check(f, params, h=(1e-5, 1e-4, 1e-3))
         assert err < 1e-4
@@ -407,7 +527,7 @@ class TestGradCheck:
             return nn.Tensor(t.data * t.data, requires_grad=True, parents=(t,),
                              backward=backward)
 
-        err = grad_check(lambda: nn.tsum(doubled_square(w)), [w], h=1e-5)
+        err = grad_check(lambda: tsum(doubled_square(w)), [w], h=1e-5)
         assert abs(err - 0.5) < 1e-3
 
     def test_nonfinite_objective_raises(self):
@@ -487,7 +607,7 @@ class TestNoGrad:
         block, x = self.block_and_input()
         with nn.no_grad():
             block(x)
-        nn.tsum(block(x)).backward()
+        tsum(block(x)).backward()
         for name, p in block.named_parameters().items():
             assert p.grad is not None and p.grad.shape == p.data.shape, name
 
@@ -503,7 +623,7 @@ class TestGraphLifetime:
         gc.collect()
         gc.disable()
         try:
-            loss = nn.tsum(block(x, mask=nn.causal_mask(3)) * block(x))
+            loss = tsum(block(x, mask=nn.causal_mask(3)) * block(x))
             loss.backward()
             del loss
             assert gc.collect() == 0
@@ -514,7 +634,7 @@ class TestGraphLifetime:
     def test_second_backward_raises(self):
         # summing into the leaves again would silently turn 36 into 144
         a = nn.parameter(np.array([2.0]))
-        c = nn.tsum((a * 3.0) * (a * 3.0))
+        c = tsum((a * 3.0) * (a * 3.0))
         c.backward()
         with pytest.raises(nn.SpentGraph):
             c.backward()
@@ -524,7 +644,7 @@ class TestGraphLifetime:
     def test_losses_sharing_a_subgraph_raise_on_the_second(self):
         a = nn.parameter(np.array([2.0, -1.0]))
         shared = a * 3.0
-        first, second = nn.tsum(shared * shared), nn.tsum(shared)
+        first, second = tsum(shared * shared), tsum(shared)
         first.backward()
         with pytest.raises(nn.SpentGraph):
             second.backward()

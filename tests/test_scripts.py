@@ -48,3 +48,15 @@ def test_design_census_counting_rule(tmp_path):
         "    m: int = 5\n")
     # b, c and the lambda's x; the dataclass's n and xs
     assert run_census(str(tmp_path)) == {"src_lines": 10, "settable_values": 5}
+
+
+def test_fingerprint_repeats_itself():
+    runs = [subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "fingerprint.py"), "--steps", "3"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300) for _ in range(2)]
+    assert all(run.returncode == 0 for run in runs), runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    printed = json.loads(runs[0].stdout)
+    assert printed["steps"] == 3 and printed["blas_threads"] == 1
+    assert printed["census"] == run_census()
+    assert printed["checkpoint"]["bytes"] > 0
