@@ -10,6 +10,10 @@ for N steps (default 80), captions its 8 clips, and prints
   captions      sha256 of the greedy and of the beam-3 captions, one a line
   report        the corpus report of the greedy captions, as `evaluate`
                 scores them (fluency detector on, no SPICE)
+  meteor_lite   sha256 of `meteor_lite(greedy_i, [reference_j])` for all
+                8 x 8 clip pairs, one `float.hex()` per line; at 80 steps
+                52 of them need more than one chunk, so this covers
+                METEOR-lite's chunk search
   census        `scripts/design_census.py`'s counts
   blas_threads  the BLAS thread count, pinned to 1
 
@@ -67,6 +71,9 @@ def fingerprint(steps: int) -> dict:
         "captions": {"greedy": sha256("\n".join(greedy)),
                      "beam3": sha256("\n".join(beam3))},
         "report": report.corpus,
+        "meteor_lite": sha256("\n".join(
+            metrics.meteor_lite(c, [e.captions[0]]).hex()
+            for c in greedy for e in entries)),
         "census": census(PACKAGE),
         "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
     }

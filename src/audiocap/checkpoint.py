@@ -3,10 +3,11 @@
 Layout: magic "LOAE", u32 version, u64 header length, JSON header
 (config, vocabulary, feature stats, tensor table), raw little-endian f32
 tensor blobs in header-declared order, then a u32 CRC-32 of every byte
-before it. The checksum guards against corruption, not tampering; version
-1 files, which end at the tensor data, still load. The header is
-serialized with sorted keys and the tensor table sorted by name, so
-save -> load -> save round-trips byte-identically.
+before it. The checksum guards against corruption, not tampering. Only
+`VERSION` loads, so every loaded file has passed its checksum; any other
+version raises `VersionMismatch`. The header is serialized with sorted
+keys and the tensor table sorted by name, so save -> load -> save
+round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def deserialize(blob: bytes) -> CaptionModel:
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise CorruptCheckpoint("bad magic bytes")
     (version,) = struct.unpack_from("<I", blob, 4)
-    if version not in (1, VERSION):
+    if version != VERSION:
         raise VersionMismatch(f"format version {version}, expected {VERSION}")
     (header_len,) = struct.unpack_from("<Q", blob, 8)
     body_start = 16 + header_len
@@ -127,13 +128,11 @@ def deserialize(blob: bytes) -> CaptionModel:
         raise CorruptCheckpoint(f"invalid header contents ({e})") from e
 
     end = body_start + sum(4 * math.prod(shape) for _, shape, _ in tensors)
-    trailer = 4 if version == VERSION else 0
-    if len(blob) < end + trailer:
+    if len(blob) < end + 4:
         raise CorruptCheckpoint("truncated tensor data")
-    if len(blob) > end + trailer:
+    if len(blob) > end + 4:
         raise CorruptCheckpoint("trailing bytes after tensor data")
-    if trailer and (zlib.crc32(memoryview(blob)[:end])
-                    != struct.unpack_from("<I", blob, end)[0]):
+    if zlib.crc32(memoryview(blob)[:end]) != struct.unpack_from("<I", blob, end)[0]:
         raise CorruptCheckpoint("checksum mismatch")
 
     model.encoder.set_feature_stats(mean, std)

@@ -368,7 +368,6 @@ def run_schedule(model, schedule: TrainingSchedule,
                 loss.backward()
                 opt.lr = lr
                 opt.step()
-                del loss  # frees this step's graph before the next is built
                 curve.append(value)
                 if log is not None:
                     log(len(curve), value, lr)

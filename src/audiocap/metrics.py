@@ -133,21 +133,29 @@ def _min_chunks(cand: list[str], ref: list[str], m: int) -> int:
     """
     n, r = len(cand), len(ref)
     left = Counter(cand) & Counter(ref)  # matches still to place, per word
-    spare = [cand[i + 1:].count(w) for i, w in enumerate(cand)]
+    spare, after = [0] * n, Counter()  # spare[i]: cand[i]'s count in cand[i + 1:]
+    for i in range(n - 1, -1, -1):
+        spare[i] = after[cand[i]]
+        after[cand[i]] += 1
     places = {w: [j for j, t in enumerate(ref) if t == w] for w in left}
     bigrams = list(zip(ref, ref[1:]))
+    wanted = set(bigrams)
     free, rest, best, nodes = [True] * r, [], -1, 0
 
     def bound(ci: int, last: int) -> int:
-        if not rest:  # per ci: cand[ci:]'s bigram counts, and per reference
-            # position the longest run from it that occurs in cand[ci:]
+        if not rest:  # per ci: cand[ci:]'s counts of the reference bigrams,
+            # and per reference position the longest run from it in cand[ci:]
             pairs, run, reach = Counter(), [0] * (r + 1), [0] * (r + 1)
             for i in range(n - 1, -1, -1):
                 run = [run[p + 1] + 1 if cand[i] == ref[p] else 0
                        for p in range(r)] + [0]
                 reach = [max(a, b) for a, b in zip(run, reach)]
-                pairs[tuple(cand[i:i + 2])] += 1  # the last adds (w,): no bigram
-                rest.insert(0, (pairs.copy(), reach))
+                pair = tuple(cand[i:i + 2])
+                if pair in wanted:  # a copy: the positions past i keep theirs
+                    pairs = pairs.copy()
+                    pairs[pair] += 1
+                rest.append((pairs, reach))
+            rest.reverse()
         pairs, reach = rest[ci]
         seen, by_pair, by_run, start = {}, 0, 0, 0
         for j, pair in enumerate(bigrams):

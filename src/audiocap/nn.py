@@ -681,7 +681,6 @@ class AdamW:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self._scratch: dict[tuple, np.ndarray] = {}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -693,30 +692,18 @@ class AdamW:
             return None
         total = 0.0
         for g in grads.values():
-            sq = self._buffer(g.shape, 0, np.float64)
-            total += float(np.square(g, out=sq, dtype=np.float64).sum())
+            total += float(np.square(g, dtype=np.float64).sum())
         total = math.sqrt(total)
         if total > self.clip_norm and total > 0.0:
             return self.clip_norm / total
         return None
 
-    def _buffer(self, shape, which: int, dtype) -> np.ndarray:
-        """A view of shape `shape` into reused scratch buffer `which`."""
-        size = math.prod(shape)
-        key = (which, np.dtype(dtype))
-        buf = self._scratch.get(key)
-        if buf is None or buf.size < size:
-            buf = self._scratch[key] = np.empty(size, dtype=dtype)
-        return buf[:size].reshape(shape)
-
     def step(self):
         """One update, in place: p.data, m and v keep their arrays.
 
-        The elementwise ops and their order are those of the textbook
-        form p - lr*wd*p - lr * (m/bc1) / (sqrt(v/bc2) + eps), so the
-        result is the same bits; temporaries live in reused buffers. Each
-        `p.grad` is released (set to None) once applied, so no gradient
-        stays alive through the next forward.
+        The textbook form p - lr*wd*p - lr * (m/bc1) / (sqrt(v/bc2) + eps),
+        op for op. Each `p.grad` is released (set to None) once applied, so
+        no gradient stays alive through the next forward.
         """
         grads = {}
         for k, p in self.params.items():
@@ -733,22 +720,12 @@ class AdamW:
         for k, p in self.params.items():
             g, m, v = grads.pop(k), self.m[k], self.v[k]
             p.grad = None
-            a = self._buffer(g.shape, 0, g.dtype)
-            b = self._buffer(g.shape, 1, g.dtype)
             if scale is not None:
-                g = np.multiply(g, np.asarray(scale, dtype=g.dtype), out=b)
+                g = g * np.asarray(scale, dtype=g.dtype)
             m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
-            np.multiply(g, g, out=a)
-            v += np.multiply(a, 1.0 - ADAM_BETA2, out=a)
-            step = np.divide(m, bc1, out=a)
-            step *= self.lr
-            denom = np.divide(v, bc2, out=b)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            step /= denom
+            v += (1.0 - ADAM_BETA2) * (g * g)
             if self.weight_decay:
-                p.data -= np.multiply(p.data, self.lr * self.weight_decay, out=b)
-            p.data -= step
-
+                p.data -= self.lr * self.weight_decay * p.data
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

@@ -137,11 +137,8 @@ class TestRoundTrip:
         ckpt.save_checkpoint(model, tmp_path / "m.ckpt")
         assert (tmp_path / "m.ckpt").read_bytes() == ckpt.serialize(model)
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_load_checkpoint_equals_deserialize(self, tmp_path, version):
+    def test_load_checkpoint_equals_deserialize(self, tmp_path):
         blob = ckpt.serialize(fresh_model())
-        if version == 1:
-            blob = as_version_1(blob)
         (tmp_path / "m.ckpt").write_bytes(blob)
         loaded = ckpt.load_checkpoint(tmp_path / "m.ckpt")
         parsed = ckpt.deserialize(blob)
@@ -149,14 +146,14 @@ class TestRoundTrip:
         for name, p in loaded.named_parameters().items():
             assert p.data.dtype == np.float32 and p.data.flags.c_contiguous, name
 
-    def test_version_1_still_loads(self):
-        model = fresh_model()
-        blob = ckpt.serialize(model)
-        loaded = ckpt.deserialize(as_version_1(blob))
-        assert ckpt.serialize(loaded) == blob
-        p = random_patches(1)
-        assert np.array_equal(model.acoustic_tokens(p).data,
-                              loaded.acoustic_tokens(p).data)
+    def test_version_1_is_refused(self, tmp_path):
+        # a version-1 file has no checksum trailer, so it cannot be checked
+        blob = as_version_1(ckpt.serialize(fresh_model()))
+        (tmp_path / "m.ckpt").write_bytes(blob)
+        for load in (lambda: ckpt.deserialize(blob),
+                     lambda: ckpt.load_checkpoint(tmp_path / "m.ckpt")):
+            with pytest.raises(ckpt.VersionMismatch, match="version 1"):
+                load()
 
     def test_lora_wrapped_model_round_trips(self):
         model = fresh_model(strategy=TrainStrategy("lora", "lora"))
@@ -193,7 +190,8 @@ class TestCorruption:
             ckpt.deserialize(bytes(blob))
 
     def test_garbage_header(self):
-        head = ckpt.MAGIC + struct.pack("<I", 1) + struct.pack("<Q", 4) + b"not{"
+        head = (ckpt.MAGIC + struct.pack("<I", ckpt.VERSION) + struct.pack("<Q", 4)
+                + b"not{")
         with pytest.raises(ckpt.CorruptCheckpoint):
             ckpt.deserialize(head)
 

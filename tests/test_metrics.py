@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -275,6 +276,20 @@ class TestMeteorLite:
         monkeypatch.setattr(mt, "_CHUNK_SEARCH_BUDGET", 1_000)
         c, r = metric_tokenize(cand), metric_tokenize(ref)
         assert mt._min_chunks(c, r, matches(c, r)) == chunks
+
+    def test_bound_tables_grow_linearly(self):
+        # 2,000 unmatched words before the matches: the bound tables hold
+        # an entry per candidate position, ~0.8 KB each, not a copy of
+        # every bigram after it
+        cand = [f"w{i}" for i in range(2_000)] + "b a c b a c a b".split()
+        ref = "a b c a b c a b c".split()
+        tracemalloc.start()
+        try:
+            chunks = mt._min_chunks(cand, ref, matches(cand, ref))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunks == 6 and peak < 8e6
 
     @given(st.lists(st.sampled_from("abc"), max_size=8),
            st.lists(st.sampled_from("abc"), max_size=8))

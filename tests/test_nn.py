@@ -237,6 +237,25 @@ class TestAdamW:
         assert runs[0] == runs[1]
         assert runs[0]["w"] != init["w"].tobytes()
 
+    def test_holds_no_arrays_but_its_moments(self):
+        params = {k: nn.parameter(np.ones(s, dtype=np.float32))
+                  for k, s in (("w", (6, 4)), ("b", (4,)))}
+        opt = nn.AdamW(params, lr=1e-2, weight_decay=0.01, clip_norm=1.0)
+        for p in params.values():
+            p.grad = np.full(p.shape, 3.0, dtype=np.float32)
+        opt.step()
+        held, todo = [], list(vars(opt).values())
+        while todo:
+            x = todo.pop()
+            if isinstance(x, dict):
+                todo.extend(x.values())
+            elif isinstance(x, (list, tuple)):
+                todo.extend(x)
+            elif isinstance(x, np.ndarray):
+                held.append(id(x))
+        moments = [id(a) for d in (opt.m, opt.v) for a in d.values()]
+        assert sorted(held) == sorted(moments)
+
     def test_hand_value_no_decay(self):
         p = nn.parameter(np.array([1.0]))
         p.grad = np.array([1.0], dtype=np.float32)
