@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import data, decoder, fluency, frontend, metrics
+from .lora import TrainStrategy
 from .model import PipelineConfig, build_model
 
 EXIT_OK = 0
@@ -102,8 +103,7 @@ def _load_config(args) -> PipelineConfig:
     if args.strategy:
         mode = {"frozen": "frozen", "full": "full_finetune",
                 "lora": "lora"}[args.strategy]
-        cfg.strategy.encoder = mode
-        cfg.strategy.decoder = mode
+        cfg = dataclasses.replace(cfg, strategy=TrainStrategy(mode, mode))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)  # checks the seed
     return cfg

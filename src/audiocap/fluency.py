@@ -11,13 +11,11 @@ endpoint with a fixed revision prompt.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
 
 from .metrics import FLUENCY_GATE, metric_tokenize
-from .nn import require_at_least
 
 RULE_PROBABILITY = 0.95
 TRAILING_CONJUNCTIONS = ("and", "then", "with", "of", "a", "the", "to")
@@ -28,6 +26,12 @@ REVISION_PROMPT = ("Revise the sentence to make it more correct and idiomatic: "
 TEXT_SLOT = "<Text>"
 
 MODES = ("rules", "external", "external_with_rules_fallback")
+
+# the external client's policy: a request timeout, then up to RETRIES more
+# attempts after BACKOFF_S, 2 * BACKOFF_S, ... seconds
+TIMEOUT_S = 30.0
+RETRIES = 2
+BACKOFF_S = 1.0
 
 
 class CorrectorError(RuntimeError):
@@ -63,21 +67,12 @@ class CorrectorConfig:
     endpoint: str = ""
     model: str = "gpt-3.5-turbo"
     api_key_env: str = "AUDIOCAP_API_KEY"
-    timeout: float = 30.0
-    retries: int = 2
-    backoff_base: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        require_at_least(0, self, "retries")
-        if not 0 < self.timeout < math.inf:
-            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
-        if not 0 <= self.backoff_base < math.inf:
-            raise ValueError("backoff_base must be finite and >= 0, "
-                             f"got {self.backoff_base}")
 
 
 def _loop(tokens: list[str], sizes) -> tuple[int, int, int] | None:
@@ -169,11 +164,11 @@ def correct_external(text: str, cfg: CorrectorConfig) -> str:
         raise HttpError(f"endpoint scheme {request.type!r} is not http(s)")
 
     last: CorrectorError | None = None
-    for attempt in range(cfg.retries + 1):
+    for attempt in range(RETRIES + 1):
         if attempt:
-            time.sleep(cfg.backoff_base * (2 ** (attempt - 1)))
+            time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
         try:
-            with urllib.request.urlopen(request, timeout=cfg.timeout) as resp:
+            with urllib.request.urlopen(request, timeout=TIMEOUT_S) as resp:
                 raw = resp.read()
         except urllib.error.HTTPError as e:
             e.close()

@@ -95,21 +95,19 @@ def set_trainable(module: Module, flag: bool) -> None:
 
 
 def apply_mode(component: Module, mode: str, cfg: LoraConfig, seed) -> None:
-    """Set requires_grad flags for one component, wrapping q/v under lora."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    """Set requires_grad flags for one component, wrapping q/v under lora.
+
+    `mode` comes from a validated `TrainStrategy`, and `build_model`
+    applies it once to an unwrapped component.
+    """
     set_trainable(component, mode == "full_finetune")
     if mode != "lora":
         return
     for i, attn in enumerate(iter_attention_layers(component)):
         for j, name in enumerate(("q", "v")):
             layer = getattr(attn, name)
-            if isinstance(layer, LoraLinear):
-                layer.lora_a.requires_grad = layer.lora_b.requires_grad = True
-            else:
-                setattr(attn, name, LoraLinear(
-                    layer, cfg.rank, cfg.alpha,
-                    nn.rng_from_seed([seed, i, j])))
+            setattr(attn, name, LoraLinear(layer, cfg.rank, cfg.alpha,
+                                           nn.rng_from_seed([seed, i, j])))
 
 
 def apply_strategy(model, strategy: TrainStrategy, cfg: LoraConfig,

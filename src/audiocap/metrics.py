@@ -319,13 +319,13 @@ def scaled(raw_mean: float) -> float:
     return round(raw_mean * 100.0, 1)
 
 
-def evaluate_corpus(items: list[ScoredItem], detector=None,
+def evaluate_corpus(items: list[ScoredItem], detector,
                     spice: dict[str, float] | None = None) -> MetricReport:
     """Score a corpus of (candidate, references) pairs.
 
     `detector` maps text to a fluency error probability; `spice` is an
-    optional external id->score table. SPIDEr needs SPICE and SPIDEr-FL
-    both; a score without its inputs is flagged absent, never zeroed.
+    optional external id->score table. SPIDEr and SPIDEr-FL need SPICE;
+    without it they are flagged absent, never zeroed.
     """
     if not items:
         raise EmptyCorpus("no items to evaluate")
@@ -346,12 +346,9 @@ def evaluate_corpus(items: list[ScoredItem], detector=None,
         "fense_proxy": fense_proxy(candidates, references),
     }
     flags = dict.fromkeys(columns, "computed")
-    flags.update(fluency="absent", spice="absent", spider="absent",
+    flags.update(fluency="computed", spice="absent", spider="absent",
                  spider_fl="absent")
-    probs = None
-    if detector is not None:
-        probs = [float(detector(c)) for c in candidates]
-        flags["fluency"] = "computed"
+    probs = [float(detector(c)) for c in candidates]
     if spice is not None:
         missing = [i for i in ids if i not in spice]
         if missing:
@@ -359,16 +356,13 @@ def evaluate_corpus(items: list[ScoredItem], detector=None,
         columns["spice"] = [spice[i] for i in ids]
         columns["spider"] = [spider(c, s) for c, s
                              in zip(columns["cider_d"], columns["spice"])]
-        flags.update(spice="supplied", spider="computed")
-        if probs is not None:
-            columns["spider_fl"] = [spider_fl(s, p) for s, p
-                                    in zip(columns["spider"], probs)]
-            flags["spider_fl"] = "computed"
+        columns["spider_fl"] = [spider_fl(s, p) for s, p
+                                in zip(columns["spider"], probs)]
+        flags.update(spice="supplied", spider="computed", spider_fl="computed")
 
     for i, it in enumerate(items):
         it.scores = {name: col[i] for name, col in columns.items()}
-        if probs is not None:
-            it.fluency_prob = probs[i]
+        it.fluency_prob = probs[i]
     corpus = {name: scaled(sum(col) / len(col))
               for name, col in columns.items()}
     return MetricReport(corpus=corpus, items=items, flags=flags,

@@ -491,14 +491,14 @@ def causal_mask(n: int, start: int = 0) -> np.ndarray:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-softmax of the targets over every position.
+    """Mean negative log-softmax of the targets, one per row.
 
-    logits: (..., V); targets: integer ids (...,). A caller that scores
-    only some positions gathers their rows first.
+    logits: (N, V) rows; targets: N integer ids. A caller that scores only
+    some positions gathers their rows first.
     """
-    vocab = logits.data.shape[-1]
-    rows = logits.data.reshape(-1, vocab)
-    tgt = np.asarray(targets).reshape(-1)
+    rows = logits.data
+    vocab = rows.shape[1]
+    tgt = np.asarray(targets)
     if tgt.size == 0:
         raise EmptyTargetSet("no target positions")
     if tgt.size != rows.shape[0]:
@@ -516,8 +516,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         probs /= probs.sum(axis=-1, keepdims=True)
         probs[np.arange(n), tgt] -= 1.0
         probs *= g / n  # fresh: `_accum` keeps it without a copy
-        logits._accum(probs if probs.shape == logits.data.shape
-                      else probs.reshape(logits.data.shape))
+        logits._accum(probs)
 
     return _result(np.asarray(loss, dtype=logits.dtype), (logits,), backward)
 

@@ -67,6 +67,14 @@ def with_header(edit):
     return sealed(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + n:-4])
 
 
+def swap_matrix_shape(header):
+    """Swap the first non-square 2-D tensor shape, [a, b] -> [b, a]: the
+    byte count, and so the checksummed length, stays the same."""
+    entry = next(t for t in header["tensors"]
+                 if len(t["shape"]) == 2 and t["shape"][0] != t["shape"][1])
+    entry["shape"].reverse()
+
+
 def as_version_1(blob: bytes) -> bytes:
     """The version-1 file of the same model: no checksum trailer."""
     (n,) = struct.unpack_from("<Q", blob, 8)
@@ -244,6 +252,16 @@ class TestCorruption:
             "lora-rank-zero", "lora-rank-past-width"])
     def test_bad_header_field(self, edit):
         with pytest.raises(ckpt.CorruptCheckpoint):
+            ckpt.deserialize(with_header(edit))
+
+    # headers that pass the length and CRC-32 checks but not the model
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: h["tensors"][0].update(name="renamed"), "tensor table"),
+        (lambda h: h["tensors"][0].update(dtype="f16"), "dtype"),
+        (swap_matrix_shape, "shape mismatch"),
+    ], ids=["renamed", "dtype-f16", "shape-swapped"])
+    def test_tensor_table_checked_against_the_model(self, edit, match):
+        with pytest.raises(ckpt.CorruptCheckpoint, match=match):
             ckpt.deserialize(with_header(edit))
 
     def test_single_bit_flips_never_load(self):

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from audiocap import cli, fluency
+from audiocap import cli, data, fluency
 from audiocap.data import parse_manifest
+from audiocap.model import CaptionModel
 from conftest import tiny_config
-from test_checkpoint import with_header
+from test_checkpoint import swap_matrix_shape, with_header
 from test_fluency import BAD_ENDPOINTS, completion
 
 
@@ -25,6 +26,16 @@ def workdir(tmp_path_factory):
     assert rc == 0
     return {"root": root, "corpus": corpus, "cfg": cfg_path,
             "ckpt": ckpt_path}
+
+
+@pytest.fixture
+def dangling_captions(monkeypatch):
+    """Every decode returns a caption that the rules gate corrects."""
+    text = "a car drives by and"
+    monkeypatch.setattr(CaptionModel, "caption_wave",
+                        lambda self, wave, beam=1: text)
+    monkeypatch.setattr(CaptionModel, "caption_patches",
+                        lambda self, patches, beam=1: text)
 
 
 class TestSynth:
@@ -51,6 +62,19 @@ class TestTrain:
         assert doc["strategy"] == {"encoder": "lora", "decoder": "lora"}
         assert doc["seed"] == 9
         assert doc["bridge"]["window"] == 17
+
+    def test_non_finite_loss_is_runtime_error(self, workdir, tmp_path, capsys,
+                                              monkeypatch):
+        def diverge(*args, **kwargs):
+            raise data.NonFiniteLoss("loss is nan at step 1")
+        monkeypatch.setattr(data, "run_schedule", diverge)
+        out = tmp_path / "x.ckpt"
+        rc = cli.main(["train", "--manifest",
+                       str(workdir["corpus"] / "manifest.jsonl"),
+                       "--config", str(workdir["cfg"]), "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("runtime error: ")
+        assert not out.exists()
 
     def test_missing_manifest_flag_is_usage_error(self, workdir):
         assert cli.main(["train", "--out", "x.ckpt"]) == 1
@@ -246,6 +270,24 @@ class TestCaption:
         assert rc == 2
         assert "tensor shape" in capsys.readouterr().err
 
+    def test_swapped_tensor_shape_is_data_error(self, workdir, tmp_path,
+                                                capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(with_header(swap_matrix_shape))
+        wav = workdir["corpus"] / "clip_0000.wav"
+        rc = cli.main(["caption", "--ckpt", str(bad), "--wav", str(wav)])
+        assert rc == 2
+        assert "shape mismatch" in capsys.readouterr().err
+
+    def test_correct_applies_the_rules_gate(self, workdir, capsys,
+                                            dangling_captions):
+        wav = workdir["corpus"] / "clip_0000.wav"
+        base = ["caption", "--ckpt", str(workdir["ckpt"]), "--wav", str(wav)]
+        assert cli.main(base) == 0
+        assert capsys.readouterr().out == "a car drives by and\n"
+        assert cli.main(base + ["--correct"]) == 0
+        assert capsys.readouterr().out == "a car drives by\n"
+
     def test_non_wav_input_is_data_error(self, workdir, tmp_path):
         txt = tmp_path / "not.wav"
         txt.write_text("hello")
@@ -284,6 +326,28 @@ class TestEvaluate:
         assert report["flags"]["spider"] == "computed"
         assert "spider_fl" in report["corpus"]
         capsys.readouterr()
+
+
+    def test_correct_scores_the_gated_text(self, workdir, tmp_path, capsys,
+                                           dangling_captions):
+        out = tmp_path / "report.json"
+        rc = cli.main(["evaluate", "--ckpt", str(workdir["ckpt"]),
+                       "--manifest", str(workdir["corpus"] / "manifest.jsonl"),
+                       "--correct", "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        items = json.loads(out.read_text())["items"]
+        assert [it["candidate"] for it in items] == ["a car drives by"] * 3
+        assert all(it["fluency_prob"] == 0.0 for it in items)
+
+    def test_blank_manifest_is_data_error(self, workdir, tmp_path, capsys):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n  \n\n")
+        rc = cli.main(["evaluate", "--ckpt", str(workdir["ckpt"]),
+                       "--manifest", str(manifest),
+                       "--out", str(tmp_path / "report.json")])
+        assert rc == 2
+        assert "manifest has no entries" in capsys.readouterr().err
 
 
 class TestScore:

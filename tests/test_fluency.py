@@ -86,11 +86,17 @@ def completion(text):
     return {"choices": [{"message": {"content": text}}]}
 
 
-def external_cfg(endpoint, mode="external", retries=0, **over):
-    kw = dict(mode=mode, endpoint=endpoint, api_key_env="", timeout=5.0,
-              retries=retries, backoff_base=0.0)
+def external_cfg(endpoint, mode="external", **over):
+    kw = dict(mode=mode, endpoint=endpoint, api_key_env="")
     kw.update(over)
     return CorrectorConfig(**kw)
+
+
+@pytest.fixture(autouse=True)
+def no_retries(monkeypatch):
+    """One attempt and no sleeps unless a test sets the client policy."""
+    monkeypatch.setattr(fl, "RETRIES", 0)
+    monkeypatch.setattr(fl, "BACKOFF_S", 0.0)
 
 
 class TestDetector:
@@ -214,17 +220,6 @@ class TestPipelineGate:
         with pytest.raises(ValueError):
             CorrectorConfig(mode="llm")
 
-    @pytest.mark.parametrize("field, value", [
-        ("retries", -1),
-        ("timeout", 0.0), ("timeout", -5.0), ("timeout", float("nan")),
-        ("timeout", float("inf")),
-        ("backoff_base", -0.5), ("backoff_base", float("nan")),
-        ("backoff_base", float("inf")),
-    ])
-    def test_client_settings_validated(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            CorrectorConfig(**{field: value})
-
     def test_package_import_loads_only_numpy_and_stdlib(self):
         # the HTTP client loads only when the external corrector runs
         code = ("import json, sys; before = set(sys.modules); "
@@ -284,26 +279,28 @@ class TestExternalCorrector:
         with pytest.raises(fl.MissingApiKey):
             correct_external("a dog barks", cfg)
 
-    def test_retries_then_succeeds(self):
+    def test_retries_then_succeeds(self, monkeypatch):
+        monkeypatch.setattr(fl, "RETRIES", 1)
         script = [(500, {"error": "overloaded"}),
                   (200, completion("a dog barks"))]
         with StubServer(script) as srv:
-            out = correct_external("dog dog dog", external_cfg(srv.endpoint,
-                                                               retries=1))
+            out = correct_external("dog dog dog", external_cfg(srv.endpoint))
         assert out == "a dog barks"
         assert len(srv.requests) == 2
 
-    def test_server_errors_exhaust_retries(self):
+    def test_server_errors_exhaust_retries(self, monkeypatch):
+        monkeypatch.setattr(fl, "RETRIES", 2)
         script = [(500, {}), (503, {}), (502, {})]
         with StubServer(script) as srv:
             with pytest.raises(fl.HttpError):
-                correct_external("x", external_cfg(srv.endpoint, retries=2))
+                correct_external("x", external_cfg(srv.endpoint))
             assert len(srv.requests) == 3
 
-    def test_client_error_fails_immediately(self):
+    def test_client_error_fails_immediately(self, monkeypatch):
+        monkeypatch.setattr(fl, "RETRIES", 2)
         with StubServer([(404, {"error": "nope"})]) as srv:
             with pytest.raises(fl.HttpError):
-                correct_external("x", external_cfg(srv.endpoint, retries=2))
+                correct_external("x", external_cfg(srv.endpoint))
             assert len(srv.requests) == 1
 
     def test_malformed_response(self):
@@ -329,10 +326,11 @@ class TestExternalCorrector:
         with pytest.raises(fl.HttpError):
             correct_external("x", cfg)
 
-    def test_stalled_server_times_out(self):
+    def test_stalled_server_times_out(self, monkeypatch):
+        monkeypatch.setattr(fl, "TIMEOUT_S", 0.2)
         with StubServer([(200, completion("too late"))], stall=1.0) as srv:
             with pytest.raises(fl.Timeout):
-                correct_external("x", external_cfg(srv.endpoint, timeout=0.2))
+                correct_external("x", external_cfg(srv.endpoint))
 
     def test_no_endpoint(self):
         with pytest.raises(fl.HttpError):
@@ -346,10 +344,11 @@ class TestExternalCorrector:
     def test_backoff_schedule(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr(fl.time, "sleep", sleeps.append)
+        monkeypatch.setattr(fl, "RETRIES", 2)
+        monkeypatch.setattr(fl, "BACKOFF_S", 1.5)
         script = [(500, {}), (500, {}), (200, completion("ok fine"))]
         with StubServer(script) as srv:
-            correct_external("x", external_cfg(srv.endpoint, retries=2,
-                                               backoff_base=1.5))
+            correct_external("x", external_cfg(srv.endpoint))
         assert sleeps == [1.5, 3.0]
 
 

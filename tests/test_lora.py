@@ -148,15 +148,6 @@ class TestStrategy:
         trainable = lora.trainable_parameters(model).values()
         assert sum(p.data.size for p in trainable) == expected
 
-    def test_reapply_does_not_double_wrap(self):
-        cfg = tiny_config(strategy=TrainStrategy("lora", "lora"))
-        model = build_model(cfg, tiny_vocab())
-        first = {n: p for n, p in model.named_parameters().items()}
-        lora.apply_strategy(model, cfg.strategy, cfg.lora, seed=cfg.seed)
-        second = model.named_parameters()
-        assert set(first) == set(second)
-        assert all(first[n] is second[n] for n in first)
-
     def test_lora_model_matches_unwrapped_at_init(self):
         patches = random_patches(7)
         base = build_model(tiny_config(strategy=TrainStrategy("frozen",

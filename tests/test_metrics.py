@@ -79,7 +79,7 @@ def reference_fense_proxy(candidates, references):
     return out
 
 
-def reference_evaluate_corpus(items, detector=None, spice=None):
+def reference_evaluate_corpus(items, detector, spice=None):
     """The report JSON built with one branch per optional score."""
     warnings = []
     if len(items) == 1:
@@ -94,12 +94,8 @@ def reference_evaluate_corpus(items, detector=None, spice=None):
     flags = {"cider_d": "computed", "meteor_lite": "computed",
              "fense_proxy": "computed"}
 
-    probs = None
-    if detector is not None:
-        probs = [float(detector(c)) for c in candidates]
-        flags["fluency"] = "computed"
-    else:
-        flags["fluency"] = "absent"
+    probs = [float(detector(c)) for c in candidates]
+    flags["fluency"] = "computed"
 
     spice_scores = None
     if spice is not None:
@@ -116,7 +112,7 @@ def reference_evaluate_corpus(items, detector=None, spice=None):
         flags["spider"] = "absent"
 
     fl_scores = None
-    if spider_scores is not None and probs is not None:
+    if spider_scores is not None:
         fl_scores = [spider_fl(s, p, penalty=0.9)
                      for s, p in zip(spider_scores, probs)]
         flags["spider_fl"] = "computed"
@@ -135,8 +131,7 @@ def reference_evaluate_corpus(items, detector=None, spice=None):
             scores["spider_fl"] = fl_scores[i]
         rows.append({"id": it.id, "candidate": it.candidate,
                      "references": it.references, "scores": scores,
-                     "fluency_prob": probs[i] if probs is not None
-                     else it.fluency_prob})
+                     "fluency_prob": probs[i]})
 
     def mean(xs):
         return sum(xs) / len(xs)
@@ -365,6 +360,10 @@ class TestFenseProxy:
         assert out[0] < alone[0]
 
 
+def fluent(text):
+    return 0.0
+
+
 class TestEvaluateCorpus:
     def items(self):
         return [
@@ -373,10 +372,10 @@ class TestEvaluateCorpus:
         ]
 
     def test_flags_without_optional_inputs(self):
-        report = evaluate_corpus(self.items())
+        report = evaluate_corpus(self.items(), fluent)
         assert report.flags == {
             "cider_d": "computed", "meteor_lite": "computed",
-            "fense_proxy": "computed", "fluency": "absent",
+            "fense_proxy": "computed", "fluency": "computed",
             "spice": "absent", "spider": "absent", "spider_fl": "absent"}
         assert "spider" not in report.corpus
         assert "spider" not in report.items[0].scores
@@ -396,14 +395,13 @@ class TestEvaluateCorpus:
         assert it.fluency_prob == 0.95
 
     def test_detector_without_spice_leaves_spider_fl_absent(self):
-        report = evaluate_corpus(self.items(), detector=lambda t: 0.0)
+        report = evaluate_corpus(self.items(), fluent)
         assert report.flags["fluency"] == "computed"
         assert report.flags["spider_fl"] == "absent"
 
     def test_corpus_means_scaled_and_rounded(self):
         spice = {"x1": 0.5, "x2": 0.1}
-        report = evaluate_corpus(self.items(), detector=lambda t: 0.0,
-                                 spice=spice)
+        report = evaluate_corpus(self.items(), fluent, spice=spice)
         for key in ("cider_d", "meteor_lite", "fense_proxy", "spice",
                     "spider", "spider_fl"):
             raw = [it.scores[key] for it in report.items]
@@ -413,42 +411,36 @@ class TestEvaluateCorpus:
         items = self.items()
         items[1].id = "x1"
         with pytest.raises(mt.IdMismatch):
-            evaluate_corpus(items)
+            evaluate_corpus(items, fluent)
 
     def test_missing_spice_id(self):
         with pytest.raises(mt.IdMismatch):
-            evaluate_corpus(self.items(), spice={"x1": 0.5})
+            evaluate_corpus(self.items(), fluent, spice={"x1": 0.5})
 
     def test_empty(self):
         with pytest.raises(mt.EmptyCorpus):
-            evaluate_corpus([])
+            evaluate_corpus([], fluent)
 
     def test_single_item_warning(self):
-        report = evaluate_corpus([self.items()[0]])
+        report = evaluate_corpus([self.items()[0]], fluent)
         assert any("single_item" in w for w in report.warnings)
         assert report.items[0].scores["cider_d"] == 0.0
 
-    def test_spice_without_detector_leaves_spider_fl_absent(self):
-        report = evaluate_corpus(self.items(), spice={"x1": 0.5, "x2": 0.1})
-        assert report.flags["spider"] == "computed"
-        assert report.flags["spider_fl"] == "absent"
-        assert "spider_fl" not in report.corpus
-        assert all("spider" in it.scores and "spider_fl" not in it.scores
-                   for it in report.items)
-
-    @pytest.mark.parametrize("use_detector,use_spice", [
+    # the random detector's probabilities straddle the gate; `fluent`
+    # never fires
+    @pytest.mark.parametrize("random_detector,use_spice", [
         (False, False), (True, False), (False, True), (True, True)])
-    def test_report_matches_reference_byte_for_byte(self, use_detector,
+    def test_report_matches_reference_byte_for_byte(self, random_detector,
                                                     use_spice):
         for seed in range(75):
             items, detector, spice = random_report_inputs(seed)
-            kwargs = {"detector": detector if use_detector else None,
+            kwargs = {"detector": detector if random_detector else fluent,
                       "spice": spice if use_spice else None}
             want = reference_evaluate_corpus(items, **kwargs)
             assert evaluate_corpus(items, **kwargs).to_json() == want
 
     def test_to_json_round_trip(self):
-        report = evaluate_corpus(self.items())
+        report = evaluate_corpus(self.items(), fluent)
         doc = json.loads(report.to_json())
         assert doc["corpus"] == report.corpus
         assert doc["items"][0]["id"] == "x1"

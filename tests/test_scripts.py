@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -60,3 +61,19 @@ def test_fingerprint_repeats_itself():
     assert printed["steps"] == 3 and printed["blas_threads"] == 1
     assert printed["census"] == run_census()
     assert printed["checkpoint"]["bytes"] > 0
+
+
+def test_reach_lists_every_module_and_reaches_train():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reach.py"),
+         "--clips", "2", "--steps", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    missed = json.loads(run.stdout)
+    package = ROOT / "src" / "audiocap"
+    assert set(missed) == {p.name for p in package.glob("*.py")}
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    train = next(n for n in ast.walk(tree)
+                 if isinstance(n, ast.FunctionDef) and n.name == "_cmd_train")
+    body = set(range(train.body[0].lineno, train.end_lineno + 1))
+    assert not body & set(missed["cli.py"]["other"])
