@@ -8,6 +8,9 @@ for N steps (default 80), captions its 8 clips, and prints
   loss_curve    sha256 of the loss curve, one `float.hex()` per line
   checkpoint    sha256 and length of the `checkpoint.serialize` bytes
   captions      sha256 of the greedy and of the beam-3 captions, one a line
+  decode_logits sha256 of the bytes of every `CaptionDecoder.logits` result
+                while the greedy, then the beam-3 captions are written, so
+                a decode change that moves logits but no caption shows
   report        the corpus report of the greedy captions, as `evaluate`
                 scores them (fluency detector on, no SPICE)
   meteor_lite   sha256 of `meteor_lite(greedy_i, [reference_j])` for all
@@ -58,8 +61,20 @@ def fingerprint(steps: int) -> dict:
                                    tmp, seed=cfg.seed, max_steps=steps,
                                    features=feats)
     blob = checkpoint.serialize(mdl)
-    greedy = [mdl.caption_patches(feats[e.id]) for e in entries]
-    beam3 = [mdl.caption_patches(feats[e.id], beam=3) for e in entries]
+    logits_digest = hashlib.sha256()
+    real_logits = decoder.CaptionDecoder.logits
+
+    def logits(self, *args, **kwargs):
+        result = real_logits(self, *args, **kwargs)
+        logits_digest.update(result.data.tobytes())
+        return result
+
+    decoder.CaptionDecoder.logits = logits
+    try:
+        greedy = [mdl.caption_patches(feats[e.id]) for e in entries]
+        beam3 = [mdl.caption_patches(feats[e.id], beam=3) for e in entries]
+    finally:
+        decoder.CaptionDecoder.logits = real_logits
     report = metrics.evaluate_corpus(
         [metrics.ScoredItem(e.id, c, e.captions) for e, c in zip(entries, greedy)],
         detector=lambda t: fluency.detect_errors(t).probability)
@@ -70,6 +85,7 @@ def fingerprint(steps: int) -> dict:
                        "bytes": len(blob)},
         "captions": {"greedy": sha256("\n".join(greedy)),
                      "beam3": sha256("\n".join(beam3))},
+        "decode_logits": logits_digest.hexdigest(),
         "report": report.corpus,
         "meteor_lite": sha256("\n".join(
             metrics.meteor_lite(c, [e.captions[0]]).hex()

@@ -201,21 +201,26 @@ class CaptionDecoder(Module):
         With one cache per block, the rows attend causally over the keys
         and values the caches hold (`at` of them) plus their own, the
         caches keep theirs, and only the last row is scored: (..., 1, V).
-        Without, x is the stream and every row is scored. At training, x
-        is a batch's streams packed as (R, d) and `at` their `nn.Packing`,
-        which gives each row's position.
+        That step runs on arrays (`TransformerBlock.cached_step`), and the
+        result has no graph. Without, x is the stream and every row is
+        scored. At training, x is a batch's streams packed as (R, d) and
+        `at` their `nn.Packing`, which gives each row's position.
         """
         if isinstance(at, nn.Packing):
             x, mask = x + self.pos[at.pos], at
         else:
             n = x.data.shape[-2]
-            x = x + self.pos[at:at + n]
             # one row per hypothesis sees every cached key: its mask is all zeros
             mask = nn.causal_mask(n, at) if n > 1 else None
-        for block, cache in zip(self.blocks, caches or [None] * len(self.blocks)):
-            x = block(x, mask=mask, cache=cache)
-        if caches is not None:
-            x = x[..., -1:, :]
+            if caches is not None:
+                h = x.data + self.pos.data[at:at + n]
+                for block, cache in zip(self.blocks, caches):
+                    h = block.cached_step(h, mask, cache)
+                h = nn.rms_norm_forward(h[..., -1:, :], self.out_gain.data)[0]
+                return Tensor(self.head.forward_array(h))
+            x = x + self.pos[at:at + n]
+        for block in self.blocks:
+            x = block(x, mask=mask)
         return self.head(nn.rms_norm(x, self.out_gain))
 
     def forward_loss(self, splices: list[SpliceSequence], acoustic: Tensor) -> Tensor:
@@ -264,8 +269,9 @@ class CaptionDecoder(Module):
         """
         if beam < 1:
             raise ValueError("beam width must be >= 1")
-        caches = [nn.KVCache() for _ in self.blocks]
-        x, start = self._prompt(acoustic, vocab), 0
+        x, start = self._prompt(acoustic, vocab).data, 0
+        caches = [nn.KVCache(beam, x.shape[1] + self.cfg.max_caption,
+                             self.cfg.d_dec, x.dtype) for _ in self.blocks]
         live: list[list[int]] = [[]]
         totals = np.zeros(1)  # float64 log-prob of each live hypothesis
         done: list[tuple[list[int], float]] = []
@@ -277,10 +283,10 @@ class CaptionDecoder(Module):
         for step in range(self.cfg.max_caption):
             if not live or best > norm(totals.max(), self.cfg.max_caption):
                 break
-            n = x.data.shape[1]
+            n = x.shape[1]
             if start + n >= self.cfg.max_seq:
                 raise SequenceTooLong(f"decode length {start + n} hit the cap")
-            rows = self.logits(x, caches, start).data[:, -1]
+            rows = self.logits(Tensor(x), caches, start).data[:, -1]
             start += n
             logp = np.array([_log_softmax(row) for row in rows])
             cand_totals = (totals[:, None] + logp).ravel()
@@ -308,7 +314,7 @@ class CaptionDecoder(Module):
                 if parents.tolist() != list(range(len(rows))):  # else in place
                     for cache in caches:
                         cache.select(parents)
-                x = self.embed[(kept % width)[:, None]]
+                x = self.embed.data[(kept % width)[:, None]]
         done.extend(zip(live, totals.tolist()))  # capped ones compete; stopped ones lose
         best_ids, _ = min(done, key=lambda d: (-norm(d[1], len(d[0])), d[0]))
         return vocab.decode(best_ids)

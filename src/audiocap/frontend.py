@@ -9,6 +9,7 @@ non-overlapping 16x16 blocks, time-major with frequency ascending.
 
 from __future__ import annotations
 
+import functools
 import wave
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ class InputTooShort(ValueError):
 SAMPLE_RATE = 16000  # the only rate `load_wav` reads; there is no resampling
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrontendConfig:
     sample_rate: int = SAMPLE_RATE
     window: int = 400
@@ -129,15 +130,25 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
+@functools.lru_cache(maxsize=4)
+def _analysis(cfg: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The Hann window and mel filterbank of `cfg`, built once, read-only."""
+    tables = hann_window(cfg.window), mel_filterbank(cfg)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def compute_log_mel(w: Waveform, cfg: FrontendConfig) -> np.ndarray:
     """The (frames, n_mels) log-mel spectrogram of `w`."""
     x = np.asarray(w.samples, dtype=np.float64)
     if x.size < cfg.window:
         raise InputTooShort(f"need at least {cfg.window} samples, got {x.size}")
+    window, filterbank = _analysis(cfg)
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window)[::cfg.hop]
-    spec = np.fft.rfft(frames * hann_window(cfg.window), n=cfg.n_fft)
+    spec = np.fft.rfft(frames * window, n=cfg.n_fft)
     power = spec.real ** 2 + spec.imag ** 2
-    mel = power @ mel_filterbank(cfg).T
+    mel = power @ filterbank.T
     return np.log(np.maximum(mel, cfg.log_floor))
 
 

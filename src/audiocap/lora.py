@@ -74,6 +74,15 @@ class LoraLinear(Module):
         residual = nn.affine(nn.affine(x, self.lora_a), self.lora_b)
         return self.base(x) + residual * self.scaling
 
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """`__call__` on an array, op for op, for cached decoding: no graph."""
+        y = self.base.forward_array(x)
+        residual = nn.affine_forward(nn.affine_forward(x, self.lora_a.data, None),
+                                     self.lora_b.data, None)
+        residual *= np.asarray(self.scaling, dtype=residual.dtype)
+        y += residual
+        return y
+
     def merge(self) -> Linear:
         """Fold the adapter into a plain layer: W' = W + (alpha/r) * B A."""
         delta = self.scaling * (self.lora_b.data @ self.lora_a.data)

@@ -224,6 +224,15 @@ def parameter(data) -> Tensor:
 
 # -- shape ops -------------------------------------------------------------
 
+def affine_forward(x: np.ndarray, weight: np.ndarray,
+                   bias: np.ndarray | None) -> np.ndarray:
+    """x @ weight.T (+ bias): `affine`'s forward, on arrays."""
+    y = x @ weight.T
+    if bias is not None:
+        y += bias
+    return y
+
+
 def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight.T (+ bias) over the last axis; weight is (d_out, d_in).
 
@@ -236,9 +245,7 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if x.data.shape[-1] != d_in:
         raise DimensionMismatch(
             f"linear expects last dim {d_in}, got {x.data.shape}")
-    y = x.data @ weight.data.T
-    if bias is not None:
-        y += bias.data
+    y = affine_forward(x.data, weight.data, None if bias is None else bias.data)
 
     def backward(g):
         g = g.reshape(-1, d_out)
@@ -300,13 +307,12 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def gelu(t: Tensor) -> Tensor:
-    """Tanh-form GELU; the backward differentiates the same expression.
+def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`gelu`'s forward on an array: the output and the tanh term `th`.
 
-    Both write in place, with the textbook form's ops in its order; only
+    It writes in place, with the textbook form's ops in its order; only
     operands of + and * are swapped, which keeps every bit.
     """
-    x = t.data
     th = x * x  # tanh(C * (x + A * x^3)) in one buffer, ops in that order
     th *= x
     th *= _GELU_A
@@ -315,6 +321,14 @@ def gelu(t: Tensor) -> Tensor:
     np.tanh(th, out=th)
     out = np.multiply(x, 0.5)  # (0.5 * x) * (1 + th)
     out *= th + 1.0
+    return out, th
+
+
+def gelu(t: Tensor) -> Tensor:
+    """Tanh-form GELU; the backward differentiates the same expression,
+    writing in place as `gelu_forward` does."""
+    x = t.data
+    out, th = gelu_forward(x)
 
     def backward(g):
         # 0.5*x * (1 - th*th) * C * (1 + 3A*x*x) + 0.5 * (1 + th), times g
@@ -336,7 +350,7 @@ def gelu(t: Tensor) -> Tensor:
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    e = x - np.max(x, axis=axis, keepdims=True)
+    e = x - x.max(axis=axis, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e
@@ -352,15 +366,25 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
 RMS_EPS = 1e-6
 
 
+def rms_norm_forward(x: np.ndarray,
+                     gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`rms_norm`'s forward on arrays: the output and 1 / rms, `inv`."""
+    n = x.shape[-1]
+    # np.mean's own sum and division, without its per-call overhead
+    inv = 1.0 / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / n + RMS_EPS)
+    inv = inv.astype(x.dtype, copy=False)
+    out = x * inv
+    out *= gain
+    return out, inv
+
+
 def rms_norm(t: Tensor, gain: Tensor) -> Tensor:
     """x / sqrt(mean(x^2) + RMS_EPS) * gain, over the last axis."""
     x = t.data
     if gain.data.shape != x.shape[-1:]:
         raise DimensionMismatch("rms_norm gain must match the last axis")
     n = x.shape[-1]
-    # np.mean's own sum and division, without its per-call overhead
-    inv = 1.0 / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / n + RMS_EPS)
-    inv = inv.astype(x.dtype, copy=False)
+    out, inv = rms_norm_forward(x, gain.data)
 
     def backward(g):
         s = np.empty_like(x)  # the one scratch array for the temporaries
@@ -378,8 +402,6 @@ def rms_norm(t: Tensor, gain: Tensor) -> Tensor:
             s *= inv
             gain._accum(np.sum(s, axis=tuple(range(x.ndim - 1))))
 
-    out = x * inv
-    out *= gain.data
     return _result(out, (t, gain), backward)
 
 
@@ -424,6 +446,36 @@ class Packing:
         return flat if flat.shape[0] == self.index.size else flat[self.index]
 
 
+def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., T, d) -> (..., heads, T, dh), a view."""
+    return a.reshape(a.shape[:-1] + (n_heads, -1)).swapaxes(-2, -3)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(..., heads, T, dh) -> (..., T, d)."""
+    a = a.swapaxes(-2, -3)
+    return a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+
+
+def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                      n_heads: int, mask: np.ndarray | None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """`multi_head_attention`'s forward on (..., T, d) arrays: the output
+    and the attention weights P, (..., heads, Tq, Tk).
+
+    Keys and values may be views with a longer row stride, such as a
+    `KVCache`'s: each (T, dh) slice keeps unit strides within its rows, so
+    the products compute the same bits as on contiguous arrays.
+    """
+    scale = np.asarray(1.0 / math.sqrt(q.shape[-1] // n_heads), dtype=q.dtype)
+    scores = _split_heads(q, n_heads) @ _split_heads(k, n_heads).swapaxes(-1, -2)
+    scores *= scale
+    if mask is not None:
+        scores += mask
+    p = _softmax(scores, -1)
+    return _merge_heads(p @ _split_heads(v, n_heads)), p
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                          mask: np.ndarray | Packing | None = None) -> Tensor:
     """Scaled dot-product attention over token matrices (..., T, d).
@@ -443,27 +495,19 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         raise DimensionMismatch(f"model dim {d} not divisible by {n_heads} heads")
     if k.data.shape[-1] != d or v.data.shape[-1] != d:
         raise DimensionMismatch("q, k, v must share their last dimension")
-    dh = d // n_heads
-    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
+    scale = np.asarray(1.0 / math.sqrt(d // n_heads), dtype=q.dtype)
     packing = mask if isinstance(mask, Packing) else None
     if packing is not None:
         mask = packing.mask
 
-    def heads(a):  # (..., T, d), or packed (R, d) -> (..., heads, T, dh)
-        if packing is not None:
-            a = packing.scatter(a)
-        return np.swapaxes(a.reshape(a.shape[:-1] + (n_heads, dh)), -2, -3)
+    def padded(a):  # packed (R, d) rows -> (B, T, d); else `a` itself
+        return a if packing is None else packing.scatter(a)
 
-    def merge(a):  # (..., heads, T, dh) -> (..., T, d)
-        a = np.swapaxes(a, -2, -3)
-        return a.reshape(a.shape[:-2] + (d,))
+    def heads(a):
+        return _split_heads(padded(a), n_heads)
 
-    scores = heads(q.data) @ np.swapaxes(heads(k.data), -1, -2)
-    scores *= scale
-    if mask is not None:
-        scores += mask
-    p = _softmax(scores, -1)
-    out = merge(p @ heads(v.data))
+    out, p = attention_forward(padded(q.data), padded(k.data), padded(v.data),
+                               n_heads, mask)
 
     def backward(g):
         go = heads(g)
@@ -473,7 +517,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                         (k, np.swapaxes(ds, -1, -2) @ heads(q.data)),
                         (v, np.swapaxes(p, -1, -2) @ go)):
             if t.requires_grad:
-                grad = merge(grad)
+                grad = _merge_heads(grad)
                 t._accum(_unbroadcast(grad, t.data.shape) if packing is None
                          else packing.gather(grad))
 
@@ -573,38 +617,48 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return affine(x, self.weight, self.bias)
 
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """The layer on an array, for cached decoding: no graph."""
+        return affine_forward(x, self.weight.data, self.bias.data)
+
 
 class KVCache:
     """The projected keys and values one attention layer has seen so far.
 
-    Both are (batch, T, d). Incremental decoding feeds only new rows;
-    `extend` appends their keys and values along the time axis.
+    One preallocated (rows, length, d) array each for keys and values:
+    `rows` is the most batch rows decoding holds at once, `length` the
+    most positions. The first `filled` positions of the live rows are
+    valid.
     """
 
-    def __init__(self):
-        self.keys: Tensor | None = None
-        self.values: Tensor | None = None
+    def __init__(self, rows: int, length: int, d: int, dtype):
+        self.keys = np.empty((rows, length, d), dtype=dtype)
+        self.values = np.empty((rows, length, d), dtype=dtype)
+        self.filled = 0
 
-    def extend(self, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
-        """Append new rows; return all keys and values seen so far."""
-        if self.keys is not None:
-            keys = concat([self.keys, keys], axis=-2)
-            values = concat([self.values, values], axis=-2)
-        self.keys, self.values = keys, values
-        return keys, values
+    def extend(self, keys: np.ndarray,
+               values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write the new (batch, n, d) rows after the filled ones, in
+        place; return views of all keys and values seen so far."""
+        b, n = keys.shape[:2]
+        end = self.filled + n
+        self.keys[:b, self.filled:end] = keys
+        self.values[:b, self.filled:end] = values
+        self.filled = end
+        return self.keys[:b, :end], self.values[:b, :end]
 
     def select(self, rows: np.ndarray) -> None:
         """Keep batch rows `rows` in that order; a row may repeat."""
-        self.keys = self.keys[rows]
-        self.values = self.values[rows]
+        n = self.filled
+        self.keys[:len(rows), :n] = self.keys[rows, :n]
+        self.values[:len(rows), :n] = self.values[rows, :n]
 
 
 class MultiHeadAttention(Module):
     """q/k/v/o projections around scaled dot-product attention.
 
     kv_dim lets the key/value input live in a different width than the
-    query input (used by the bridge's cross-attention). With a `cache`,
-    the queries attend over the cached keys and values plus the new ones.
+    query input (used by the bridge's cross-attention).
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator,
@@ -619,14 +673,9 @@ class MultiHeadAttention(Module):
         self.o = Linear(d_model, d_model, rng)
 
     def __call__(self, query_input: Tensor, kv_input: Tensor,
-                 mask: np.ndarray | None = None,
-                 cache: KVCache | None = None) -> Tensor:
-        qp = self.q(query_input)
-        kp = self.k(kv_input)
-        vp = self.v(kv_input)
-        if cache is not None:
-            kp, vp = cache.extend(kp, vp)
-        ctx = multi_head_attention(qp, kp, vp, self.n_heads, mask)
+                 mask: np.ndarray | Packing | None = None) -> Tensor:
+        ctx = multi_head_attention(self.q(query_input), self.k(kv_input),
+                                   self.v(kv_input), self.n_heads, mask)
         return self.o(ctx)
 
 
@@ -650,33 +699,53 @@ class TransformerBlock(Module):
         self.ffn = FeedForward(d_model, ffn_mult, rng)
 
     def __call__(self, x: Tensor, context: Tensor | None = None,
-                 mask: np.ndarray | None = None,
-                 cache: KVCache | None = None) -> Tensor:
+                 mask: np.ndarray | Packing | None = None) -> Tensor:
         h = rms_norm(x, self.attn_gain)
         kv = h if context is None else context
-        x = add_into(x, self.attn(h, kv, mask, cache))
+        x = add_into(x, self.attn(h, kv, mask))
         x = add_into(x, self.ffn(rms_norm(x, self.ffn_gain)))
         return x
+
+    def cached_step(self, x: np.ndarray, mask: np.ndarray | None,
+                    cache: KVCache) -> np.ndarray:
+        """The self-attention block on (batch, n, d) new rows, for cached
+        decoding: the rows attend over the keys and values `cache` holds
+        plus their own, which it keeps.
+
+        Arrays in, array out, no graph: the ops of `__call__`, each through
+        the same array function, in the same order, so the bits match.
+        """
+        attn, ffn = self.attn, self.ffn
+        h = rms_norm_forward(x, self.attn_gain.data)[0]
+        keys, values = cache.extend(attn.k.forward_array(h), attn.v.forward_array(h))
+        ctx = attention_forward(attn.q.forward_array(h), keys, values,
+                                attn.n_heads, mask)[0]
+        y = attn.o.forward_array(ctx)
+        x = np.add(x, y, out=y)
+        h = rms_norm_forward(x, self.ffn_gain.data)[0]
+        y = ffn.down.forward_array(gelu_forward(ffn.up.forward_array(h))[0])
+        return np.add(x, y, out=y)
 
 
 # -- optimizer -------------------------------------------------------------
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+CLIP_NORM = 1.0  # the global gradient norm above which a step is clipped
 
 
 class AdamW:
-    """AdamW with decoupled weight decay and optional global-norm clipping.
+    """AdamW with decoupled weight decay and global-norm clipping at
+    CLIP_NORM.
 
     Decay is applied directly to the parameter (w -= lr*wd*w computed from
     the pre-step value), separately from the bias-corrected adaptive step.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
-                 weight_decay: float = 0.0, clip_norm: float | None = 1.0):
+                 weight_decay: float = 0.0):
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.clip_norm = clip_norm
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -687,14 +756,12 @@ class AdamW:
 
     def _clip_scale(self, grads: dict[str, np.ndarray]) -> float | None:
         """The factor that clips the global norm, or None if none is due."""
-        if self.clip_norm is None:
-            return None
         total = 0.0
         for g in grads.values():
             total += float(np.square(g, dtype=np.float64).sum())
         total = math.sqrt(total)
-        if total > self.clip_norm and total > 0.0:
-            return self.clip_norm / total
+        if total > CLIP_NORM and total > 0.0:
+            return CLIP_NORM / total
         return None
 
     def step(self):

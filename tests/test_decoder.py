@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audiocap import decoder as dec
-from audiocap import nn
+from audiocap import lora, nn
 from audiocap.decoder import (ACOUSTIC_SLOT, CAPTION_INSTRUCTION,
                               CaptionDecoder, DecoderConfig, SpliceSequence,
                               Vocabulary, assemble_sequence, build_vocab,
                               tokenize)
+from audiocap.lora import LoraConfig, LoraLinear
 from audiocap.model import build_model
 from audiocap.nn import Tensor
 from _grad_check import tsum
@@ -104,6 +105,47 @@ def reference_beam(model, acoustic, vocab, beam):
     done.extend(live)
     best = min(done, key=lambda d: (-norm(d[1], len(d[0])), d[0]))
     return vocab.decode(best[0])
+
+
+# -- reference cached step: autograd ops over a concat-grown cache ----------
+
+class ReferenceCache:
+    """A layer's keys and values as Tensors, grown by `nn.concat`."""
+
+    def __init__(self):
+        self.keys = self.values = None
+
+    def select(self, rows):
+        self.keys, self.values = self.keys[rows], self.values[rows]
+
+
+def reference_cached_logits(model, x, caches, at):
+    """`CaptionDecoder.logits` with caches, as it ran on the autograd ops:
+    `nn.affine`, `rms_norm`, `gelu`, `multi_head_attention` and `concat`,
+    and `LoraLinear.__call__` for an adapted projection. The bit oracle of
+    the array step."""
+    def project(layer, h):
+        if isinstance(layer, LoraLinear):
+            return layer(h)
+        return nn.affine(h, layer.weight, layer.bias)
+
+    n = x.shape[-2]
+    x = x + model.pos[at:at + n]
+    mask = nn.causal_mask(n, at) if n > 1 else None
+    for block, cache in zip(model.blocks, caches):
+        attn, ffn = block.attn, block.ffn
+        h = nn.rms_norm(x, block.attn_gain)
+        keys, values = project(attn.k, h), project(attn.v, h)
+        if cache.keys is not None:
+            keys = nn.concat([cache.keys, keys], axis=-2)
+            values = nn.concat([cache.values, values], axis=-2)
+        cache.keys, cache.values = keys, values
+        ctx = nn.multi_head_attention(project(attn.q, h), keys, values,
+                                      attn.n_heads, mask)
+        x = x + project(attn.o, ctx)
+        h = nn.gelu(project(ffn.up, nn.rms_norm(x, block.ffn_gain)))
+        x = x + project(ffn.down, h)
+    return project(model.head, nn.rms_norm(x[..., -1:, :], model.out_gain)).data
 
 
 def relative_error(a, b):
@@ -452,13 +494,14 @@ class TestCachedDecoding:
         vocab = tiny_vocab()
         model = make_decoder(vocab, seed=seed, layers=2)
         acoustic = acoustic_block(n=4, seed=seed)
-        caches = [nn.KVCache() for _ in model.blocks]
         prompt = model._prompt(acoustic, vocab)
         start = prompt.shape[1]
+        ids = vocab.encode(self.CAPTION)
+        caches = [nn.KVCache(3, start + len(ids) + 1, 32, np.float32)
+                  for _ in model.blocks]
         rows = model.logits(prompt, caches)
         want = reference_step_logits(model, acoustic, [], vocab)
         assert relative_error(rows.data[0, -1], want) < 1e-5
-        ids = vocab.encode(self.CAPTION)
         for i, tok in enumerate(ids):
             x = model.embed[np.array([[tok]])]
             row = model.logits(x, caches, start).data[0, -1]
@@ -474,6 +517,39 @@ class TestCachedDecoding:
         for row, tok in zip(rows, branch):
             want = reference_step_logits(model, acoustic, ids + [tok], vocab)
             assert relative_error(row, want) < 1e-5
+
+    @pytest.mark.parametrize("adapted", [False, True], ids=["plain", "lora"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_cached_step_matches_reference_bits(self, width, adapted):
+        # a prefill and 10 token steps; between steps the caches gather
+        # `width` rows of the ones they hold, repeats and reorders included
+        vocab = tiny_vocab()
+        model = make_decoder(vocab, seed=width, layers=2)
+        if adapted:  # q and v adapted, with an adapter that is not zero
+            lora.apply_mode(model, "lora", LoraConfig(rank=2, alpha=4.0), 5)
+            r = nn.rng_from_seed(6)
+            for layer in model.modules():
+                if isinstance(layer, LoraLinear):
+                    layer.lora_b.data = r.normal(
+                        0, 0.1, layer.lora_b.shape).astype(np.float32)
+        r = nn.rng_from_seed(7)
+        steps = 10
+        with nn.no_grad():
+            x = model._prompt(acoustic_block(n=4, seed=width), vocab)
+            caches = [nn.KVCache(width, x.shape[1] + steps, 32, np.float32)
+                      for _ in model.blocks]
+            references = [ReferenceCache() for _ in model.blocks]
+            at = 0
+            for _ in range(1 + steps):
+                got = model.logits(x, caches, at)
+                want = reference_cached_logits(model, x, references, at)
+                assert got.dtype == want.dtype and got.shape == (len(x.data), 1, len(vocab))
+                assert np.array_equal(got.data, want)
+                at += x.shape[1]
+                rows = r.integers(0, len(x.data), size=width)
+                for cache in caches + references:
+                    cache.select(rows)
+                x = model.embed[r.integers(0, len(vocab), size=(width, 1))]
 
     @pytest.mark.parametrize("seed,zero_head", [
         (0, False), (1, False), (2, False), (3, False), (4, False),

@@ -199,6 +199,26 @@ class TestMelAnalysis:
         assert np.array_equal(frontend.mel_filterbank(cfg),
                               reference_filterbank(cfg))
 
+    def test_window_and_filterbank_built_once_per_config(self, monkeypatch):
+        # an f_max no other test uses, so the first call below builds
+        cfg, equal = FrontendConfig(f_max=7321.0), FrontendConfig(f_max=7321.0)
+        built = []
+        for name in ("hann_window", "mel_filterbank"):
+            real = getattr(frontend, name)
+            monkeypatch.setattr(frontend, name,
+                                lambda *a, real=real: built.append(1) or real(*a))
+        t = np.arange(4000) / 16000.0
+        w = Waveform(0.5 * np.sin(2 * np.pi * 440.0 * t), 16000)
+        first = frontend.compute_log_mel(w, cfg)
+        again = frontend.compute_log_mel(w, equal)
+        assert len(built) == 2 and np.array_equal(first, again)
+        frames = np.lib.stride_tricks.sliding_window_view(w.samples, 400)[::160]
+        spec = np.fft.rfft(frames * frontend.hann_window(400), n=512)
+        power = spec.real ** 2 + spec.imag ** 2
+        fresh = np.log(np.maximum(power @ frontend.mel_filterbank(cfg).T, 1e-10))
+        assert np.array_equal(first, fresh)
+        assert not any(t.flags.writeable for t in frontend._analysis(cfg))
+
     def test_silence_hits_log_floor(self):
         m = frontend.compute_log_mel(Waveform(np.zeros(16000), 16000),
                                      FrontendConfig())

@@ -158,3 +158,19 @@ class TestStrategy:
                               tiny_vocab())
         assert np.array_equal(base.acoustic_tokens(patches).data,
                               wrapped.acoustic_tokens(patches).data)
+        # decoding runs the adapted q and v projections without autograd
+        for beam in (1, 3):
+            assert (wrapped.caption_patches(patches, beam=beam)
+                    == base.caption_patches(patches, beam=beam))
+        logits = []
+        for mdl in (base, wrapped):
+            dec = mdl.decoder
+            with nn.no_grad():
+                x = dec._prompt(mdl.acoustic_tokens(patches), mdl.vocab)
+                caches = [nn.KVCache(1, x.shape[1] + 1, dec.cfg.d_dec, x.dtype)
+                          for _ in dec.blocks]
+                first = dec.logits(x, caches, 0).data
+                step = dec.logits(dec.embed[np.array([[first.argmax()]])],
+                                  caches, x.shape[1]).data
+            logits.append((first, step))
+        assert all(np.array_equal(a, b) for a, b in zip(*logits))
