@@ -213,11 +213,14 @@ def reference_adamw_step(opt):
 
 
 class TestAdamW:
-    # the gradients' global norm is 67-97 at grad_scale 10, so every step
-    # clips, and below 0.01 at grad_scale 1e-3, so none does
+    # the gradients' global norm is 67-97: a clip norm of 1e3 never clips,
+    # 1.0 always; None keeps the shipped nn.CLIP_NORM
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    @pytest.mark.parametrize("grad_scale", [1e-3, 10.0])
-    def test_in_place_step_matches_reference_bits(self, weight_decay, grad_scale):
+    @pytest.mark.parametrize("clip_norm", [None, 1e3, 1.0])
+    def test_in_place_step_matches_reference_bits(self, weight_decay, clip_norm,
+                                                  monkeypatch):
+        if clip_norm is not None:
+            monkeypatch.setattr(nn, "CLIP_NORM", clip_norm)
         shapes = {"w": (7, 5), "b": (5,), "e": (3, 4, 2), "unused": (4,)}
         r = nn.rng_from_seed(9)
         init = {k: r.normal(0, 1, s).astype(np.float32) for k, s in shapes.items()}
@@ -229,7 +232,7 @@ class TestAdamW:
             for i in range(5):
                 for k, p in params.items():
                     p.grad = (None if k == "unused" else
-                              g.normal(0, grad_scale, p.shape).astype(np.float32))
+                              g.normal(0, 10, p.shape).astype(np.float32))
                 opt.lr = 1e-2 / (i + 1)
                 step(opt)
             runs.append({k: p.data.tobytes() for k, p in params.items()})
