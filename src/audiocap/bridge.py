@@ -36,8 +36,9 @@ class BridgeConfig:
     max_windows: int = 128
 
     def __post_init__(self):
-        nn.require_at_least(1, self, "window", "d_q", "d_dec", "max_windows")
-        nn.require_at_least(0, self, "cross_layers", "self_layers")
+        nn.require_at_least(1, self, "window", "d_q", "cross_layers", "d_dec",
+                            "max_windows")
+        nn.require_at_least(0, self, "self_layers")
         if self.heads < 1 or self.d_q % self.heads or self.d_dec % self.heads:
             raise ValueError("d_q and d_dec must be divisible by heads >= 1")
 

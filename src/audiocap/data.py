@@ -191,7 +191,7 @@ def caption_for_events(indices) -> str:
 def write_wav(path, samples: np.ndarray) -> None:
     pcm = np.clip(np.round(samples * 32767.0), -32768, 32767).astype("<i2")
     try:
-        with wave.open(str(path), "wb") as wf:
+        with open(path, "wb") as fh, wave.open(fh, "wb") as wf:
             wf.setnchannels(1)
             wf.setsampwidth(2)
             wf.setframerate(SAMPLE_RATE)
@@ -224,9 +224,6 @@ def synthesize_corpus(n: int, seed: int, out_dir) -> list[ManifestEntry]:
 
 
 # -- batching and schedule ---------------------------------------------------
-
-WEIGHT_DECAY = 1e-6  # AdamW's decoupled decay in every training stage
-
 
 def make_batches(entries: list, batch_size: int, seed: int,
                  epoch: int) -> list[list]:
@@ -349,7 +346,7 @@ def run_schedule(model, schedule: TrainingSchedule,
     for stage in schedule.stages:
         boundaries.append(len(curve))
         params = trainable_parameters(model)
-        opt = AdamW(params, lr=stage.peak_lr, weight_decay=WEIGHT_DECAY)
+        opt = AdamW(params, lr=stage.peak_lr)
         steps_per_epoch = math.ceil(len(items) / stage.batch_size)
         step_in_stage = 0
         for _ in range(stage.epochs):

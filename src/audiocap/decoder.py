@@ -4,12 +4,13 @@ The decoder consumes a spliced stream: <bos>, the fixed instruction
 tokens, the bridged acoustic embeddings in the instruction's slot, the
 instruction tail, then (at training time) the caption and <eos>. The
 bridged rows are soft-prompt rows of the token table, so a batch's stream,
-and the inference prompt as its batch of one, is one gather. Training
-packs the batch's streams row after row, so no pad row is computed, and
-attention stays causal within each item. Loss is masked to caption
-positions only. Word-level vocabulary; one beam search
-writes every caption, greedy decoding being its width 1, with
-deterministic tie-breaking.
+and the inference prompt as its batch of one, is one gather. The logits
+run in two modes. Training packs the batch's streams row after row, so
+no pad row is computed, and attention stays causal within each item.
+Decoding extends per-layer key/value caches by the new rows and scores
+the last one. Loss is masked to caption positions only. Word-level
+vocabulary; one beam search writes every caption, greedy decoding being
+its width 1, with deterministic tie-breaking.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ class DecoderConfig:
     max_caption: int = 50
 
     def __post_init__(self):
-        nn.require_at_least(1, self, "d_dec", "ffn_mult", "max_seq", "max_caption")
-        nn.require_at_least(0, self, "layers")
+        nn.require_at_least(1, self, "d_dec", "layers", "ffn_mult", "max_seq",
+                            "max_caption")
         if self.heads < 1 or self.d_dec % self.heads:
             raise ValueError("d_dec must be divisible by heads >= 1")
 
@@ -147,8 +148,6 @@ def assemble_sequence(acoustic: Tensor | int, caption: str | None,
                       vocab: Vocabulary) -> SpliceSequence:
     """The layout of one item; `acoustic` is its bridged block or row count."""
     n = acoustic.shape[0] if isinstance(acoustic, Tensor) else int(acoustic)
-    if n == 0:
-        raise ValueError("acoustic block is empty")
     head, tail = CAPTION_INSTRUCTION.split(ACOUSTIC_SLOT)
     prefix = np.array([vocab.BOS] + vocab.encode(head), dtype=np.int64)
     suffix = np.array(vocab.encode(tail), dtype=np.int64)
@@ -196,32 +195,30 @@ class CaptionDecoder(Module):
 
     def logits(self, x: Tensor, caches: list[nn.KVCache] | None = None,
                at: int | nn.Packing = 0) -> Tensor:
-        """Logits for embeddings x (..., n, d) at positions at..at+n-1.
+        """Logits for embeddings x in one of two modes.
 
-        With one cache per block, the rows attend causally over the keys
-        and values the caches hold (`at` of them) plus their own, the
-        caches keep theirs, and only the last row is scored: (..., 1, V).
-        That step runs on arrays (`TransformerBlock.cached_step`), and the
-        result has no graph. Without, x is the stream and every row is
-        scored. At training, x is a batch's streams packed as (R, d) and
-        `at` their `nn.Packing`, which gives each row's position.
+        Packed (training): x is a batch's streams packed as (R, d), `at`
+        their `nn.Packing`, which gives each row's position, and every row
+        is scored: (R, V). Cached (decoding): x is (batch, n, d) at
+        positions at..at+n-1, with one cache per block; the rows attend
+        causally over the keys and values the caches hold (`at` of them)
+        plus their own, the caches keep theirs, and only the last row is
+        scored: (batch, 1, V). That step runs on arrays
+        (`TransformerBlock.cached_step`), and the result has no graph.
         """
         if isinstance(at, nn.Packing):
-            x, mask = x + self.pos[at.pos], at
-        else:
-            n = x.data.shape[-2]
-            # one row per hypothesis sees every cached key: its mask is all zeros
-            mask = nn.causal_mask(n, at) if n > 1 else None
-            if caches is not None:
-                h = x.data + self.pos.data[at:at + n]
-                for block, cache in zip(self.blocks, caches):
-                    h = block.cached_step(h, mask, cache)
-                h = nn.rms_norm_forward(h[..., -1:, :], self.out_gain.data)[0]
-                return Tensor(self.head.forward_array(h))
-            x = x + self.pos[at:at + n]
-        for block in self.blocks:
-            x = block(x, mask=mask)
-        return self.head(nn.rms_norm(x, self.out_gain))
+            x = x + self.pos[at.pos]
+            for block in self.blocks:
+                x = block(x, mask=at)
+            return self.head(nn.rms_norm(x, self.out_gain))
+        n = x.data.shape[-2]
+        # one row per hypothesis sees every cached key: its mask is all zeros
+        mask = nn.causal_mask(n, at) if n > 1 else None
+        h = x.data + self.pos.data[at:at + n]
+        for block, cache in zip(self.blocks, caches):
+            h = block.cached_step(h, mask, cache)
+        h = nn.rms_norm_forward(h[..., -1:, :], self.out_gain.data)[0]
+        return Tensor(self.head.forward_array(h))
 
     def forward_loss(self, splices: list[SpliceSequence], acoustic: Tensor) -> Tensor:
         """Mean cross-entropy over all caption positions in the batch;

@@ -490,12 +490,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     dK = dS^T Q / sqrt(dh). The backward keeps only P: it takes Q, K and V
     again from its parents, so packed rows are not also held padded.
     """
-    d = q.data.shape[-1]
-    if d % n_heads:
-        raise DimensionMismatch(f"model dim {d} not divisible by {n_heads} heads")
-    if k.data.shape[-1] != d or v.data.shape[-1] != d:
-        raise DimensionMismatch("q, k, v must share their last dimension")
-    scale = np.asarray(1.0 / math.sqrt(d // n_heads), dtype=q.dtype)
+    scale = np.asarray(1.0 / math.sqrt(q.data.shape[-1] // n_heads), dtype=q.dtype)
     packing = mask if isinstance(mask, Packing) else None
     if packing is not None:
         mask = packing.mask
@@ -731,21 +726,20 @@ class TransformerBlock(Module):
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 CLIP_NORM = 1.0  # the global gradient norm above which a step is clipped
+WEIGHT_DECAY = 1e-6  # the decoupled decay in every training stage
 
 
 class AdamW:
-    """AdamW with decoupled weight decay and global-norm clipping at
-    CLIP_NORM.
+    """AdamW with decoupled weight decay WEIGHT_DECAY and global-norm
+    clipping at CLIP_NORM.
 
     Decay is applied directly to the parameter (w -= lr*wd*w computed from
     the pre-step value), separately from the bias-corrected adaptive step.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = dict(params)
         self.lr = lr
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -760,7 +754,7 @@ class AdamW:
         for g in grads.values():
             total += float(np.square(g, dtype=np.float64).sum())
         total = math.sqrt(total)
-        if total > CLIP_NORM and total > 0.0:
+        if total > CLIP_NORM:
             return CLIP_NORM / total
         return None
 
@@ -774,8 +768,6 @@ class AdamW:
         grads = {}
         for k, p in self.params.items():
             g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ShapeMismatch(f"gradient shape mismatch for {k}")
             grads[k] = g
@@ -792,6 +784,5 @@ class AdamW:
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * (g * g)
-            if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
+            p.data -= self.lr * WEIGHT_DECAY * p.data
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

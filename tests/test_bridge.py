@@ -129,6 +129,10 @@ class TestForward:
             br.BridgeConfig(window=0)
         with pytest.raises(ValueError):
             br.BridgeConfig(d_q=30, heads=4)
+        # without cross-attention no query reads a token: every clip's
+        # bridged rows are alike, and no gradient reaches the encoder
+        with pytest.raises(ValueError, match="cross_layers must be >= 1"):
+            br.BridgeConfig(cross_layers=0)
 
 
 class TestBatchedWindows:

@@ -45,6 +45,12 @@ class TestSynth:
         for e in entries:
             assert (workdir["corpus"] / e.audio).exists()
 
+    def test_unwritable_out_is_data_error(self, tmp_path, capsys):
+        under = tmp_path / "file"
+        under.write_text("")
+        assert cli.main(["synth", "--out", str(under / "sub"), "--n", "1"]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+
 
 class TestTrain:
     def test_checkpoint_and_losses_written(self, workdir):
@@ -187,12 +193,14 @@ class TestTrain:
         ("encoder", "max_time_patches"), ("bridge", "d_q"),
         ("bridge", "max_windows"), ("decoder", "d_dec"),
         ("decoder", "ffn_mult"), ("decoder", "max_seq"),
-        ("decoder", "max_caption"),
+        ("decoder", "max_caption"), ("bridge", "cross_layers"),
+        ("decoder", "layers"),
     ])
     def test_zero_model_size_is_data_error(self, workdir, tmp_path, capsys,
                                            section, name):
         # d_enc, d_q and d_dec at 0 divided by zero; max_caption 0 trained
-        # a model that captions ""
+        # a model that captions ""; no cross-attention or decoder layer
+        # trained a model whose captions do not depend on the audio
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({section: {name: 0}}))
         out = tmp_path / "x.ckpt"

@@ -157,6 +157,18 @@ class TestSyntheticCorpus:
         with pytest.raises(ValueError):
             synthesize_corpus(0, seed=1, out_dir=tmp_path)
 
+    @pytest.mark.parametrize("write", [
+        lambda under: synthesize_corpus(1, seed=1, out_dir=under / "sub"),
+        lambda under: data.write_wav(under / "a.wav", np.zeros(4)),
+        lambda under: write_manifest([], under / "manifest.jsonl"),
+    ], ids=["corpus-dir", "wav", "manifest"])
+    def test_os_error_is_io_error(self, tmp_path, write):
+        # a path beneath a regular file raises NotADirectoryError, as root too
+        under = tmp_path / "file"
+        under.write_text("")
+        with pytest.raises(data.IoError):
+            write(under)
+
 
 class TestBatching:
     def entries(self, n):
@@ -305,8 +317,7 @@ class TestTraining:
         feats = extract_features(entries, tmp_path, model.cfg.frontend)
         model.encoder.set_feature_stats(*corpus_feature_stats(feats))
         items = [(feats[e.id], c) for e in entries for c in e.captions]
-        opt = nn.AdamW(trainable_parameters(model), lr=stage.peak_lr,
-                       weight_decay=data.WEIGHT_DECAY)
+        opt = nn.AdamW(trainable_parameters(model), lr=stage.peak_lr)
         curve = []
         for epoch in range(stage.epochs):
             for batch in make_batches(items, stage.batch_size, 0, epoch):

@@ -51,6 +51,17 @@ def reference_stream(model, seqs, blocks):
     return nn.concat(rows, axis=0)
 
 
+def full_logits(model, x):
+    """Every row's logits of the stream x, (..., T, d), recomputed in full:
+    the causal forward that training's packing and decoding's caches
+    must reproduce."""
+    n = x.shape[-2]
+    x = x + model.pos[:n]
+    for block in model.blocks:
+        x = block(x, mask=nn.causal_mask(n))
+    return model.head(nn.rms_norm(x, model.out_gain))
+
+
 def stream_loss(model, items):
     """forward_loss over (sequence, acoustic block) pairs."""
     return model.forward_loss([s for s, _ in items],
@@ -66,7 +77,7 @@ def reference_step_logits(model, acoustic, generated, vocab):
                          np.array(generated, dtype=np.int64))
     if seq.length >= model.cfg.max_seq:
         raise dec.SequenceTooLong(f"decode length {seq.length} hit the cap")
-    return model.logits(reference_stream(model, [seq], [acoustic])).data[0, -1]
+    return full_logits(model, reference_stream(model, [seq], [acoustic])).data[0, -1]
 
 
 def reference_greedy(model, acoustic, vocab):
@@ -150,6 +161,14 @@ def reference_cached_logits(model, x, caches, at):
 
 def relative_error(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestConfig:
+    def test_needs_a_layer(self):
+        # without a block no row attends to the acoustic rows: the logits
+        # of every clip are alike
+        with pytest.raises(ValueError, match="layers must be >= 1"):
+            DecoderConfig(layers=0)
 
 
 class TestTokenizer:
@@ -273,7 +292,7 @@ class TestForwardLoss:
         a = acoustic_block()
         seq = assemble_sequence(a, "an upward chirp", vocab)
         loss = float(stream_loss(model, [(seq, a)]).data)
-        logits = model.logits(model.embed_stream([seq], a)).data
+        logits = full_logits(model, model.embed_stream([seq], a)).data
         ids, mask = seq.ids, seq.loss_mask
         rows = logits[:-1].copy()
         targets = ids[1:]
@@ -376,10 +395,10 @@ class TestCausality:
         assert np.array_equal(a, b)
         # extending the sequence must not alter the logits at earlier steps
         seq = assemble_sequence(acoustic, "a low tone", vocab)
-        full = model.logits(model.embed_stream([seq], acoustic)).data
+        full = full_logits(model, model.embed_stream([seq], acoustic)).data
         trunc_seq = SpliceSequence(seq.prefix_ids, seq.n_acoustic,
                                    seq.suffix_ids, seq.caption_ids[:1])
-        trunc = model.logits(model.embed_stream([trunc_seq], acoustic)).data
+        trunc = full_logits(model, model.embed_stream([trunc_seq], acoustic)).data
         assert np.allclose(full[:trunc.shape[0]], trunc, atol=1e-5)
 
 

@@ -189,11 +189,10 @@ def reference_adamw_step(opt):
 
     Every op makes a new array, and the parameters get new arrays.
     """
-    grads = {k: np.zeros_like(p.data) if p.grad is None else p.grad
-             for k, p in opt.params.items()}
+    grads = {k: p.grad for k, p in opt.params.items()}
     total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
                           for g in grads.values()))
-    if total > nn.CLIP_NORM and total > 0.0:
+    if total > nn.CLIP_NORM:
         scale = nn.CLIP_NORM / total
         grads = {k: g * np.asarray(scale, dtype=g.dtype)
                  for k, g in grads.items()}
@@ -206,7 +205,7 @@ def reference_adamw_step(opt):
         m += (1.0 - nn.ADAM_BETA1) * g
         v *= nn.ADAM_BETA2
         v += (1.0 - nn.ADAM_BETA2) * (g * g)
-        decay = opt.lr * opt.weight_decay * p.data if opt.weight_decay else 0.0
+        decay = opt.lr * nn.WEIGHT_DECAY * p.data
         mhat = m / bc1
         vhat = v / bc2
         p.data = p.data - decay - opt.lr * mhat / (np.sqrt(vhat) + nn.ADAM_EPS)
@@ -219,20 +218,20 @@ class TestAdamW:
     @pytest.mark.parametrize("clip_norm", [None, 1e3, 1.0])
     def test_in_place_step_matches_reference_bits(self, weight_decay, clip_norm,
                                                   monkeypatch):
+        monkeypatch.setattr(nn, "WEIGHT_DECAY", weight_decay)
         if clip_norm is not None:
             monkeypatch.setattr(nn, "CLIP_NORM", clip_norm)
-        shapes = {"w": (7, 5), "b": (5,), "e": (3, 4, 2), "unused": (4,)}
+        shapes = {"w": (7, 5), "b": (5,), "e": (3, 4, 2)}
         r = nn.rng_from_seed(9)
         init = {k: r.normal(0, 1, s).astype(np.float32) for k, s in shapes.items()}
         runs = []
         for step in (nn.AdamW.step, reference_adamw_step):
             params = {k: nn.parameter(a.copy()) for k, a in init.items()}
-            opt = nn.AdamW(params, lr=1e-2, weight_decay=weight_decay)
+            opt = nn.AdamW(params, lr=1e-2)
             g = nn.rng_from_seed(10)
             for i in range(5):
-                for k, p in params.items():
-                    p.grad = (None if k == "unused" else
-                              g.normal(0, 10, p.shape).astype(np.float32))
+                for p in params.values():
+                    p.grad = g.normal(0, 10, p.shape).astype(np.float32)
                 opt.lr = 1e-2 / (i + 1)
                 step(opt)
             runs.append({k: p.data.tobytes() for k, p in params.items()})
@@ -242,7 +241,7 @@ class TestAdamW:
     def test_holds_no_arrays_but_its_moments(self):
         params = {k: nn.parameter(np.ones(s, dtype=np.float32))
                   for k, s in (("w", (6, 4)), ("b", (4,)))}
-        opt = nn.AdamW(params, lr=1e-2, weight_decay=0.01)
+        opt = nn.AdamW(params, lr=1e-2)
         for p in params.values():
             p.grad = np.full(p.shape, 3.0, dtype=np.float32)
         opt.step()
@@ -258,29 +257,32 @@ class TestAdamW:
         moments = [id(a) for d in (opt.m, opt.v) for a in d.values()]
         assert sorted(held) == sorted(moments)
 
-    def test_hand_value_no_decay(self):
+    def test_hand_value_no_decay(self, monkeypatch):
+        monkeypatch.setattr(nn, "WEIGHT_DECAY", 0.0)
         p = nn.parameter(np.array([1.0]))
         p.grad = np.array([1.0], dtype=np.float32)
-        nn.AdamW({"p": p}, lr=0.1, weight_decay=0.0).step()
+        nn.AdamW({"p": p}, lr=0.1).step()
         assert abs(float(p.data[0]) - 0.9) < 1e-6
 
-    def test_hand_value_with_decay(self):
+    def test_hand_value_with_decay(self, monkeypatch):
+        monkeypatch.setattr(nn, "WEIGHT_DECAY", 0.1)
         p = nn.parameter(np.array([1.0]))
         p.grad = np.array([1.0], dtype=np.float32)
-        nn.AdamW({"p": p}, lr=0.1, weight_decay=0.1).step()
+        nn.AdamW({"p": p}, lr=0.1).step()
         assert abs(float(p.data[0]) - 0.89) < 1e-6
 
-    def test_zero_grad_zero_decay_leaves_parameter(self):
+    def test_zero_grad_zero_decay_leaves_parameter(self, monkeypatch):
+        monkeypatch.setattr(nn, "WEIGHT_DECAY", 0.0)
         p = nn.parameter(np.array([1.0, -2.0]))
         p.grad = np.zeros(2, dtype=np.float32)
-        nn.AdamW({"p": p}, lr=0.1, weight_decay=0.0).step()
+        nn.AdamW({"p": p}, lr=0.1).step()
         assert np.array_equal(p.data, np.array([1.0, -2.0], dtype=np.float32))
 
     def test_zero_lr_bit_identical(self):
         p = nn.parameter(np.array([0.5, 0.25]))
         before = p.data.copy()
         p.grad = np.array([1.0, -1.0], dtype=np.float32)
-        nn.AdamW({"p": p}, lr=0.0, weight_decay=0.0).step()
+        nn.AdamW({"p": p}, lr=0.0).step()
         assert np.array_equal(p.data, before)
 
     def test_global_norm_clip(self):
@@ -295,10 +297,11 @@ class TestAdamW:
         nn.AdamW({"p": p2}, lr=0.1).step()
         assert np.allclose(p1.data, p2.data, atol=1e-7)
 
-    def test_step_uses_current_lr(self):
+    def test_step_uses_current_lr(self, monkeypatch):
+        monkeypatch.setattr(nn, "WEIGHT_DECAY", 0.0)
         p = nn.parameter(np.array([1.0]))
         p.grad = np.array([1.0], dtype=np.float32)
-        opt = nn.AdamW({"p": p}, lr=99.0, weight_decay=0.0)
+        opt = nn.AdamW({"p": p}, lr=99.0)
         opt.lr = 0.1
         opt.step()
         assert abs(float(p.data[0]) - 0.9) < 1e-6

@@ -1,9 +1,12 @@
 import ast
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,17 +66,51 @@ def test_fingerprint_repeats_itself():
     assert printed["checkpoint"]["bytes"] > 0
 
 
-def test_reach_lists_every_module_and_reaches_train():
-    run = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "reach.py"),
-         "--clips", "2", "--steps", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
+@pytest.fixture(scope="module")
+def reach():
+    """reach.py's object at its defaults, the desk corpus and 2 steps."""
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "reach.py")],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    missed = json.loads(run.stdout)
+    return json.loads(run.stdout)
+
+
+def test_reach_lists_every_module_and_reaches_train(reach):
     package = ROOT / "src" / "audiocap"
-    assert set(missed) == {p.name for p in package.glob("*.py")}
-    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
-    train = next(n for n in ast.walk(tree)
-                 if isinstance(n, ast.FunctionDef) and n.name == "_cmd_train")
-    body = set(range(train.body[0].lineno, train.end_lineno + 1))
-    assert not body & set(missed["cli.py"]["other"])
+    assert set(reach) == {p.name for p in package.glob("*.py")}
+    assert "_cmd_train" not in reach["cli.py"]["other"]
+
+
+def test_reach_classifies_lines_by_ast():
+    spec = importlib.util.spec_from_file_location(
+        "reach", ROOT / "scripts" / "reach.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    tree = ast.parse("class A:\n"
+                     "    def f(self):\n"
+                     "        def g():\n"
+                     "            return 1\n"
+                     "        assert g(), (\n"
+                     "            'message')\n"
+                     "x = 1\n")
+    # an assertion's message runs only when it fails
+    assert script.error_lines(tree) == {5, 6}
+    assert script.scope_names(tree) == {2: "A", 3: "A.f", 4: "A.f.g",
+                                        5: "A.f", 6: "A.f"}
+
+
+def test_reach_gate_every_unreached_function_has_a_reason(reach):
+    allowlist = json.loads(
+        (ROOT / "scripts" / "reach_allowlist.json").read_text(encoding="utf-8"))
+    assert all(isinstance(r, str) and r.strip() for r in allowlist.values())
+    found = {f"{name}:{scope}" for name, lines in reach.items()
+             for scope in lines["other"]}
+    unlisted = sorted(found - set(allowlist))
+    assert not unlisted, (
+        "functions with lines no CLI command runs, not in "
+        f"scripts/reach_allowlist.json: reach them, delete them or list them "
+        f"with a reason: {unlisted}")
+    stale = sorted(set(allowlist) - found)
+    assert not stale, (
+        "listed in scripts/reach_allowlist.json, but fully reached or gone: "
+        f"drop them from the list: {stale}")
