@@ -1,11 +1,16 @@
 """Behaviour fingerprint of the package, printed as one JSON object.
 
-    python3 scripts/fingerprint.py [--steps N]
+    python3 scripts/fingerprint.py [--steps N] [--curve PATH]
 
 Trains the desk preset on the fixed desk corpus (`synthesize_corpus(8, 7)`)
 for N steps (default 80), captions its 8 clips, and prints
 
-  loss_curve    sha256 of the loss curve, one `float.hex()` per line
+  loss_curve    sha256 of the loss curve, one `float.hex()` per line;
+                `--curve PATH` also writes those lines to PATH, so that
+                two trees' curves can be diffed
+  first_step    the step-1 loss as `float.hex()`, and the sha256 of the
+                bytes of the logit rows `nn.cross_entropy` receives at
+                step 1 (one row per caption token, in batch order)
   checkpoint    sha256 and length of the `checkpoint.serialize` bytes
   captions      sha256 of the greedy and of the beam-3 captions, one a line
   decode_logits sha256 of the bytes of every `CaptionDecoder.logits` result
@@ -21,7 +26,8 @@ for N steps (default 80), captions its 8 clips, and prints
   blas_threads  the BLAS thread count, pinned to 1
 
 Two trees whose objects differ only in `census` train, save and caption
-bit-identically. Results depend on the BLAS thread count, so it is pinned
+bit-identically; two whose `first_step` agree compute the same first
+forward pass. Results depend on the BLAS thread count, so it is pinned
 before numpy loads, as `deskbench/run.py` pins it.
 """
 
@@ -40,7 +46,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
-from audiocap import checkpoint, data, decoder, fluency, metrics, model  # noqa: E402
+from audiocap import checkpoint, data, decoder, fluency, metrics, model, nn  # noqa: E402
 from design_census import PACKAGE, census  # noqa: E402
 
 DESK_CLIPS, DESK_SEED = 8, 7
@@ -50,16 +56,30 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def fingerprint(steps: int) -> dict:
+def fingerprint(steps: int) -> tuple[dict, str]:
+    """The fingerprint object and the loss curve's `float.hex()` lines."""
+    scored_rows = []  # the digest of the first `nn.cross_entropy` call's rows
+    real_cross_entropy = nn.cross_entropy
+
+    def cross_entropy(logits, targets):
+        if not scored_rows:
+            scored_rows.append(hashlib.sha256(logits.data.tobytes()).hexdigest())
+        return real_cross_entropy(logits, targets)
+
     with tempfile.TemporaryDirectory() as tmp:
         entries = data.synthesize_corpus(DESK_CLIPS, DESK_SEED, tmp)
         cfg = model.PipelineConfig(seed=0)
         feats = data.extract_features(entries, tmp, cfg.frontend)
         vocab = decoder.build_vocab(c for e in entries for c in e.captions)
         mdl = model.build_model(cfg, vocab)
-        result = data.run_schedule(mdl, data.TrainingSchedule.desk(), entries,
-                                   tmp, seed=cfg.seed, max_steps=steps,
-                                   features=feats)
+        nn.cross_entropy = cross_entropy
+        try:
+            result = data.run_schedule(mdl, data.TrainingSchedule.desk(),
+                                       entries, tmp, seed=cfg.seed,
+                                       max_steps=steps, features=feats)
+        finally:
+            nn.cross_entropy = real_cross_entropy
+    curve = "\n".join(v.hex() for v in result.loss_curve)
     blob = checkpoint.serialize(mdl)
     logits_digest = hashlib.sha256()
     real_logits = decoder.CaptionDecoder.logits
@@ -80,7 +100,9 @@ def fingerprint(steps: int) -> dict:
         detector=lambda t: fluency.detect_errors(t).probability)
     return {
         "steps": len(result.loss_curve),
-        "loss_curve": sha256("\n".join(v.hex() for v in result.loss_curve)),
+        "loss_curve": sha256(curve),
+        "first_step": {"loss": result.loss_curve[0].hex(),
+                       "scored_rows": scored_rows[0]},
         "checkpoint": {"sha256": hashlib.sha256(blob).hexdigest(),
                        "bytes": len(blob)},
         "captions": {"greedy": sha256("\n".join(greedy)),
@@ -92,10 +114,16 @@ def fingerprint(steps: int) -> dict:
             for c in greedy for e in entries)),
         "census": census(PACKAGE),
         "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
-    }
+    }, curve
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=80)
-    print(json.dumps(fingerprint(parser.parse_args().steps), sort_keys=True))
+    parser.add_argument("--curve", type=Path,
+                        help="write the loss curve here, one float.hex() a line")
+    args = parser.parse_args()
+    printed, curve = fingerprint(args.steps)
+    if args.curve is not None:
+        args.curve.write_text(curve + "\n", encoding="utf-8")
+    print(json.dumps(printed, sort_keys=True))

@@ -5,8 +5,9 @@ tokens, the bridged acoustic embeddings in the instruction's slot, the
 instruction tail, then (at training time) the caption and <eos>. The
 bridged rows are soft-prompt rows of the token table, so a batch's stream,
 and the inference prompt as its batch of one, is one gather. The logits
-run in two modes. Training packs the batch's streams row after row, so
-no pad row is computed, and attention stays causal within each item.
+run in two modes. Training packs the batch's shared instruction head
+once, then each item's own rows, so no pad row and no repeated head row
+is computed, and attention stays causal within each item.
 Decoding extends per-layer key/value caches by the new rows and scores
 the last one. Loss is masked to caption positions only. Word-level
 vocabulary; one beam search writes every caption, greedy decoding being
@@ -174,19 +175,26 @@ class CaptionDecoder(Module):
         return self.embed.data.shape[0]
 
     def embed_stream(self, seqs: list[SpliceSequence], acoustic: Tensor) -> Tensor:
-        """The items' streams packed row after row, (sum of lengths, d),
-        without positions.
+        """The items' streams packed with their shared head once, without
+        positions: (sum of lengths - (B - 1) * head, d).
 
-        `acoustic` holds every item's bridged rows, (sum of n_acoustic, d),
-        item i's contiguous and in order. The stream is one gather from the
-        token table with those rows appended: prompt and caption ids index
-        the table, and item i's acoustic slot j indexes V + offset_i + j.
+        Every item starts with the same `prefix_ids`, the head: <bos> and
+        the instruction up to the acoustic slot. The packed stream is the
+        head, then each item's own rows, item after item, as the
+        `nn.Packing` with that head lays them out; a batch of one is its
+        whole stream. `acoustic` holds every item's bridged rows,
+        (sum of n_acoustic, d), item i's contiguous and in order. The
+        stream is one gather from the token table with those rows
+        appended: prompt and caption ids index the table, and item i's
+        acoustic slot j indexes V + offset_i + j.
         """
-        rows, offset = [], 0
+        head = seqs[0].prefix_ids
+        rows, offset = [head], 0
         for s in seqs:
-            ids, start = s.ids, len(s.prefix_ids)
-            ids[start:start + s.n_acoustic] = (self.vocab_size + offset
-                                               + np.arange(s.n_acoustic))
+            if not np.array_equal(s.prefix_ids, head):
+                raise nn.ShapeMismatch("the items' streams start differently")
+            ids = s.ids[len(head):]
+            ids[:s.n_acoustic] = self.vocab_size + offset + np.arange(s.n_acoustic)
             offset += s.n_acoustic
             rows.append(ids)
         if offset != acoustic.shape[0]:
@@ -224,21 +232,26 @@ class CaptionDecoder(Module):
         """Mean cross-entropy over all caption positions in the batch;
         `acoustic` is every item's bridged rows, as `embed_stream` takes them.
 
-        Every row of the packed stream is real, and attention stays within
-        each item (`nn.Packing`).
+        The stream is packed with the shared instruction head once
+        (`embed_stream`), so every row is real and the head's rows are
+        computed once per batch; attention stays within each item, whose
+        padded layout holds the head again (`nn.Packing`).
         """
         if not splices:
             raise nn.EmptyTargetSet("empty batch")
         t_max = max(s.length for s in splices)
         if t_max > self.cfg.max_seq:
             raise SequenceTooLong(f"batch length {t_max} exceeds {self.cfg.max_seq}")
-        packing = nn.Packing([s.length for s in splices], causal=True)
+        packing = nn.Packing([s.length for s in splices], causal=True,
+                             head=len(splices[0].prefix_ids))
         logits = self.logits(self.embed_stream(splices, acoustic), at=packing)
-        # row r predicts row r + 1, so the rows that count are those just
-        # before a caption position; an item's first row never is one
-        ids = np.concatenate([s.ids for s in splices])
-        targets = np.flatnonzero(np.concatenate([s.loss_mask for s in splices]))
-        return nn.cross_entropy(logits[targets - 1], ids[targets])
+        # an item's row p predicts its row p + 1, so the rows that count are
+        # those just before a caption position; an item's first row never is
+        items = np.concatenate([np.full(len(s.caption_ids), i)
+                                for i, s in enumerate(splices)])
+        positions = np.concatenate([np.flatnonzero(s.loss_mask) for s in splices])
+        return nn.cross_entropy(logits[packing.row(items, positions - 1)],
+                                np.concatenate([s.caption_ids for s in splices]))
 
     def _prompt(self, acoustic: Tensor, vocab: Vocabulary) -> Tensor:
         """The inference stream, <bos> + head + acoustic + tail, as (1, T, d)."""
@@ -285,18 +298,19 @@ class CaptionDecoder(Module):
                 raise SequenceTooLong(f"decode length {start + n} hit the cap")
             rows = self.logits(Tensor(x), caches, start).data[:, -1]
             start += n
-            logp = np.array([_log_softmax(row) for row in rows])
+            logp = _log_softmax(rows)
             cand_totals = (totals[:, None] + logp).ravel()
             scores = cand_totals / ((step + 1) ** LENGTH_NORM)
-            # every candidate tying the k-th best score, then the exact order
+            # every candidate tying the k-th best score, then the exact order;
+            # the live ids all have one length, so a candidate's ids order as
+            # its parent's ids, then its token
             k = min(beam, scores.size)
-            kth = np.partition(scores, -k)[-k]
             width = logp.shape[1]
-            ranked = [(live[c // width] + [c % width], c)
-                      for c in np.flatnonzero(scores >= kth).tolist()]
-            ranked.sort(key=lambda r: (-scores[r[1]], r[0]))
-            live, survivors = [], []
-            for ids, c in ranked[:beam]:
+            ranked = np.flatnonzero(scores >= np.partition(scores, -k)[-k]).tolist()
+            ranked.sort(key=lambda c: (-scores[c], live[c // width], c % width))
+            prior, live, survivors = live, [], []
+            for c in ranked[:beam]:
+                ids = prior[c // width] + [c % width]
                 if ids[-1] == vocab.EOS:
                     total = float(cand_totals[c])
                     done.append((ids, total))
@@ -317,7 +331,13 @@ class CaptionDecoder(Module):
         return vocab.decode(best_ids)
 
 
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    # one 1-D row at a time: batching the reduction could round differently
-    m = row.max()
-    return row - (m + math.log(np.exp(row - m).sum()))
+def _log_softmax(rows: np.ndarray) -> np.ndarray:
+    """The log-softmax of each (B, V) row, rounded as one row at a time:
+    each row's exp-sum is its own pairwise sum, and its shift is
+    max + math.log(sum) in the row's dtype."""
+    shift = rows.max(axis=1, keepdims=True)
+    e = rows - shift
+    np.exp(e, out=e)
+    shift += np.array([math.log(s) for s in e.sum(axis=1).tolist()],
+                      dtype=rows.dtype)[:, None]
+    return rows - shift

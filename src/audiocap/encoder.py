@@ -80,7 +80,7 @@ class PatchEncoder(Module):
                               f"{self.cfg.max_time_patches}")
         x = np.concatenate([(p.patches - self.feat_mean) / self.feat_std
                             for p in seqs]).astype(self.time_pos.dtype, copy=False)
-        packing = nn.Packing([p.count for p in seqs], causal=False)
+        packing = nn.Packing([p.count for p in seqs], causal=False, head=0)
         fp = self.freq_pos.data.shape[0]
         h = (self.patch_proj(Tensor(x)) + self.time_pos[packing.pos // fp]
              + self.freq_pos[packing.pos % fp])

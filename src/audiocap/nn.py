@@ -408,22 +408,37 @@ def rms_norm(t: Tensor, gain: Tensor) -> Tensor:
 class Packing:
     """Where the rows of several items sit in one packed (R, d) block.
 
-    Item i's `lengths[i]` rows are contiguous and in item order, so
-    row-wise ops (affine, GELU, RMS norm) run on real rows only. Attention
+    Under a causal mask, the first `head` rows of every item may be the
+    same rows, a shared head (a training batch's `<bos>` + instruction
+    head; 0 for none). The block holds them once, then each item's own
+    `lengths[i] - head` rows, contiguous and in item order, so row-wise
+    ops (affine, GELU, RMS norm) run on real rows only and on the head
+    once. `pos` is each packed row's position within its item. Attention
     scatters the rows into the padded (B, T, d) layout, T the longest
-    item, with zero pad rows, and gathers the real rows back. `mask` is
+    item, with the head copied into every item and zero pad rows, and
+    gathers the real rows back, the head's from item 0. `mask` is
     additive over that layout's (B, heads, T, T) scores: causal, or else
     the pad keys masked out (None when no item is padded). A causal mask
-    needs no key padding, as an item's pad keys follow all its real rows.
+    needs no key padding, as an item's pad keys follow all its real rows,
+    and a causal head sees only itself, so its rows come out the same in
+    every item.
     """
 
-    def __init__(self, lengths: Sequence[int], causal: bool):
+    def __init__(self, lengths: Sequence[int], causal: bool, head: int):
         lengths = np.asarray(lengths)
         b, t = len(lengths), int(lengths.max())
-        self.shape = (b, t)
-        self.pos = np.concatenate([np.arange(n) for n in lengths])
-        # each row's index in the padded layout flattened to (B * T) rows
-        self.index = np.repeat(np.arange(b) * t, lengths) + self.pos
+        if head > (lengths.min() if causal else 0):
+            raise ShapeMismatch(f"a shared head of {head} rows needs causal "
+                                f"items of at least that length")
+        self.shape, self.head = (b, t), head
+        own = [np.arange(head, n) for n in lengths]
+        self.pos = np.concatenate([np.arange(head)] + own)
+        # each packed row's index in the padded layout flattened to (B * T)
+        # rows, the head's in item 0
+        self.index = np.concatenate(
+            [np.arange(head)] + [i * t + p for i, p in enumerate(own)])
+        # the packed row of item i's own position `head` is starts[i] + head
+        self.starts = np.cumsum([0] + [n - head for n in lengths[:-1]])
         self.mask = None
         if causal:
             self.mask = causal_mask(t)
@@ -431,8 +446,15 @@ class Packing:
             self.mask = np.where(np.arange(t) < lengths[:, None], 0.0,
                                  -np.inf).astype(np.float32)[:, None, None, :]
 
-    def scatter(self, rows: np.ndarray) -> np.ndarray:
-        """(R, d) packed rows -> (B, T, d); a batch without padding is a view."""
+    def row(self, item: np.ndarray, position: np.ndarray) -> np.ndarray:
+        """The packed row of item `item[j]`'s row `position[j]`, for each j."""
+        return np.where(position < self.head, position,
+                        self.starts[item] + position)
+
+    def place(self, rows: np.ndarray) -> np.ndarray:
+        """(R, d) packed rows -> (B, T, d), each row once, the head in item
+        0 and zeros elsewhere: the adjoint of `gather`. A batch without
+        padding or head is a view."""
         b, t = self.shape
         if self.index.size == b * t:
             return rows.reshape(b, t, -1)
@@ -440,10 +462,24 @@ class Packing:
         out[self.index] = rows
         return out.reshape(b, t, -1)
 
+    def scatter(self, rows: np.ndarray) -> np.ndarray:
+        """(R, d) packed rows -> (B, T, d), the head in every item."""
+        out = self.place(rows)
+        out[1:, :self.head] = rows[:self.head]
+        return out
+
     def gather(self, padded: np.ndarray) -> np.ndarray:
-        """(B, T, d) -> its (R, d) real rows."""
+        """(B, T, d) -> its (R, d) real rows, the head's from item 0."""
         flat = padded.reshape(-1, padded.shape[-1])
         return flat if flat.shape[0] == self.index.size else flat[self.index]
+
+    def adjoint(self, padded: np.ndarray) -> np.ndarray:
+        """The adjoint of `scatter`: `gather`, with each head row the sum
+        of its copies in every item."""
+        rows = self.gather(padded)
+        if self.head and self.shape[0] > 1:
+            rows[:self.head] = padded[:, :self.head].sum(axis=0)
+        return rows
 
 
 def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
@@ -484,11 +520,14 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     masked positions carry -inf and so receive zero attention weight.
     With a `Packing` instead, q, k and v are its packed (R, d) rows: they
     attend within their item, in its padded layout under its mask, and
-    the output is packed rows again. One graph node: with P the attention
+    the output is packed rows again; a shared head attends once per item,
+    and its output rows are item 0's. One graph node: with P the attention
     weights and dO the output gradient, the backward is dV = P^T dO,
     dP = dO V^T, dS = P * (dP - rowsum(dP * P)), dQ = dS K / sqrt(dh) and
-    dK = dS^T Q / sqrt(dh). The backward keeps only P: it takes Q, K and V
-    again from its parents, so packed rows are not also held padded.
+    dK = dS^T Q / sqrt(dh), each packed by `Packing.adjoint`, which sums a
+    head row's gradient over its copies. The backward keeps only P: it
+    takes Q, K and V again from its parents, so packed rows are not also
+    held padded.
     """
     scale = np.asarray(1.0 / math.sqrt(q.data.shape[-1] // n_heads), dtype=q.dtype)
     packing = mask if isinstance(mask, Packing) else None
@@ -505,7 +544,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                                n_heads, mask)
 
     def backward(g):
-        go = heads(g)
+        # the output took its head rows from item 0: their dO goes there alone
+        go = _split_heads(g if packing is None else packing.place(g), n_heads)
         ds = _softmax_grad(p, go @ np.swapaxes(heads(v.data), -1, -2), -1)
         ds *= scale
         for t, grad in ((q, ds @ heads(k.data)),
@@ -514,7 +554,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             if t.requires_grad:
                 grad = _merge_heads(grad)
                 t._accum(_unbroadcast(grad, t.data.shape) if packing is None
-                         else packing.gather(grad))
+                         else packing.adjoint(grad))
 
     return _result(out if packing is None else packing.gather(out),
                    (q, k, v), backward)

@@ -357,9 +357,12 @@ class TestStream:
             blocks.append(block)
             seqs.append(assemble_sequence(block, caption, vocab))
         got = model.embed_stream(seqs, nn.concat(blocks))
-        # the packed layout: each item's real rows, item after item
+        # the packed layout: the shared head once, then each item's own
+        # rows, item after item
         padded = reference_stream(model, seqs, blocks)
-        want = nn.concat([padded[i, :s.length] for i, s in enumerate(seqs)])
+        head = len(seqs[0].prefix_ids)
+        want = nn.concat([padded[i, head * (i > 0):s.length]
+                          for i, s in enumerate(seqs)])
         assert got.dtype == want.dtype and np.array_equal(got.data, want.data)
         if len(items) == 1 and items[0][1] is None:
             assert np.array_equal(model._prompt(blocks[0], vocab).data,
@@ -384,6 +387,106 @@ class TestStream:
         with pytest.raises(nn.ShapeMismatch):
             model.embed_stream([seq, seq], acoustic_block(n=5))
 
+    def test_items_must_share_the_head(self):
+        vocab = tiny_vocab()
+        model = make_decoder(vocab)
+        seq = assemble_sequence(acoustic_block(n=3), "a low tone", vocab)
+        other = SpliceSequence(seq.prefix_ids[:-1], 3, seq.suffix_ids,
+                               seq.caption_ids)
+        with pytest.raises(nn.ShapeMismatch):
+            model.embed_stream([seq, other], acoustic_block(n=6))
+
+
+def unshared_loss(model, splices, acoustic):
+    """`forward_loss` with every item's whole stream packed, its instruction
+    head too: the oracle of the shared head. The loss and its scored rows."""
+    ends = np.cumsum([s.n_acoustic for s in splices])
+    x = nn.concat([model.embed_stream([s], acoustic[end - s.n_acoustic:end])
+                   for s, end in zip(splices, ends)])
+    packing = nn.Packing([s.length for s in splices], True, 0)
+    logits = model.logits(x, at=packing)
+    ids = np.concatenate([s.ids for s in splices])
+    targets = np.flatnonzero(np.concatenate([s.loss_mask for s in splices]))
+    rows = logits[targets - 1]
+    return nn.cross_entropy(rows, ids[targets]), rows.data
+
+
+class TestSharedHead:
+    # (acoustic rows, caption words) per item. OpenBLAS multiplies small
+    # matrices in a kernel that rounds otherwise than its blocked one and
+    # picks it by size, so each batch holds enough rows that its products
+    # run in the same kernel with and without the repeated heads.
+    BATCHES = {"ragged": [(3, 14), (1, 19), (6, 11), (2, 15)],
+               "one": [(4, 12)],
+               "equal": [(2, 20), (2, 20)]}
+
+    @staticmethod
+    def batch(items, mode, dtype, seed=3):
+        vocab = tiny_vocab()
+        model = make_decoder(vocab, seed=seed, layers=2)
+        if mode == "lora":  # q and v adapted, with an adapter that is not zero
+            lora.apply_mode(model, "lora", LoraConfig(rank=2, alpha=4.0), 5)
+            r = nn.rng_from_seed(6)
+            for layer in model.modules():
+                if isinstance(layer, LoraLinear):
+                    layer.lora_b.data = r.normal(
+                        0, 0.1, layer.lora_b.shape).astype(np.float32)
+        model.astype(dtype)
+        r = nn.rng_from_seed(seed)
+        words = vocab.tokens[7:]
+        acoustic = Tensor(r.normal(0, 1, (sum(n for n, _ in items), 32))
+                          .astype(dtype), requires_grad=True)
+        splices = [assemble_sequence(n, " ".join(r.choice(words, size=w)), vocab)
+                   for n, w in items]
+        return model, splices, acoustic
+
+    @pytest.mark.parametrize("mode", ["full_finetune", "lora"])
+    @pytest.mark.parametrize("name", list(BATCHES))
+    def test_logits_match_unshared_bits(self, monkeypatch, name, mode):
+        model, splices, acoustic = self.batch(self.BATCHES[name], mode,
+                                              np.float32)
+        scored = []
+        cross_entropy = nn.cross_entropy
+
+        def spy(logits, targets):
+            scored.append(logits.data)
+            return cross_entropy(logits, targets)
+
+        monkeypatch.setattr(nn, "cross_entropy", spy)
+        loss = model.forward_loss(splices, acoustic)
+        monkeypatch.undo()
+        want, rows = unshared_loss(model, splices, acoustic)
+        assert scored[0].tobytes() == rows.tobytes()
+        assert loss.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("mode", ["full_finetune", "lora"])
+    @pytest.mark.parametrize("name", list(BATCHES))
+    def test_gradients_match_unshared(self, name, mode):
+        model, splices, acoustic = self.batch(self.BATCHES[name], mode,
+                                              np.float64)
+        params = {k: p for k, p in dict(model.named_parameters(),
+                                        acoustic=acoustic).items()
+                  if p.requires_grad}
+        grads = []
+        for loss_fn in (model.forward_loss,
+                        lambda s, a: unshared_loss(model, s, a)[0]):
+            for p in params.values():
+                p.grad = None
+            loss_fn(splices, acoustic).backward()
+            grads.append({k: p.grad for k, p in params.items()})
+        got, want = grads
+        assert len(want) > 8
+        if mode == "full_finetune":
+            # the head's token and position rows, summed over every item
+            head = splices[0].prefix_ids
+            assert np.all(got["embed"][head] != 0) and np.all(got["pos"][:8] != 0)
+        # the key biases' gradients are zero in exact arithmetic, so each
+        # gradient is measured against at least 1e-6 of the largest entry
+        floor = 1e-6 * max(np.max(np.abs(w)) for w in want.values())
+        for k, w in want.items():
+            scale = max(np.max(np.abs(w)), floor)
+            assert np.max(np.abs(got[k] - w)) <= 1e-10 * scale, k
+
 
 class TestCausality:
     def test_future_caption_tokens_do_not_affect_past_logits(self):
@@ -400,6 +503,31 @@ class TestCausality:
                                    seq.suffix_ids, seq.caption_ids[:1])
         trunc = full_logits(model, model.embed_stream([trunc_seq], acoustic)).data
         assert np.allclose(full[:trunc.shape[0]], trunc, atol=1e-5)
+
+
+def row_log_softmax(row):
+    """The log-softmax of one 1-D row, as decoding computed it row by row:
+    the bit oracle of the batched `_log_softmax`."""
+    m = row.max()
+    return row - (m + math.log(np.exp(row - m).sum()))
+
+
+class TestLogSoftmax:
+    @pytest.mark.parametrize("width", [1, 3, 64])
+    @pytest.mark.parametrize("vocab_size", [1, 27, 300, 4099])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_match_one_row_at_a_time(self, width, vocab_size, seed):
+        r = nn.rng_from_seed([seed, width, vocab_size])
+        rows = r.normal(0, 4, (width, vocab_size)).astype(np.float32)
+        # ties: a row of one value, and values repeated across a row
+        rows[0, :vocab_size // 2] = rows[0, 0]
+        rows[-1] = np.round(rows[-1])
+        if width > 2:
+            rows[1] = 0.5
+        got = dec._log_softmax(rows)
+        assert got.dtype == rows.dtype
+        for g, row in zip(got, rows):
+            assert g.tobytes() == row_log_softmax(row).tobytes()
 
 
 class TestDecoding:

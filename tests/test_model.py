@@ -146,7 +146,11 @@ class TestBatchedLoss:
 
         monkeypatch.setattr(CaptionDecoder, "logits", spy)
         model.loss_on_batch(batch)
-        assert shapes == [(sum(lengths), model.cfg.decoder.d_dec)]
+        # the shared instruction head once, then each item's own rows
+        head = len(assemble_sequence(1, None, model.vocab).prefix_ids)
+        assert head == 8
+        assert shapes == [(sum(lengths) - head * (len(batch) - 1),
+                           model.cfg.decoder.d_dec)]
 
     def test_padding_changes_no_real_token(self):
         model = build_model(tiny_config(seed=2), tiny_vocab())

@@ -71,34 +71,41 @@ class TestAttention:
     @pytest.mark.parametrize("causal", [True, False])
     @pytest.mark.parametrize("lengths", [[3, 1, 5], [4, 4], [6]])
     def test_packed_items_attend_alone(self, lengths, causal):
-        r = rng()
-        q, k, v = (r.normal(0, 1, (sum(lengths), 8)) for _ in range(3))
-        packing = nn.Packing(lengths, causal)
-        out = nn.multi_head_attention(nn.Tensor(q), nn.Tensor(k), nn.Tensor(v),
-                                      2, mask=packing).data
-        assert out.shape == q.shape
-        starts = np.cumsum([0] + lengths)
-        for lo, hi in zip(starts[:-1], starts[1:]):
-            mask = nn.causal_mask(hi - lo) if causal else None
-            alone = nn.multi_head_attention(
-                nn.Tensor(q[lo:hi]), nn.Tensor(k[lo:hi]), nn.Tensor(v[lo:hi]),
-                2, mask=mask).data
-            assert np.allclose(out[lo:hi], alone, rtol=1e-12, atol=1e-12)
+        # a causal packing also with a shared head of up to min(lengths) rows
+        for head in {0, min(lengths) if causal else 0}:
+            r = rng()
+            rows = sum(lengths) - head * (len(lengths) - 1)
+            q, k, v = (r.normal(0, 1, (rows, 8)) for _ in range(3))
+            packing = nn.Packing(lengths, causal, head)
+            out = nn.multi_head_attention(nn.Tensor(q), nn.Tensor(k),
+                                          nn.Tensor(v), 2, mask=packing).data
+            assert out.shape == q.shape
+            # item i is the shared head, then its own rows
+            starts = np.cumsum([head] + [n - head for n in lengths])
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                item = np.r_[0:head, lo:hi]
+                mask = nn.causal_mask(item.size) if causal else None
+                alone = nn.multi_head_attention(
+                    nn.Tensor(q[item]), nn.Tensor(k[item]), nn.Tensor(v[item]),
+                    2, mask=mask).data
+                assert np.allclose(out[item], alone, rtol=1e-12, atol=1e-12)
 
     @staticmethod
-    def packed_node(causal, lengths=(3, 1, 5), d=8):
+    def packed_node(causal, head=0, lengths=(3, 1, 5), d=8):
         r = rng()
-        q, k, v = (nn.Tensor(r.normal(0, 1, (sum(lengths), d)).astype(np.float32),
+        rows = sum(lengths) - head * (len(lengths) - 1)
+        q, k, v = (nn.Tensor(r.normal(0, 1, (rows, d)).astype(np.float32),
                              requires_grad=True) for _ in range(3))
-        w = r.normal(0, 1, (sum(lengths), d)).astype(np.float32)
-        packing = nn.Packing(lengths, causal)
+        w = r.normal(0, 1, (rows, d)).astype(np.float32)
+        packing = nn.Packing(lengths, causal, head)
         out = nn.multi_head_attention(q, k, v, 2, mask=packing)
         return q, k, v, w, packing, out
 
     @pytest.mark.parametrize("causal", [True, False])
     def test_packed_backward_keeps_no_padded_copy(self, causal):
-        # 3 items padded to 5 rows of width 8, 2 heads of width 4
-        *_, out = self.packed_node(causal)
+        # 3 items padded to 5 rows of width 8, 2 heads of width 4; a causal
+        # packing shares its first row
+        *_, out = self.packed_node(causal, int(causal))
         padded = {(3, 5, 8), (15, 8), (3, 5, 2, 4), (3, 2, 5, 4)}
         held, todo = [], list(out._backward.__closure__)
         while todo:
@@ -120,9 +127,15 @@ class TestAttention:
 
     @pytest.mark.parametrize("causal", [True, False])
     def test_packed_gradients_match_padded_copies_bit_for_bit(self, causal):
-        q, k, v, w, packing, out = self.packed_node(causal)
+        # a causal packing also with a shared first row
+        for head in {0, int(causal)}:
+            self.check_padded_copies(*self.packed_node(causal, head))
+
+    @staticmethod
+    def check_padded_copies(q, k, v, w, packing, out):
         tsum(out * w).backward()
-        # the same ops on padded copies of q, k and v kept from the forward
+        # the same ops on padded copies of q, k and v kept from the forward;
+        # the output's gradient in item 0's head, the head's summed over items
         dh = 4
         scale = np.asarray(1.0 / math.sqrt(dh), dtype=np.float32)
 
@@ -140,12 +153,50 @@ class TestAttention:
             scores += packing.mask
         p = nn._softmax(scores, -1)
         assert out.data.tobytes() == packing.gather(merge(p @ vh)).tobytes()
-        go = split(packing.scatter(w))
+        go = split(packing.place(w))
         ds = nn._softmax_grad(p, go @ np.swapaxes(vh, -1, -2), -1)
         ds *= scale
         for t, grad in ((q, ds @ kh), (k, np.swapaxes(ds, -1, -2) @ qh),
                         (v, np.swapaxes(p, -1, -2) @ go)):
-            assert t.grad.tobytes() == packing.gather(merge(grad)).tobytes()
+            assert t.grad.tobytes() == packing.adjoint(merge(grad)).tobytes()
+
+
+class TestPacking:
+    CASES = [([3, 1, 5], 0), ([3, 1, 5], 1), ([4, 4], 2), ([4, 4, 4], 4),
+             ([6], 3), ([2, 7, 3], 2)]
+
+    @pytest.mark.parametrize("lengths, head", CASES)
+    def test_adjoints(self, lengths, head):
+        # <scatter(x), y> = <x, adjoint(y)> and <gather(y), x> = <y, place(x)>
+        packing = nn.Packing(lengths, True, head)
+        r = rng()
+        x = r.normal(0, 1, (packing.pos.size, 3))
+        y = r.normal(0, 1, packing.shape + (3,))
+        assert np.isclose(np.vdot(packing.scatter(x), y),
+                          np.vdot(x, packing.adjoint(y)), rtol=1e-12)
+        assert np.isclose(np.vdot(packing.gather(y), x),
+                          np.vdot(y, packing.place(x)), rtol=1e-12)
+
+    @pytest.mark.parametrize("lengths, head", CASES)
+    def test_layout(self, lengths, head):
+        packing = nn.Packing(lengths, True, head)
+        rows = packing.pos.size
+        assert rows == sum(lengths) - head * (len(lengths) - 1)
+        padded = packing.scatter(np.arange(1, rows + 1)[:, None])[..., 0]
+        for i, n in enumerate(lengths):
+            # the head, then the item's own rows; zero pads
+            own = padded[i, :n] - 1
+            assert np.array_equal(own[:head], np.arange(head))
+            assert np.array_equal(packing.pos[own], np.arange(n))
+            assert np.array_equal(packing.row(np.full(n, i), np.arange(n)), own)
+            assert not padded[i, n:].any()
+        assert np.array_equal(packing.gather(padded[..., None])[:, 0],
+                              np.arange(1, rows + 1))
+
+    @pytest.mark.parametrize("head, causal", [(2, True), (1, False)])
+    def test_head_fits_every_causal_item(self, head, causal):
+        with pytest.raises(nn.ShapeMismatch):
+            nn.Packing([3, 1, 5], causal, head)
 
 
 
@@ -182,6 +233,11 @@ class TestCrossEntropy:
     def test_one_target_per_row(self):
         with pytest.raises(nn.ShapeMismatch):
             nn.cross_entropy(nn.Tensor(np.zeros((3, 4))), np.array([0, 1]))
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_target_ids_in_vocabulary(self, bad):
+        with pytest.raises(nn.ShapeMismatch, match="outside vocabulary"):
+            nn.cross_entropy(nn.Tensor(np.zeros((2, 4))), np.array([0, bad]))
 
 
 def reference_adamw_step(opt):
@@ -237,6 +293,17 @@ class TestAdamW:
             runs.append({k: p.data.tobytes() for k, p in params.items()})
         assert runs[0] == runs[1]
         assert runs[0]["w"] != init["w"].tobytes()
+
+    def test_gradient_shape_must_match(self):
+        params = {k: nn.parameter(np.ones(s, dtype=np.float32))
+                  for k, s in (("w", (6, 4)), ("b", (4,)))}
+        opt = nn.AdamW(params, lr=1e-2)
+        params["w"].grad = np.ones((6, 4), dtype=np.float32)
+        params["b"].grad = np.ones((1, 4), dtype=np.float32)
+        with pytest.raises(nn.ShapeMismatch, match="for b"):
+            opt.step()
+        # nothing moved: the shapes are checked before any update
+        assert opt.t == 0 and np.all(params["w"].data == 1.0)
 
     def test_holds_no_arrays_but_its_moments(self):
         params = {k: nn.parameter(np.ones(s, dtype=np.float32))
@@ -308,6 +375,16 @@ class TestAdamW:
 
 
 class TestBackwardOps:
+    def test_backward_needs_a_scalar(self):
+        t = nn.Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(nn.ShapeMismatch, match="scalar"):
+            (t * 2.0).backward()
+
+    def test_affine_checks_the_input_width(self):
+        w = nn.Tensor(np.ones((3, 4)), requires_grad=True)
+        with pytest.raises(nn.DimensionMismatch, match="last dim 4"):
+            nn.affine(nn.Tensor(np.ones((2, 5))), w)
+
     def test_broadcast_add_backward(self):
         a = nn.Tensor(np.ones((3, 1)), requires_grad=True)
         b = nn.Tensor(np.ones((1, 4)), requires_grad=True)
@@ -369,7 +446,10 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("causal", [True, False])
     def test_attention_packed(self, causal):
-        self.attention_case((9, 8), (9, 8), nn.Packing([3, 1, 5], causal))
+        self.attention_case((9, 8), (9, 8), nn.Packing([3, 1, 5], causal, 0))
+
+    def test_attention_packed_shared_head(self):
+        self.attention_case((6, 8), (6, 8), nn.Packing([3, 2, 5], True, 2))
 
     def test_attention_broadcast_query(self):
         self.attention_case((3, 8), (2, 4, 8))

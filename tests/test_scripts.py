@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import json
 import os
@@ -54,16 +55,27 @@ def test_design_census_counting_rule(tmp_path):
     assert run_census(str(tmp_path)) == {"src_lines": 10, "settable_values": 5}
 
 
-def test_fingerprint_repeats_itself():
+def test_fingerprint_repeats_itself(tmp_path):
+    curves = [tmp_path / f"curve{i}.txt" for i in range(2)]
     runs = [subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "fingerprint.py"), "--steps", "3"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300) for _ in range(2)]
+        [sys.executable, str(ROOT / "scripts" / "fingerprint.py"), "--steps", "3",
+         "--curve", str(curve)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300) for curve in curves]
     assert all(run.returncode == 0 for run in runs), runs[0].stderr
     assert runs[0].stdout == runs[1].stdout
     printed = json.loads(runs[0].stdout)
     assert printed["steps"] == 3 and printed["blas_threads"] == 1
     assert printed["census"] == run_census()
     assert printed["checkpoint"]["bytes"] > 0
+    # the curve file holds the lines whose digest is `loss_curve`
+    text = curves[0].read_text(encoding="utf-8")
+    assert text == curves[1].read_text(encoding="utf-8")
+    lines = text.splitlines()
+    assert len(lines) == 3 and text == "\n".join(lines) + "\n"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == printed["loss_curve"]
+    first = printed["first_step"]
+    assert first["loss"] == lines[0] and float.fromhex(lines[0]) > 0
+    assert len(first["scored_rows"]) == 64 and int(first["scored_rows"], 16)
 
 
 @pytest.fixture(scope="module")
