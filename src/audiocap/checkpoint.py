@@ -107,7 +107,7 @@ def deserialize(blob: bytes) -> CaptionModel:
         raise CorruptCheckpoint("truncated header")
     try:
         header = json.loads(blob[16:body_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or too many digits
         raise CorruptCheckpoint(f"unreadable header ({e})") from e
     try:
         if header["version"] != version:
@@ -124,7 +124,7 @@ def deserialize(blob: bytes) -> CaptionModel:
             model = build_model(cfg, vocab)  # a LoRA rank past a layer's width raises
     except VersionMismatch:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CorruptCheckpoint(f"invalid header contents ({e})") from e
 
     end = body_start + sum(4 * math.prod(shape) for _, shape, _ in tensors)

@@ -59,8 +59,8 @@ def read_jsonl(path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) per non-blank line of a JSON Lines file.
 
     Raises IoError if the file cannot be opened, MalformedLine on a line
-    that is not UTF-8, bad JSON or a row that is not an object, and
-    MissingField on a missing key.
+    that is not UTF-8, bad JSON (an integer past Python's digit limit
+    too) or a row that is not an object, and MissingField on a missing key.
     """
     try:
         with open(path, "rb") as fh:
@@ -77,8 +77,8 @@ def read_jsonl(path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise MalformedLine(lineno, f"invalid JSON ({e.msg})") from e
+        except ValueError as e:  # JSONDecodeError, or too many digits
+            raise MalformedLine(lineno, f"invalid JSON ({getattr(e, 'msg', e)})") from e
         except RecursionError as e:
             raise MalformedLine(lineno, "JSON nested too deeply") from e
         if not isinstance(obj, dict):

@@ -1,17 +1,19 @@
 """Instruction-prompted autoregressive caption decoder.
 
-The decoder consumes a spliced stream: <bos>, the fixed instruction
-tokens, the bridged acoustic embeddings in the instruction's slot, the
-instruction tail, then (at training time) the caption and <eos>. The
-bridged rows are soft-prompt rows of the token table, so a batch's stream,
-and the inference prompt as its batch of one, is one gather. The logits
-run in two modes. Training packs the batch's shared instruction head
-once, then each item's own rows, so no pad row and no repeated head row
-is computed, and attention stays causal within each item.
-Decoding extends per-layer key/value caches by the new rows and scores
-the last one. Loss is masked to caption positions only. Word-level
-vocabulary; one beam search writes every caption, greedy decoding being
-its width 1, with deterministic tie-breaking.
+An item's stream is <bos> and the fixed instruction's head, the bridged
+acoustic rows in the instruction's slot, the instruction's tail, then (at
+training time) the caption and <eos>. The decoder is built from its
+vocabulary and encodes the head and tail once; `embed_stream` lays out
+any batch from the bridged rows, one row count per item, and the caption
+ids. The bridged rows are soft-prompt rows of the token table, so a
+batch's stream, and the inference prompt as its batch of one with no
+caption, is one gather. The logits run in two modes. Training packs the
+batch's shared instruction head once, then each item's own rows, so no
+pad row and no repeated head row is computed, and attention stays causal
+within each item. Decoding extends per-layer key/value caches by the new
+rows and scores the last one. Loss is masked to caption positions only.
+Word-level vocabulary; one beam search writes every caption, greedy
+decoding being its width 1, with deterministic tie-breaking.
 """
 
 from __future__ import annotations
@@ -119,87 +121,47 @@ class DecoderConfig:
             raise ValueError("d_dec must be divisible by heads >= 1")
 
 
-@dataclass
-class SpliceSequence:
-    """Decoder input: prompt head, acoustic block, prompt tail, caption."""
-
-    prefix_ids: np.ndarray  # <bos> + instruction head, up to the slot
-    n_acoustic: int         # bridged rows in the instruction's slot
-    suffix_ids: np.ndarray  # instruction tail after the slot
-    caption_ids: np.ndarray  # caption + <eos>, empty at inference
-
-    @property
-    def length(self) -> int:
-        return len(self.ids)
-
-    @property
-    def ids(self) -> np.ndarray:
-        """Target ids over the stream; acoustic slots hold <pad>."""
-        acoustic_ids = np.full(self.n_acoustic, Vocabulary.PAD, dtype=np.int64)
-        return np.concatenate([self.prefix_ids, acoustic_ids,
-                               self.suffix_ids, self.caption_ids])
-
-    @property
-    def loss_mask(self) -> np.ndarray:
-        """True exactly on caption ids and the trailing <eos>."""
-        return np.arange(self.length) >= self.length - len(self.caption_ids)
-
-
-def assemble_sequence(acoustic: Tensor | int, caption: str | None,
-                      vocab: Vocabulary) -> SpliceSequence:
-    """The layout of one item; `acoustic` is its bridged block or row count."""
-    n = acoustic.shape[0] if isinstance(acoustic, Tensor) else int(acoustic)
-    head, tail = CAPTION_INSTRUCTION.split(ACOUSTIC_SLOT)
-    prefix = np.array([vocab.BOS] + vocab.encode(head), dtype=np.int64)
-    suffix = np.array(vocab.encode(tail), dtype=np.int64)
-    if caption is None:
-        caption_ids = np.zeros(0, dtype=np.int64)
-    else:
-        caption_ids = np.array(vocab.encode(caption) + [vocab.EOS], dtype=np.int64)
-    return SpliceSequence(prefix, n, suffix, caption_ids)
-
-
 class CaptionDecoder(Module):
-    def __init__(self, cfg: DecoderConfig, vocab_size: int,
+    def __init__(self, cfg: DecoderConfig, vocab: Vocabulary,
                  rng: np.random.Generator):
-        self.embed = nn.parameter(rng.normal(0.0, 0.02, (vocab_size, cfg.d_dec)))
+        self.embed = nn.parameter(rng.normal(0.0, 0.02, (len(vocab), cfg.d_dec)))
         self.pos = nn.parameter(rng.normal(0.0, 0.02, (cfg.max_seq, cfg.d_dec)))
         self.blocks = [TransformerBlock(cfg.d_dec, cfg.heads, cfg.ffn_mult, rng)
                        for _ in range(cfg.layers)]
         self.out_gain = nn.parameter(np.ones(cfg.d_dec))
-        self.head = Linear(cfg.d_dec, vocab_size, rng)
-        self.cfg = cfg
+        self.head = Linear(cfg.d_dec, len(vocab), rng)
+        self.cfg, self.vocab = cfg, vocab
+        # the instruction around the acoustic slot, encoded once
+        head, tail = CAPTION_INSTRUCTION.split(ACOUSTIC_SLOT)
+        self.prompt_head = [Vocabulary.BOS] + vocab.encode(head)
+        self.prompt_tail = vocab.encode(tail)
 
-    @property
-    def vocab_size(self) -> int:
-        return self.embed.data.shape[0]
-
-    def embed_stream(self, seqs: list[SpliceSequence], acoustic: Tensor) -> Tensor:
+    def embed_stream(self, acoustic: Tensor, counts: list[int],
+                     captions: list[list[int]]) -> tuple[Tensor, list[int]]:
         """The items' streams packed with their shared head once, without
-        positions: (sum of lengths - (B - 1) * head, d).
+        positions, (sum of lengths - (B - 1) * head, d), and their lengths.
 
-        Every item starts with the same `prefix_ids`, the head: <bos> and
-        the instruction up to the acoustic slot. The packed stream is the
-        head, then each item's own rows, item after item, as the
-        `nn.Packing` with that head lays them out; a batch of one is its
-        whole stream. `acoustic` holds every item's bridged rows,
-        (sum of n_acoustic, d), item i's contiguous and in order. The
+        Item i's stream is `prompt_head` (<bos> and the instruction up to
+        the acoustic slot), its `counts[i]` bridged rows, `prompt_tail` and
+        `captions[i]`, its caption ids and <eos> (none at inference). The
+        packed stream is the head, then each item's own rows, item after
+        item, as the `nn.Packing` with that head lays them out; a batch of
+        one is its whole stream. `acoustic` holds every item's bridged
+        rows, (sum of counts, d), item i's contiguous and in order. The
         stream is one gather from the token table with those rows
-        appended: prompt and caption ids index the table, and item i's
-        acoustic slot j indexes V + offset_i + j.
+        appended: prompt and caption ids index the table, and acoustic row
+        r indexes V + r.
         """
-        head = seqs[0].prefix_ids
-        rows, offset = [head], 0
-        for s in seqs:
-            if not np.array_equal(s.prefix_ids, head):
-                raise nn.ShapeMismatch("the items' streams start differently")
-            ids = s.ids[len(head):]
-            ids[:s.n_acoustic] = self.vocab_size + offset + np.arange(s.n_acoustic)
-            offset += s.n_acoustic
-            rows.append(ids)
-        if offset != acoustic.shape[0]:
-            raise nn.ShapeMismatch(f"{acoustic.shape[0]} acoustic rows for {offset} slots")
-        return nn.concat([self.embed, acoustic])[np.concatenate(rows)]
+        if sum(counts) != acoustic.shape[0]:
+            raise nn.ShapeMismatch(f"{acoustic.shape[0]} acoustic rows for "
+                                   f"{sum(counts)} slots")
+        ids, lengths, slot = list(self.prompt_head), [], len(self.vocab)
+        for n, caption in zip(counts, captions, strict=True):
+            own = [*range(slot, slot + n), *self.prompt_tail, *caption]
+            ids += own
+            lengths.append(len(self.prompt_head) + len(own))
+            slot += n
+        return nn.concat([self.embed, acoustic])[np.array(ids)], lengths
 
     def logits(self, x: Tensor, caches: list[nn.KVCache] | None = None,
                at: int | nn.Packing = 0) -> Tensor:
@@ -228,42 +190,37 @@ class CaptionDecoder(Module):
         h = nn.rms_norm_forward(h[..., -1:, :], self.out_gain.data)[0]
         return Tensor(self.head.forward_array(h))
 
-    def forward_loss(self, splices: list[SpliceSequence], acoustic: Tensor) -> Tensor:
-        """Mean cross-entropy over all caption positions in the batch;
-        `acoustic` is every item's bridged rows, as `embed_stream` takes them.
+    def forward_loss(self, acoustic: Tensor, counts: list[int],
+                     captions: list[str]) -> Tensor:
+        """Mean cross-entropy over every caption token and <eos> in the
+        batch; item i's caption follows its `counts[i]` rows of `acoustic`.
 
         The stream is packed with the shared instruction head once
         (`embed_stream`), so every row is real and the head's rows are
         computed once per batch; attention stays within each item, whose
         padded layout holds the head again (`nn.Packing`).
         """
-        if not splices:
+        if not captions:
             raise nn.EmptyTargetSet("empty batch")
-        t_max = max(s.length for s in splices)
-        if t_max > self.cfg.max_seq:
-            raise SequenceTooLong(f"batch length {t_max} exceeds {self.cfg.max_seq}")
-        packing = nn.Packing([s.length for s in splices], causal=True,
-                             head=len(splices[0].prefix_ids))
-        logits = self.logits(self.embed_stream(splices, acoustic), at=packing)
+        targets = [self.vocab.encode(c) + [Vocabulary.EOS] for c in captions]
+        x, lengths = self.embed_stream(acoustic, counts, targets)
+        if max(lengths) > self.cfg.max_seq:
+            raise SequenceTooLong(f"batch length {max(lengths)} exceeds {self.cfg.max_seq}")
+        packing = nn.Packing(lengths, causal=True, head=len(self.prompt_head))
+        logits = self.logits(x, at=packing)
         # an item's row p predicts its row p + 1, so the rows that count are
         # those just before a caption position; an item's first row never is
-        items = np.concatenate([np.full(len(s.caption_ids), i)
-                                for i, s in enumerate(splices)])
-        positions = np.concatenate([np.flatnonzero(s.loss_mask) for s in splices])
+        items = np.concatenate([np.full(len(t), i) for i, t in enumerate(targets)])
+        positions = np.concatenate([np.arange(n - len(t), n)
+                                    for n, t in zip(lengths, targets)])
         return nn.cross_entropy(logits[packing.row(items, positions - 1)],
-                                np.concatenate([s.caption_ids for s in splices]))
+                                np.concatenate(targets))
 
-    def _prompt(self, acoustic: Tensor, vocab: Vocabulary) -> Tensor:
-        """The inference stream, <bos> + head + acoustic + tail, as (1, T, d)."""
-        seq = assemble_sequence(acoustic, None, vocab)
-        x = self.embed_stream([seq], acoustic)
-        return nn.reshape(x, (1,) + x.shape)
-
-    def greedy_decode(self, acoustic: Tensor, vocab: Vocabulary) -> str:
+    def greedy_decode(self, acoustic: Tensor) -> str:
         """Beam search of width 1; the benchmark's layer table binds this name."""
-        return self.beam_decode(acoustic, vocab, 1)
+        return self.beam_decode(acoustic, 1)
 
-    def beam_decode(self, acoustic: Tensor, vocab: Vocabulary, beam: int) -> str:
+    def beam_decode(self, acoustic: Tensor, beam: int) -> str:
         """Beam search over token ids, the live hypotheses run as one batch.
 
         Hypothesis score is total log-prob divided by length**LENGTH_NORM
@@ -279,7 +236,8 @@ class CaptionDecoder(Module):
         """
         if beam < 1:
             raise ValueError("beam width must be >= 1")
-        x, start = self._prompt(acoustic, vocab).data, 0
+        stream, _ = self.embed_stream(acoustic, [acoustic.shape[0]], [[]])
+        x, start = stream.data[None], 0  # the prompt, (1, T, d)
         caches = [nn.KVCache(beam, x.shape[1] + self.cfg.max_caption,
                              self.cfg.d_dec, x.dtype) for _ in self.blocks]
         live: list[list[int]] = [[]]
@@ -311,7 +269,7 @@ class CaptionDecoder(Module):
             prior, live, survivors = live, [], []
             for c in ranked[:beam]:
                 ids = prior[c // width] + [c % width]
-                if ids[-1] == vocab.EOS:
+                if ids[-1] == Vocabulary.EOS:
                     total = float(cand_totals[c])
                     done.append((ids, total))
                     best = max(best, norm(total, len(ids)))
@@ -328,7 +286,7 @@ class CaptionDecoder(Module):
                 x = self.embed.data[(kept % width)[:, None]]
         done.extend(zip(live, totals.tolist()))  # capped ones compete; stopped ones lose
         best_ids, _ = min(done, key=lambda d: (-norm(d[1], len(d[0])), d[0]))
-        return vocab.decode(best_ids)
+        return self.vocab.decode(best_ids)
 
 
 def _log_softmax(rows: np.ndarray) -> np.ndarray:

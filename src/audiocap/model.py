@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 from . import nn
 from .bridge import BridgeConfig, QueryBridge, output_count
-from .decoder import CaptionDecoder, DecoderConfig, Vocabulary, assemble_sequence
+from .decoder import CaptionDecoder, DecoderConfig, Vocabulary
 from .encoder import EncoderConfig, PatchEncoder
 from .frontend import FrontendConfig, PatchSequence, Waveform, wave_to_patches
 from .lora import LoraConfig, TrainStrategy, apply_strategy
@@ -37,7 +38,8 @@ class PipelineConfig:
 
         Raises ValueError on a section that is not an object, an unknown
         name, or a value whose JSON type differs from its field's default;
-        an integer passes for a float, a boolean never for a number.
+        an integer passes for a float if a float can hold it, a boolean
+        never for a number. Values are kept as given, never coerced.
         """
         kwargs = {}
         sections = {"frontend": FrontendConfig, "encoder": EncoderConfig,
@@ -69,6 +71,9 @@ def _check_type(name: str, default, val):
     if isinstance(val, bool) or not isinstance(val, accepted):
         raise ValueError(f"config {name}: expected {type(default).__name__}, "
                          f"got {val!r}")
+    too_big = isinstance(val, int) and abs(val) > sys.float_info.max
+    if too_big and isinstance(default, float):  # float() would overflow
+        raise ValueError(f"config {name}: integer too large for a float")
     return val
 
 
@@ -83,7 +88,7 @@ class CaptionModel(Module):
                                     fe.patch ** 2, fe.n_mels // fe.patch)
         self.bridge = QueryBridge(cfg.bridge, cfg.encoder.d_enc,
                                   nn.rng_from_seed([cfg.seed, 2]))
-        self.decoder = CaptionDecoder(cfg.decoder, len(vocab),
+        self.decoder = CaptionDecoder(cfg.decoder, vocab,
                                       nn.rng_from_seed([cfg.seed, 3]))
 
     def acoustic_tokens(self, patches: PatchSequence) -> Tensor:
@@ -97,16 +102,16 @@ class CaptionModel(Module):
         acoustic = self.bridge.forward_batch(self.encoder.forward_batch(patches),
                                              [p.count for p in patches])
         window = self.cfg.bridge.window
-        return self.decoder.forward_loss([
-            assemble_sequence(output_count(p.count, window), caption, self.vocab)
-            for p, caption in batch], acoustic)
+        return self.decoder.forward_loss(
+            acoustic, [output_count(p.count, window) for p in patches],
+            [caption for _, caption in batch])
 
     def caption_patches(self, patches: PatchSequence, beam: int = 1) -> str:
         with nn.no_grad():
             acoustic = self.acoustic_tokens(patches)
             if beam == 1:
-                return self.decoder.greedy_decode(acoustic, self.vocab)
-            return self.decoder.beam_decode(acoustic, self.vocab, beam)
+                return self.decoder.greedy_decode(acoustic)
+            return self.decoder.beam_decode(acoustic, beam)
 
     def caption_wave(self, wave: Waveform, beam: int = 1) -> str:
         return self.caption_patches(wave_to_patches(wave, self.cfg.frontend), beam)

@@ -19,7 +19,7 @@ from audiocap import checkpoint as ckpt
 from audiocap import data, fluency, lora, metrics, nn
 from audiocap.bridge import BridgeConfig, QueryBridge, output_count
 from audiocap.decoder import (ACOUSTIC_SLOT, CAPTION_INSTRUCTION,
-                              DecoderConfig, assemble_sequence, build_vocab)
+                              CaptionDecoder, DecoderConfig, build_vocab)
 from audiocap.encoder import EncoderConfig
 from audiocap.frontend import Waveform, wave_to_patches
 from audiocap.lora import TrainStrategy, trainable_parameters
@@ -279,12 +279,16 @@ def test_criterion_08_prompt_fidelity():
                                    "<AcousticTokens> \n --- \n Detailed: ")
     vocab = tiny_vocab()
     acoustic = nn.Tensor(nn.rng_from_seed(0).normal(0, 1, (6, 32)))
-    seq = assemble_sequence(acoustic, "a low tone", vocab)
-    assert [vocab.tokens[i] for i in seq.prefix_ids] == \
+    decoder = CaptionDecoder(DecoderConfig(d_dec=32, layers=1, heads=2), vocab,
+                             nn.rng_from_seed(0))
+    assert [vocab.tokens[i] for i in decoder.prompt_head] == \
         ["<bos>", "describe", "the", "detail", "of", "this", "audio", ":"]
-    assert [vocab.tokens[i] for i in seq.suffix_ids] == \
+    assert [vocab.tokens[i] for i in decoder.prompt_tail] == \
         ["\n", "---", "\n", "detailed", ":"]
-    assert seq.length == 8 + 6 + 5 + 4  # prompt around the acoustic block
+    stream, lengths = decoder.embed_stream(
+        acoustic, [6], [vocab.encode("a low tone") + [vocab.EOS]])
+    # prompt around the acoustic block
+    assert lengths == [stream.shape[0]] == [8 + 6 + 5 + 4]
 
     assert fluency.REVISION_PROMPT == (
         "Revise the sentence to make it more correct and idiomatic: \n "

@@ -116,6 +116,16 @@ class TestRoundTrip:
         # the draws are back after the load: a fresh build has the same bits
         assert ckpt.serialize(fresh_model(strategy)) == blob
 
+    def test_integer_float_setting_is_kept(self):
+        # an integer in a float setting loads as it is, up to the largest
+        # a float holds, so the file round-trips
+        big = 10 ** 308
+        blob = ckpt.serialize(ckpt.deserialize(with_header(
+            lambda h: h["config"]["lora"].update(alpha=big))))
+        model = ckpt.deserialize(blob)
+        assert model.cfg.lora.alpha == big and type(model.cfg.lora.alpha) is int
+        assert ckpt.serialize(model) == blob
+
     def test_feature_stats_restored(self):
         loaded = ckpt.deserialize(ckpt.serialize(fresh_model()))
         assert loaded.encoder.feat_mean == -4.5
@@ -242,6 +252,10 @@ class TestCorruption:
                    h["config"]["lora"].update(rank=0)),
         lambda h: (h["config"]["strategy"].update(encoder="lora"),
                    h["config"]["lora"].update(rank=99)),
+        lambda h: h["feature_stats"].update(mean=10 ** 400),
+        lambda h: h["feature_stats"].update(std=10 ** 400),
+        lambda h: h["config"]["lora"].update(alpha=10 ** 400),
+        lambda h: h["config"]["frontend"].update(log_floor=10 ** 400),
     ], ids=["stats-empty", "no-shape", "stats-list", "entry-list",
             "tensors-object", "mean-string", "shape-string", "mean-nan",
             "std-inf", "std-zero", "heads-zero", "hop-negative",
@@ -249,10 +263,22 @@ class TestCorruption:
             "strategy-mode-not-string", "max_caption-zero",
             "alpha-nan", "vocab-int-token", "vocab-duplicate-word",
             "shape-inf", "shape-fraction", "seed-negative",
-            "lora-rank-zero", "lora-rank-past-width"])
+            "lora-rank-zero", "lora-rank-past-width", "mean-past-float",
+            "std-past-float", "alpha-past-float", "log_floor-past-float"])
     def test_bad_header_field(self, edit):
         with pytest.raises(ckpt.CorruptCheckpoint):
             ckpt.deserialize(with_header(edit))
+
+    def test_integer_past_the_digit_limit(self):
+        # json.loads raises a plain ValueError on 4,301 digits
+        blob = ckpt.serialize(fresh_model())
+        (n,) = struct.unpack_from("<Q", blob, 8)
+        header = blob[16:16 + n].replace(b'"mean":-4.5', b'"mean":9' + b"0" * 4300)
+        assert len(header) > n
+        blob = sealed(blob[:8] + struct.pack("<Q", len(header)) + header
+                      + blob[16 + n:-4])
+        with pytest.raises(ckpt.CorruptCheckpoint, match="unreadable header"):
+            ckpt.deserialize(blob)
 
     # headers that pass the length and CRC-32 checks but not the model
     @pytest.mark.parametrize("edit, match", [

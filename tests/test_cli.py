@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from audiocap import cli, data, fluency
+from audiocap import cli, data, fluency, metrics
 from audiocap.data import parse_manifest
 from audiocap.model import CaptionModel
 from conftest import tiny_config
@@ -219,12 +224,16 @@ class TestTrain:
         {"bridge": {"cross_layers": -1}}, {"bridge": {"self_layers": -1}},
         {"lora": {"alpha": float("nan")},
          "strategy": {"encoder": "lora", "decoder": "lora"}},
+        {"lora": {"alpha": 10 ** 400}}, {"lora": {"alpha": -10 ** 400}},
+        {"frontend": {"log_floor": 10 ** 400}},
     ], ids=["encoder-layers", "decoder-layers", "cross_layers", "self_layers",
-            "alpha-nan"])
+            "alpha-nan", "alpha-past-float", "alpha-past-negative-float",
+            "log_floor-past-float"])
     def test_negative_layers_or_nan_alpha_is_data_error(self, workdir, tmp_path,
                                                          capsys, doc):
         # negative layer counts built no layers and trained; a NaN alpha
-        # failed at the first loss with exit 3
+        # failed at the first loss with exit 3; an integer past float range
+        # raised OverflowError in a float check: a traceback and exit 1
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "x.ckpt"
@@ -286,6 +295,21 @@ class TestCaption:
         rc = cli.main(["caption", "--ckpt", str(bad), "--wav", str(wav)])
         assert rc == 2
         assert "shape mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["feature_stats"].update(mean=10 ** 400),
+        lambda h: h["config"]["lora"].update(alpha=10 ** 400),
+    ], ids=["mean", "alpha"])
+    def test_header_integer_past_float_range_is_data_error(self, workdir,
+                                                           tmp_path, capsys,
+                                                           edit):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(with_header(edit))
+        wav = workdir["corpus"] / "clip_0000.wav"
+        rc = cli.main(["caption", "--ckpt", str(bad), "--wav", str(wav)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: invalid header contents")
 
     def test_correct_applies_the_rules_gate(self, workdir, capsys,
                                             dangling_captions):
@@ -432,6 +456,10 @@ class TestScore:
         ("cands", '{"id": "c", "caption": null}'),
         ("cands", '{"id": "c", "caption": ["x"]}'),
         pytest.param("cands", "[" * 100_000, id="cands-deeply-nested"),
+        pytest.param("cands", '{"id": "c", "caption": 1%s}' % ("0" * 4300),
+                     id="cands-past-the-digit-limit"),
+        pytest.param("refs", '{"id": "c", "captions": [1%s]}' % ("0" * 4300),
+                     id="refs-past-the-digit-limit"),
     ])
     def test_malformed_row_is_data_error(self, tmp_path, capsys, which, row):
         cands, refs = self.write_corpus(tmp_path)
@@ -495,6 +523,133 @@ class TestScore:
                        "--out", str(tmp_path / "r.json")])
         assert rc == 2
         capsys.readouterr()
+
+
+# -- the JSON Lines readers on generated rows ---------------------------------
+
+DIGIT_LIMIT = 4300  # Python's int-string limit: json.loads refuses more digits
+
+
+class RawJson(str):
+    """JSON text written as it is: an integer `json.dumps` cannot write."""
+
+
+def to_json(value) -> str:
+    """`json.dumps`, writing `RawJson` values unchanged."""
+    if isinstance(value, RawJson):
+        return value
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {to_json(v)}"
+                               for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(to_json, value)) + "]"
+    return json.dumps(value)
+
+
+PAST_THE_DIGIT_LIMIT = RawJson("9" * (DIGIT_LIMIT + 1))
+# integers past the digit limit, and past float range within it
+BIG_INTEGERS = st.one_of(
+    st.integers(DIGIT_LIMIT + 1, DIGIT_LIMIT + 20).map(lambda n: RawJson("9" * n)),
+    st.integers(309, 400).map(lambda n: RawJson("-1" + "0" * n)))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | BIG_INTEGERS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+# field values of the right type, so that rows get past parsing too
+PLAUSIBLE = {
+    "id": st.sampled_from(["a", "b", " "]),
+    "audio": st.sampled_from(["a.wav", ""]),
+    "caption": st.text(max_size=12),
+    "captions": st.lists(st.text(max_size=8), max_size=6),
+    "spice": st.floats(-0.5, 1.5),
+}
+
+
+def jsonl_rows(*keys):
+    """A JSON Lines file's text: objects holding some of `keys`, and other
+    JSON values."""
+    row = st.fixed_dictionaries(
+        {}, optional={k: PLAUSIBLE[k] | JSON_VALUES for k in keys})
+    return st.lists(row | JSON_VALUES, min_size=1, max_size=4).map(
+        lambda rows: "".join(to_json(r) + "\n" for r in rows))
+
+
+class TestJsonlReaders:
+    """Every reader raises only its documented errors on any rows, and the
+    CLI reports each as a data error: exit 2, no traceback."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("jsonl")
+        (root / "cands.jsonl").write_text(
+            json.dumps({"id": "a", "caption": "a dog barks"}) + "\n")
+        (root / "refs.jsonl").write_text(
+            json.dumps({"id": "a", "captions": ["a dog barks"]}) + "\n")
+        return root
+
+    @staticmethod
+    def run(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = cli.main([str(a) for a in argv])
+        return rc, err.getvalue()
+
+    def score(self, corpus, spice=None, **generated):
+        """`score` on the corpus files, with `generated` replacing one."""
+        files = {"candidates": corpus / "cands.jsonl",
+                 "references": corpus / "refs.jsonl"}
+        for which, text in generated.items():
+            files[which] = corpus / f"generated-{which}.jsonl"
+            files[which].write_text(text, encoding="utf-8")
+        argv = ["score", "--candidates", files["candidates"], "--references",
+                files["references"], "--out", corpus / "report.json"]
+        return self.run(argv + (["--spice", spice] if spice else []))
+
+    @given(text=jsonl_rows("id", "audio", "captions"))
+    @example(text=to_json({"id": "a", "audio": "a.wav",
+                           "captions": [[PAST_THE_DIGIT_LIMIT]]}) + "\n")
+    @settings(max_examples=60, deadline=None)
+    def test_manifest(self, corpus, text):
+        path = corpus / "manifest.jsonl"
+        path.write_text(text, encoding="utf-8")
+        try:
+            data.parse_manifest(path)
+        except (data.MalformedLine, data.MissingField, data.DuplicateId) as e:
+            rc, err = self.run(["train", "--manifest", path,
+                                "--out", corpus / "x.ckpt"])
+            assert (rc, err) == (2, f"data error: {e}\n")
+
+    @given(text=jsonl_rows("id", "spice"))
+    @example(text=to_json({"id": "a", "spice": PAST_THE_DIGIT_LIMIT}) + "\n")
+    @settings(max_examples=60, deadline=None)
+    def test_spice_sidecar(self, corpus, text):
+        path = corpus / "spice.jsonl"
+        path.write_text(text, encoding="utf-8")
+        try:
+            metrics.read_spice_sidecar(path)
+        except (metrics.MissingSpice, metrics.IdMismatch) as e:
+            assert self.score(corpus, spice=path) == (2, f"data error: {e}\n")
+
+    # a row's error names its line; ids that do not pair up are the files'
+    SCORE_ERROR = re.compile(r"data error: (line \d+: |candidate and "
+                             r"reference ids differ\n$)")
+
+    @given(text=jsonl_rows("id", "caption"))
+    @example(text=to_json({"id": "a", "caption": PAST_THE_DIGIT_LIMIT}) + "\n")
+    @settings(max_examples=60, deadline=None)
+    def test_score_candidates(self, corpus, text):
+        rc, err = self.score(corpus, candidates=text)
+        assert rc == 0 or (rc == 2 and self.SCORE_ERROR.match(err)), err
+
+    @given(text=jsonl_rows("id", "captions"))
+    @example(text=to_json({"id": "a", "captions": [PAST_THE_DIGIT_LIMIT]}) + "\n")
+    @settings(max_examples=60, deadline=None)
+    def test_score_references(self, corpus, text):
+        rc, err = self.score(corpus, references=text)
+        assert rc == 0 or (rc == 2 and self.SCORE_ERROR.match(err)), err
 
 
 class TestCorrect:

@@ -44,6 +44,17 @@ class TestManifest:
             parse_manifest(path)
         assert ei.value.lineno == 2
 
+    def test_integer_past_the_digit_limit_is_malformed_line(self, tmp_path):
+        # 4,301 digits: past Python's int-string limit, json.loads raises a
+        # plain ValueError
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "a", "audio": "a.wav", "captions": ["x"]}\n'
+                        '{"id": "b", "audio": "b.wav", "captions": ["x"], '
+                        '"n": 9%s}\n' % ("0" * 4300))
+        with pytest.raises(data.MalformedLine, match="line 2: invalid JSON") as ei:
+            parse_manifest(path)
+        assert ei.value.lineno == 2
+
     def test_non_utf8_line_number(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_bytes(b'{"id": "a", "audio": "a.wav", "captions": ["x"]}\n'

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from audiocap import decoder as dec
 from audiocap import lora, nn
 from audiocap.decoder import (ACOUSTIC_SLOT, CAPTION_INSTRUCTION,
-                              CaptionDecoder, DecoderConfig, SpliceSequence,
-                              Vocabulary, assemble_sequence, build_vocab,
-                              tokenize)
+                              CaptionDecoder, DecoderConfig, Vocabulary,
+                              build_vocab, tokenize)
 from audiocap.lora import LoraConfig, LoraLinear
 from audiocap.model import build_model
 from audiocap.nn import Tensor
@@ -25,26 +24,49 @@ def acoustic_block(n=3, d=32, seed=0):
 def make_decoder(vocab, seed=0, layers=1, max_seq=128, max_caption=30):
     cfg = DecoderConfig(d_dec=32, layers=layers, heads=2, ffn_mult=2,
                         max_seq=max_seq, max_caption=max_caption)
-    return CaptionDecoder(cfg, len(vocab), nn.rng_from_seed(seed))
+    return CaptionDecoder(cfg, vocab, nn.rng_from_seed(seed))
 
 
-# -- reference stream: segments embedded and concatenated item by item -----
+# -- reference layout: the instruction encoded here, segments concatenated --
 
-def reference_stream(model, seqs, blocks):
-    """(B, T, d) stream of `seqs` with acoustic blocks `blocks`, one per item.
+def prompt_ids(vocab):
+    """<bos> + the instruction's head, and its tail: the ids around the
+    acoustic slot."""
+    head, tail = CAPTION_INSTRUCTION.split(ACOUSTIC_SLOT)
+    return [Vocabulary.BOS] + vocab.encode(head), vocab.encode(tail)
+
+
+def caption_ids(vocab, caption):
+    """A caption's target ids, its words and <eos>; none for None, an
+    inference prompt."""
+    return [] if caption is None else vocab.encode(caption) + [Vocabulary.EOS]
+
+
+def reference_ids(vocab, n, caption):
+    """An item's stream as ids, <pad> in its `n` acoustic slots, and the
+    mask of its caption positions."""
+    head, tail = prompt_ids(vocab)
+    ids = np.array(head + [Vocabulary.PAD] * n + tail + caption)
+    return ids, np.arange(len(ids)) >= len(ids) - len(caption)
+
+
+def reference_stream(model, items):
+    """(B, T, d) stream of (acoustic block, caption ids) items.
 
     Each item is its embedded prompt head, its block, its embedded tail and
     caption, and <pad> rows up to the longest item, concatenated; the items
     are then stacked.
     """
-    t_max = max(s.length for s in seqs)
+    head, tail = (np.array(ids) for ids in prompt_ids(model.vocab))
+    lengths = [len(head) + len(block.data) + len(tail) + len(caption)
+               for block, caption in items]
     rows = []
-    for s, block in zip(seqs, blocks):
-        segments = [model.embed[s.prefix_ids], block, model.embed[s.suffix_ids]]
-        if len(s.caption_ids):
-            segments.append(model.embed[s.caption_ids])
-        if t_max > s.length:
-            pad_ids = np.full(t_max - s.length, Vocabulary.PAD, dtype=np.int64)
+    for (block, caption), n in zip(items, lengths):
+        segments = [model.embed[head], block, model.embed[tail]]
+        if caption:
+            segments.append(model.embed[np.array(caption)])
+        if max(lengths) > n:
+            pad_ids = np.full(max(lengths) - n, Vocabulary.PAD, dtype=np.int64)
             segments.append(model.embed[pad_ids])
         x = nn.concat(segments, axis=0)
         rows.append(nn.reshape(x, (1,) + x.shape))
@@ -63,28 +85,26 @@ def full_logits(model, x):
 
 
 def stream_loss(model, items):
-    """forward_loss over (sequence, acoustic block) pairs."""
-    return model.forward_loss([s for s, _ in items],
-                              nn.concat([a for _, a in items]))
+    """forward_loss over (caption, acoustic block) pairs."""
+    return model.forward_loss(nn.concat([a for _, a in items]),
+                              [len(a.data) for _, a in items],
+                              [c for c, _ in items])
 
 
 # -- reference decoding: full recompute, one hypothesis at a time -----------
 
-def reference_step_logits(model, acoustic, generated, vocab):
+def reference_step_logits(model, acoustic, generated):
     """Next-token logits from re-splicing and re-running the whole stream."""
-    seq = assemble_sequence(acoustic, None, vocab)
-    seq = SpliceSequence(seq.prefix_ids, seq.n_acoustic, seq.suffix_ids,
-                         np.array(generated, dtype=np.int64))
-    if seq.length >= model.cfg.max_seq:
-        raise dec.SequenceTooLong(f"decode length {seq.length} hit the cap")
-    return full_logits(model, reference_stream(model, [seq], [acoustic])).data[0, -1]
+    x = reference_stream(model, [(acoustic, generated)])
+    if x.shape[1] >= model.cfg.max_seq:
+        raise dec.SequenceTooLong(f"decode length {x.shape[1]} hit the cap")
+    return full_logits(model, x).data[0, -1]
 
 
 def reference_greedy(model, acoustic, vocab):
     generated = []
     for _ in range(model.cfg.max_caption):
-        tok = int(np.argmax(reference_step_logits(model, acoustic, generated,
-                                                  vocab)))
+        tok = int(np.argmax(reference_step_logits(model, acoustic, generated)))
         if tok == vocab.EOS:
             break
         generated.append(tok)
@@ -103,7 +123,7 @@ def reference_beam(model, acoustic, vocab, beam):
             break
         candidates = []
         for ids, total in live:
-            row = reference_step_logits(model, acoustic, ids, vocab)
+            row = reference_step_logits(model, acoustic, ids)
             m = row.max()
             logp = row - (m + math.log(np.exp(row - m).sum()))
             for tok in range(len(logp)):
@@ -224,44 +244,66 @@ class TestTokenizer:
 class TestSplice:
     def test_prompt_tokens_around_slot(self):
         vocab = tiny_vocab()
-        seq = assemble_sequence(acoustic_block(), "a low tone", vocab)
-        prefix = [vocab.tokens[i] for i in seq.prefix_ids]
-        suffix = [vocab.tokens[i] for i in seq.suffix_ids]
+        model = make_decoder(vocab)
+        prefix = [vocab.tokens[i] for i in model.prompt_head]
+        suffix = [vocab.tokens[i] for i in model.prompt_tail]
         assert prefix == ["<bos>", "describe", "the", "detail", "of", "this",
                           "audio", ":"]
         assert suffix == ["\n", "---", "\n", "detailed", ":"]
+        assert (model.prompt_head, model.prompt_tail) == prompt_ids(vocab)
 
     def test_length_is_prompt_plus_acoustic_plus_caption(self):
         vocab = tiny_vocab()
-        seq = assemble_sequence(acoustic_block(n=45), "a low tone", vocab)
+        model = make_decoder(vocab)
+        x, lengths = model.embed_stream(acoustic_block(n=45), [45],
+                                        [caption_ids(vocab, "a low tone")])
         # 8 prefix + 45 acoustic + 5 suffix + 3 caption + <eos>
-        assert seq.length == 8 + 45 + 5 + 4
+        assert lengths == [x.shape[0]] == [8 + 45 + 5 + 4]
 
-    def test_mask_covers_caption_and_eos_only(self):
+    def test_mask_covers_caption_and_eos_only(self, monkeypatch):
         vocab = tiny_vocab()
-        seq = assemble_sequence(acoustic_block(), "a high tone", vocab)
-        mask = seq.loss_mask
-        assert mask.sum() == 4
-        assert np.all(mask[-4:])
-        assert not np.any(mask[:-4])
-        assert seq.ids[-1] == Vocabulary.EOS
+        model = make_decoder(vocab)
+        a = acoustic_block()
+        scored = []
+        cross_entropy = nn.cross_entropy
+
+        def spy(logits, targets):
+            scored.append((logits.data, targets))
+            return cross_entropy(logits, targets)
+
+        monkeypatch.setattr(nn, "cross_entropy", spy)
+        stream_loss(model, [("a high tone", a)])
+        [(rows, targets)] = scored
+        ids, mask = reference_ids(vocab, 3, caption_ids(vocab, "a high tone"))
+        assert mask.sum() == 4 and np.all(mask[-4:]) and not np.any(mask[:-4])
+        assert targets.tolist() == ids[mask].tolist()
+        assert targets[-1] == Vocabulary.EOS
+        # each scored row is the one before its target
+        x, _ = model.embed_stream(a, [3], [ids[mask].tolist()])
+        want = full_logits(model, x).data[np.flatnonzero(mask) - 1]
+        assert np.allclose(rows, want, rtol=1e-5, atol=1e-6)
 
     def test_inference_splice_has_empty_caption(self):
         vocab = tiny_vocab()
-        seq = assemble_sequence(acoustic_block(), None, vocab)
-        assert len(seq.caption_ids) == 0
-        assert not np.any(seq.loss_mask)
+        model = make_decoder(vocab)
+        a = acoustic_block()
+        prompt, [n] = model.embed_stream(a, [3], [[]])
+        x, _ = model.embed_stream(a, [3], [caption_ids(vocab, "a low tone")])
+        assert n == prompt.shape[0] == 8 + 3 + 5
+        assert np.array_equal(x.data[:n], prompt.data)
 
-    def test_acoustic_positions_hold_pad(self):
+    def test_acoustic_positions_hold_the_bridged_rows(self):
         vocab = tiny_vocab()
-        seq = assemble_sequence(acoustic_block(n=4), "silence", vocab)
-        assert np.all(seq.ids[8:12] == Vocabulary.PAD)
+        model = make_decoder(vocab)
+        a = acoustic_block(n=4)
+        x, _ = model.embed_stream(a, [4], [caption_ids(vocab, "silence")])
+        assert np.array_equal(x.data[8:12], a.data)
 
     def test_sequence_too_long(self):
         vocab = tiny_vocab()
         model = make_decoder(vocab, max_seq=64)
         with pytest.raises(dec.SequenceTooLong):
-            model.beam_decode(acoustic_block(n=200), vocab, beam=1)
+            model.beam_decode(acoustic_block(n=200), beam=1)
 
 
 class TestForwardLoss:
@@ -269,9 +311,9 @@ class TestForwardLoss:
         vocab = tiny_vocab()
         model = make_decoder(vocab)
         a = acoustic_block()
-        seq = assemble_sequence(a, "a low tone", vocab)
-        single = float(stream_loss(model, [(seq, a)]).data)
-        double = float(stream_loss(model, [(seq, a), (seq, a)]).data)
+        single = float(stream_loss(model, [("a low tone", a)]).data)
+        double = float(stream_loss(model, [("a low tone", a),
+                                           ("a low tone", a)]).data)
         assert abs(single - double) < 1e-6
 
     def test_zeroed_head_gives_uniform_loss(self):
@@ -280,8 +322,7 @@ class TestForwardLoss:
         model.head.weight.data[:] = 0.0
         model.head.bias.data[:] = 0.0
         a = acoustic_block()
-        seq = assemble_sequence(a, "a high tone", vocab)
-        loss = float(stream_loss(model, [(seq, a)]).data)
+        loss = float(stream_loss(model, [("a high tone", a)]).data)
         assert abs(loss - math.log(len(vocab))) < 1e-5
 
     def test_prompt_positions_do_not_contribute(self):
@@ -290,10 +331,10 @@ class TestForwardLoss:
         vocab = tiny_vocab()
         model = make_decoder(vocab)
         a = acoustic_block()
-        seq = assemble_sequence(a, "an upward chirp", vocab)
-        loss = float(stream_loss(model, [(seq, a)]).data)
-        logits = full_logits(model, model.embed_stream([seq], a)).data
-        ids, mask = seq.ids, seq.loss_mask
+        caption = caption_ids(vocab, "an upward chirp")
+        loss = float(stream_loss(model, [("an upward chirp", a)]).data)
+        logits = full_logits(model, model.embed_stream(a, [3], [caption])[0]).data
+        ids, mask = reference_ids(vocab, 3, caption)
         rows = logits[:-1].copy()
         targets = ids[1:]
         keep = mask[1:]
@@ -308,30 +349,28 @@ class TestForwardLoss:
     def test_empty_batch(self):
         model = make_decoder(tiny_vocab())
         with pytest.raises(nn.EmptyTargetSet):
-            model.forward_loss([], acoustic_block(n=0))
+            model.forward_loss(acoustic_block(n=0), [], [])
 
     def test_batch_over_max_seq(self):
         vocab = tiny_vocab()
         model = make_decoder(vocab, max_seq=32)
         a = acoustic_block(n=40)
-        seq = assemble_sequence(a, None, vocab)
         with pytest.raises(dec.SequenceTooLong):
-            stream_loss(model, [(seq, a)])
+            stream_loss(model, [("a low tone", a)])
 
     def test_padding_does_not_change_loss(self):
         vocab = tiny_vocab()
         model = make_decoder(vocab)
         a_short, a_long = acoustic_block(n=2), acoustic_block(n=9, seed=4)
-        short = assemble_sequence(a_short, "silence", vocab)
-        long = assemble_sequence(a_long, "a noise burst followed by silence",
-                                 vocab)
+        short, long = "silence", "a noise burst followed by silence"
         alone = float(stream_loss(model, [(short, a_short)]).data)
         # in a mixed batch the short item is packed beside the long one; its
         # per-position losses must be unaffected
         mixed = float(stream_loss(model, [(short, a_short),
                                           (long, a_long)]).data)
         other = float(stream_loss(model, [(long, a_long)]).data)
-        n_short, n_long = short.loss_mask.sum(), long.loss_mask.sum()
+        n_short = len(caption_ids(vocab, short))
+        n_long = len(caption_ids(vocab, long))
         expected = (alone * n_short + other * n_long) / (n_short + n_long)
         assert abs(mixed - expected) < 1e-5
 
@@ -348,25 +387,26 @@ class TestStream:
         model = make_decoder(vocab, seed=seed % 7)
         r = nn.rng_from_seed(seed)
         words = vocab.tokens[7:]
-        blocks, seqs = [], []
+        blocks, captions = [], []
         for i, (n, n_words) in enumerate(items):
             block = Tensor(r.normal(0, 1, (n, 32)).astype(np.float32),
                            requires_grad=True)
             caption = (None if n_words is None else
                        " ".join(r.choice(words, size=n_words)))
             blocks.append(block)
-            seqs.append(assemble_sequence(block, caption, vocab))
-        got = model.embed_stream(seqs, nn.concat(blocks))
+            captions.append(caption_ids(vocab, caption))
+        got, lengths = model.embed_stream(nn.concat(blocks), [n for n, _ in items],
+                                          captions)
         # the packed layout: the shared head once, then each item's own
         # rows, item after item
-        padded = reference_stream(model, seqs, blocks)
-        head = len(seqs[0].prefix_ids)
-        want = nn.concat([padded[i, head * (i > 0):s.length]
-                          for i, s in enumerate(seqs)])
+        padded = reference_stream(model, list(zip(blocks, captions)))
+        head = len(prompt_ids(vocab)[0])
+        want_lengths = [len(reference_ids(vocab, n, c)[0])
+                        for (n, _), c in zip(items, captions)]
+        assert lengths == want_lengths
+        want = nn.concat([padded[i, head * (i > 0):n]
+                          for i, n in enumerate(want_lengths)])
         assert got.dtype == want.dtype and np.array_equal(got.data, want.data)
-        if len(items) == 1 and items[0][1] is None:
-            assert np.array_equal(model._prompt(blocks[0], vocab).data,
-                                  want.data[None])
         # the gradients: the acoustic rows' exactly, the token table's up
         # to the order in which its repeated rows are summed
         weights = r.normal(0, 1, want.shape).astype(np.float32)
@@ -380,35 +420,46 @@ class TestStream:
             assert np.array_equal(g, w)
         assert np.allclose(grads[0][-1], grads[1][-1], rtol=1e-5, atol=1e-5)
 
+    def test_decode_prompt_matches_reference(self, monkeypatch):
+        # decoding's first `logits` call runs the prompt: the stream of a
+        # batch of one without a caption, as (1, T, d)
+        vocab = tiny_vocab()
+        model = make_decoder(vocab, max_caption=1)
+        a = acoustic_block(n=5)
+        seen = []
+        logits = CaptionDecoder.logits
+
+        def spy(self, x, *args, **kwargs):
+            seen.append(x.data.copy())
+            return logits(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(CaptionDecoder, "logits", spy)
+        model.greedy_decode(a)
+        want = reference_stream(model, [(a, [])]).data
+        assert seen[0].dtype == want.dtype and np.array_equal(seen[0], want)
+
     def test_rows_must_match_the_items(self):
         vocab = tiny_vocab()
         model = make_decoder(vocab)
-        seq = assemble_sequence(acoustic_block(n=3), "a low tone", vocab)
+        caption = caption_ids(vocab, "a low tone")
         with pytest.raises(nn.ShapeMismatch):
-            model.embed_stream([seq, seq], acoustic_block(n=5))
-
-    def test_items_must_share_the_head(self):
-        vocab = tiny_vocab()
-        model = make_decoder(vocab)
-        seq = assemble_sequence(acoustic_block(n=3), "a low tone", vocab)
-        other = SpliceSequence(seq.prefix_ids[:-1], 3, seq.suffix_ids,
-                               seq.caption_ids)
-        with pytest.raises(nn.ShapeMismatch):
-            model.embed_stream([seq, other], acoustic_block(n=6))
+            model.embed_stream(acoustic_block(n=5), [3, 3], [caption, caption])
 
 
-def unshared_loss(model, splices, acoustic):
+def unshared_loss(model, acoustic, counts, captions):
     """`forward_loss` with every item's whole stream packed, its instruction
     head too: the oracle of the shared head. The loss and its scored rows."""
-    ends = np.cumsum([s.n_acoustic for s in splices])
-    x = nn.concat([model.embed_stream([s], acoustic[end - s.n_acoustic:end])
-                   for s, end in zip(splices, ends)])
-    packing = nn.Packing([s.length for s in splices], True, 0)
+    targets = [caption_ids(model.vocab, c) for c in captions]
+    ends = np.cumsum(counts)
+    x = nn.concat([model.embed_stream(acoustic[end - n:end], [n], [t])[0]
+                   for n, end, t in zip(counts, ends, targets)])
+    refs = [reference_ids(model.vocab, n, t) for n, t in zip(counts, targets)]
+    packing = nn.Packing([len(ids) for ids, _ in refs], True, 0)
     logits = model.logits(x, at=packing)
-    ids = np.concatenate([s.ids for s in splices])
-    targets = np.flatnonzero(np.concatenate([s.loss_mask for s in splices]))
-    rows = logits[targets - 1]
-    return nn.cross_entropy(rows, ids[targets]), rows.data
+    ids = np.concatenate([ids for ids, _ in refs])
+    scored = np.flatnonzero(np.concatenate([mask for _, mask in refs]))
+    rows = logits[scored - 1]
+    return nn.cross_entropy(rows, ids[scored]), rows.data
 
 
 class TestSharedHead:
@@ -436,15 +487,13 @@ class TestSharedHead:
         words = vocab.tokens[7:]
         acoustic = Tensor(r.normal(0, 1, (sum(n for n, _ in items), 32))
                           .astype(dtype), requires_grad=True)
-        splices = [assemble_sequence(n, " ".join(r.choice(words, size=w)), vocab)
-                   for n, w in items]
-        return model, splices, acoustic
+        captions = [" ".join(r.choice(words, size=w)) for _, w in items]
+        return model, (acoustic, [n for n, _ in items], captions)
 
     @pytest.mark.parametrize("mode", ["full_finetune", "lora"])
     @pytest.mark.parametrize("name", list(BATCHES))
     def test_logits_match_unshared_bits(self, monkeypatch, name, mode):
-        model, splices, acoustic = self.batch(self.BATCHES[name], mode,
-                                              np.float32)
+        model, batch = self.batch(self.BATCHES[name], mode, np.float32)
         scored = []
         cross_entropy = nn.cross_entropy
 
@@ -453,32 +502,31 @@ class TestSharedHead:
             return cross_entropy(logits, targets)
 
         monkeypatch.setattr(nn, "cross_entropy", spy)
-        loss = model.forward_loss(splices, acoustic)
+        loss = model.forward_loss(*batch)
         monkeypatch.undo()
-        want, rows = unshared_loss(model, splices, acoustic)
+        want, rows = unshared_loss(model, *batch)
         assert scored[0].tobytes() == rows.tobytes()
         assert loss.data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("mode", ["full_finetune", "lora"])
     @pytest.mark.parametrize("name", list(BATCHES))
     def test_gradients_match_unshared(self, name, mode):
-        model, splices, acoustic = self.batch(self.BATCHES[name], mode,
-                                              np.float64)
+        model, batch = self.batch(self.BATCHES[name], mode, np.float64)
         params = {k: p for k, p in dict(model.named_parameters(),
-                                        acoustic=acoustic).items()
+                                        acoustic=batch[0]).items()
                   if p.requires_grad}
         grads = []
         for loss_fn in (model.forward_loss,
-                        lambda s, a: unshared_loss(model, s, a)[0]):
+                        lambda *b: unshared_loss(model, *b)[0]):
             for p in params.values():
                 p.grad = None
-            loss_fn(splices, acoustic).backward()
+            loss_fn(*batch).backward()
             grads.append({k: p.grad for k, p in params.items()})
         got, want = grads
         assert len(want) > 8
         if mode == "full_finetune":
             # the head's token and position rows, summed over every item
-            head = splices[0].prefix_ids
+            head = prompt_ids(model.vocab)[0]
             assert np.all(got["embed"][head] != 0) and np.all(got["pos"][:8] != 0)
         # the key biases' gradients are zero in exact arithmetic, so each
         # gradient is measured against at least 1e-6 of the largest entry
@@ -493,15 +541,14 @@ class TestCausality:
         vocab = tiny_vocab()
         model = make_decoder(vocab)
         acoustic = acoustic_block()
-        a = reference_step_logits(model, acoustic, vocab.encode("a low"), vocab)
-        b = reference_step_logits(model, acoustic, vocab.encode("a low"), vocab)
+        a = reference_step_logits(model, acoustic, vocab.encode("a low"))
+        b = reference_step_logits(model, acoustic, vocab.encode("a low"))
         assert np.array_equal(a, b)
         # extending the sequence must not alter the logits at earlier steps
-        seq = assemble_sequence(acoustic, "a low tone", vocab)
-        full = full_logits(model, model.embed_stream([seq], acoustic)).data
-        trunc_seq = SpliceSequence(seq.prefix_ids, seq.n_acoustic,
-                                   seq.suffix_ids, seq.caption_ids[:1])
-        trunc = full_logits(model, model.embed_stream([trunc_seq], acoustic)).data
+        caption = caption_ids(vocab, "a low tone")
+        full = full_logits(model, model.embed_stream(acoustic, [3], [caption])[0]).data
+        trunc = full_logits(model, model.embed_stream(acoustic, [3],
+                                                      [caption[:1]])[0]).data
         assert np.allclose(full[:trunc.shape[0]], trunc, atol=1e-5)
 
 
@@ -542,7 +589,7 @@ class TestDecoding:
         model.head.weight.data *= head_scale
         model.head.bias.data[vocab.EOS] = eos_bias
         acoustic = acoustic_block(n=1 + seed % 5, seed=seed)
-        assert (model.beam_decode(acoustic, vocab, beam=1)
+        assert (model.beam_decode(acoustic, beam=1)
                 == reference_greedy(model, acoustic, vocab))
 
     def test_beam_one_never_reorders_the_caches(self, monkeypatch):
@@ -560,9 +607,9 @@ class TestDecoding:
         bias[vocab.EOS] = -50.0  # nothing ends: every step runs
         model = bias_only_decoder(vocab, max_caption=6, bias=bias)
         calls = count_logits(monkeypatch)
-        model.beam_decode(acoustic_block(), vocab, beam=1)
+        model.beam_decode(acoustic_block(), beam=1)
         assert len(calls) == 6 and selects == []
-        model.beam_decode(acoustic_block(), vocab, beam=3)
+        model.beam_decode(acoustic_block(), beam=3)
         assert selects  # wider beams still reorder
 
     def test_beam_finds_no_worse_unnormalized_hypothesis(self, monkeypatch):
@@ -575,14 +622,14 @@ class TestDecoding:
             ids = vocab.encode(text) + [vocab.EOS]
             total, prefix = 0.0, []
             for tok in ids:
-                row = reference_step_logits(model, acoustic, prefix, vocab)
+                row = reference_step_logits(model, acoustic, prefix)
                 m = row.max()
                 total += float(row[tok] - m - math.log(np.exp(row - m).sum()))
                 prefix.append(tok)
             return total
 
-        greedy = model.greedy_decode(acoustic, vocab)
-        beam = model.beam_decode(acoustic, vocab, beam=4)
+        greedy = model.greedy_decode(acoustic)
+        beam = model.beam_decode(acoustic, beam=4)
         assert total_logprob(beam) >= total_logprob(greedy) - 1e-9
 
     def test_greedy_respects_max_caption(self):
@@ -591,7 +638,7 @@ class TestDecoding:
         model.head.weight.data[:] = 0.0
         model.head.bias.data[:] = 0.0
         model.head.bias.data[Vocabulary.UNK] = 5.0  # eos never wins
-        out = model.greedy_decode(acoustic_block(), vocab)
+        out = model.greedy_decode(acoustic_block())
         assert out == " ".join(["<unk>"] * 7)
 
     def test_zeroed_head_ties_resolve_to_lowest_id(self):
@@ -601,14 +648,14 @@ class TestDecoding:
         model.head.bias.data[:] = 0.0
         # all logits equal: argmax returns id 0 = <bos>, never <eos>, so
         # decoding runs to the cap and strips specials
-        out = model.greedy_decode(acoustic_block(), vocab)
+        out = model.greedy_decode(acoustic_block())
         assert out == ""
 
     def test_beam_width_validated(self):
         vocab = tiny_vocab()
         model = make_decoder(vocab)
         with pytest.raises(ValueError):
-            model.beam_decode(acoustic_block(), vocab, beam=0)
+            model.beam_decode(acoustic_block(), beam=0)
 
     def test_decode_hits_sequence_cap(self):
         vocab = tiny_vocab()
@@ -618,8 +665,8 @@ class TestDecoding:
         model.head.bias.data[Vocabulary.UNK] = 5.0
         acoustic = acoustic_block(n=5)  # 8 + 5 + 5 = 18 prompt positions
         decoders = [
-            lambda: model.greedy_decode(acoustic, vocab),
-            lambda: model.beam_decode(acoustic, vocab, beam=2),
+            lambda: model.greedy_decode(acoustic),
+            lambda: model.beam_decode(acoustic, beam=2),
             lambda: reference_greedy(model, acoustic, vocab),
             lambda: reference_beam(model, acoustic, vocab, 2)]
         for decode in decoders:
@@ -630,7 +677,7 @@ class TestDecoding:
                 decode()
         model.cfg.max_caption = 30
         with pytest.raises(dec.SequenceTooLong):
-            model.greedy_decode(acoustic, vocab)
+            model.greedy_decode(acoustic)
 
 
 class TestCachedDecoding:
@@ -641,19 +688,19 @@ class TestCachedDecoding:
         vocab = tiny_vocab()
         model = make_decoder(vocab, seed=seed, layers=2)
         acoustic = acoustic_block(n=4, seed=seed)
-        prompt = model._prompt(acoustic, vocab)
+        prompt = reference_stream(model, [(acoustic, [])])
         start = prompt.shape[1]
         ids = vocab.encode(self.CAPTION)
         caches = [nn.KVCache(3, start + len(ids) + 1, 32, np.float32)
                   for _ in model.blocks]
         rows = model.logits(prompt, caches)
-        want = reference_step_logits(model, acoustic, [], vocab)
+        want = reference_step_logits(model, acoustic, [])
         assert relative_error(rows.data[0, -1], want) < 1e-5
         for i, tok in enumerate(ids):
             x = model.embed[np.array([[tok]])]
             row = model.logits(x, caches, start).data[0, -1]
             start += 1
-            want = reference_step_logits(model, acoustic, ids[:i + 1], vocab)
+            want = reference_step_logits(model, acoustic, ids[:i + 1])
             assert relative_error(row, want) < 1e-5
         # fan the one row out into three hypotheses with different next tokens
         for cache in caches:
@@ -662,7 +709,7 @@ class TestCachedDecoding:
         x = model.embed[np.array(branch)[:, None]]
         rows = model.logits(x, caches, start).data[:, -1]
         for row, tok in zip(rows, branch):
-            want = reference_step_logits(model, acoustic, ids + [tok], vocab)
+            want = reference_step_logits(model, acoustic, ids + [tok])
             assert relative_error(row, want) < 1e-5
 
     @pytest.mark.parametrize("adapted", [False, True], ids=["plain", "lora"])
@@ -682,7 +729,7 @@ class TestCachedDecoding:
         r = nn.rng_from_seed(7)
         steps = 10
         with nn.no_grad():
-            x = model._prompt(acoustic_block(n=4, seed=width), vocab)
+            x = reference_stream(model, [(acoustic_block(n=4, seed=width), [])])
             caches = [nn.KVCache(width, x.shape[1] + steps, 32, np.float32)
                       for _ in model.blocks]
             references = [ReferenceCache() for _ in model.blocks]
@@ -708,10 +755,10 @@ class TestCachedDecoding:
             model.head.weight.data[:] = 0.0
             model.head.bias.data[:] = 0.0
         acoustic = acoustic_block(n=3 + seed, seed=seed)
-        assert (model.greedy_decode(acoustic, vocab)
+        assert (model.greedy_decode(acoustic)
                 == reference_greedy(model, acoustic, vocab))
         for beam in (1, 2, 3, 4):
-            assert (model.beam_decode(acoustic, vocab, beam=beam)
+            assert (model.beam_decode(acoustic, beam=beam)
                     == reference_beam(model, acoustic, vocab, beam))
 
     @pytest.mark.parametrize("beam", [1, 3])
@@ -772,7 +819,7 @@ class TestBeamStop:
         model.head.weight.data *= head_scale
         model.head.bias.data[vocab.EOS] = eos_bias
         acoustic = acoustic_block(n=1 + seed % 5, seed=seed)
-        assert (model.beam_decode(acoustic, vocab, beam=beam)
+        assert (model.beam_decode(acoustic, beam=beam)
                 == reference_beam(model, acoustic, vocab, beam))
 
     def test_stops_once_a_finished_caption_cannot_be_beaten(self, monkeypatch):
@@ -783,7 +830,7 @@ class TestBeamStop:
         acoustic = acoustic_block()
         want = reference_beam(model, acoustic, vocab, 3)
         calls = count_logits(monkeypatch)
-        assert model.beam_decode(acoustic, vocab, beam=3) == want == ""
+        assert model.beam_decode(acoustic, beam=3) == want == ""
         # <eos> ends at step 0 with log-prob ~0; the two live totals are
         # ~-8, bounded by -8 / 16**0.75 = -1. Without the stop the two
         # hypotheses' descendants never all end, so the loop ran 16 steps.
@@ -800,7 +847,7 @@ class TestBeamStop:
         acoustic = acoustic_block()
         want = reference_beam(model, acoustic, vocab, 2)
         calls = count_logits(monkeypatch)
-        assert model.beam_decode(acoustic, vocab, beam=2) == want == ""
+        assert model.beam_decode(acoustic, beam=2) == want == ""
         assert len(calls) == 9
 
     def test_a_live_hypothesis_that_can_still_win_keeps_it_going(self,
@@ -815,7 +862,7 @@ class TestBeamStop:
         acoustic = acoustic_block()
         want = reference_beam(model, acoustic, vocab, 3)
         calls = count_logits(monkeypatch)
-        assert model.beam_decode(acoustic, vocab, beam=3) == want == "tone tone tone tone"
+        assert model.beam_decode(acoustic, beam=3) == want == "tone tone tone tone"
         assert len(calls) == 4
 
     @pytest.mark.parametrize("beam,eos_bias", [(1, 0.0), (3, -50.0)])
@@ -831,5 +878,5 @@ class TestBeamStop:
         acoustic = acoustic_block()
         want = reference_beam(model, acoustic, vocab, beam)
         calls = count_logits(monkeypatch)
-        assert model.beam_decode(acoustic, vocab, beam=beam) == want
+        assert model.beam_decode(acoustic, beam=beam) == want
         assert len(calls) == 7

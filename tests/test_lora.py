@@ -168,7 +168,9 @@ class TestStrategy:
         for mdl in (base, wrapped):
             dec = mdl.decoder
             with nn.no_grad():
-                x = dec._prompt(mdl.acoustic_tokens(patches), mdl.vocab)
+                acoustic = mdl.acoustic_tokens(patches)
+                x, _ = dec.embed_stream(acoustic, [len(acoustic.data)], [[]])
+                x = nn.reshape(x, (1,) + x.shape)  # the decode prompt
                 caches = [nn.KVCache(1, x.shape[1] + 1, dec.cfg.d_dec, x.dtype)
                           for _ in dec.blocks]
                 first = dec.logits(x, caches, 0).data

@@ -482,6 +482,8 @@ class TestSpiceSidecar:
 
     @pytest.mark.parametrize("value", [
         "NaN", "Infinity", "true", '"7"', "-3", "1.5", "null",
+        pytest.param("1" + "0" * 400, id="past-float-range"),
+        pytest.param("1" + "0" * 4300, id="past-the-digit-limit"),
     ])
     def test_value_not_a_score_reports_line(self, tmp_path, value):
         path = tmp_path / "spice.jsonl"

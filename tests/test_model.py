@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from audiocap import nn
 from audiocap.bridge import output_count
-from audiocap.decoder import CaptionDecoder, assemble_sequence
+from audiocap.decoder import CaptionDecoder
 from audiocap.lora import TrainStrategy
 from audiocap.model import build_model
 from conftest import random_patches, tiny_config, tiny_vocab
@@ -19,9 +19,9 @@ CAPTIONS = ["a low tone", "a high tone followed by silence",
 def reference_loss_on_batch(model, batch):
     """The loss with the encoder and the bridge run once per clip."""
     blocks = [model.bridge(model.encoder(p)) for p, _ in batch]
-    splices = [assemble_sequence(a, caption, model.vocab)
-               for a, (_, caption) in zip(blocks, batch)]
-    return model.decoder.forward_loss(splices, nn.concat(blocks))
+    return model.decoder.forward_loss(nn.concat(blocks),
+                                      [len(a.data) for a in blocks],
+                                      [caption for _, caption in batch])
 
 
 def op_counts(root):
@@ -133,8 +133,10 @@ class TestBatchedLoss:
         batch = [(random_patches(seed=50 + i, time_patches=tp), caption)
                  for i, (tp, caption) in enumerate(zip([5, 2, 7], CAPTIONS))]
         window = model.cfg.bridge.window
-        lengths = [assemble_sequence(output_count(p.count, window), caption,
-                                     model.vocab).length
+        # <bos> + 7 instruction words, the bridged rows, 5 tail tokens, the
+        # caption and <eos>
+        lengths = [8 + output_count(p.count, window) + 5
+                   + len(model.vocab.encode(caption)) + 1
                    for p, caption in batch]
         assert len(set(lengths)) > 1  # padded, the parent would score more
         shapes = []
@@ -146,10 +148,8 @@ class TestBatchedLoss:
 
         monkeypatch.setattr(CaptionDecoder, "logits", spy)
         model.loss_on_batch(batch)
-        # the shared instruction head once, then each item's own rows
-        head = len(assemble_sequence(1, None, model.vocab).prefix_ids)
-        assert head == 8
-        assert shapes == [(sum(lengths) - head * (len(batch) - 1),
+        # the shared 8-row instruction head once, then each item's own rows
+        assert shapes == [(sum(lengths) - 8 * (len(batch) - 1),
                            model.cfg.decoder.d_dec)]
 
     def test_padding_changes_no_real_token(self):
