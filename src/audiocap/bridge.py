@@ -32,15 +32,14 @@ class BridgeConfig:
     heads: int = 4
     cross_layers: int = 1
     self_layers: int = 1
-    d_dec: int = 128
     max_windows: int = 128
 
     def __post_init__(self):
-        nn.require_at_least(1, self, "window", "d_q", "cross_layers", "d_dec",
+        nn.require_at_least(1, self, "window", "d_q", "cross_layers",
                             "max_windows")
         nn.require_at_least(0, self, "self_layers")
-        if self.heads < 1 or self.d_q % self.heads or self.d_dec % self.heads:
-            raise ValueError("d_q and d_dec must be divisible by heads >= 1")
+        if self.heads < 1 or self.d_q % self.heads:
+            raise ValueError("d_q must be divisible by heads >= 1")
 
 
 def output_count(n_tokens: int, window: int) -> int:
@@ -51,7 +50,8 @@ def output_count(n_tokens: int, window: int) -> int:
 
 
 class QueryBridge(Module):
-    def __init__(self, cfg: BridgeConfig, d_enc: int, rng: np.random.Generator):
+    def __init__(self, cfg: BridgeConfig, d_enc: int, d_dec: int,
+                 rng: np.random.Generator):
         self.query = nn.parameter(rng.normal(0.0, 0.02, (1, cfg.d_q)))
         self.window_pos = nn.parameter(
             rng.normal(0.0, 0.02, (cfg.max_windows, cfg.d_q)))
@@ -62,13 +62,15 @@ class QueryBridge(Module):
         self.self_blocks = [TransformerBlock(cfg.d_q, cfg.heads, 4, rng)
                             for _ in range(cfg.self_layers)]
         self.out_gain = nn.parameter(np.ones(cfg.d_q))
-        self.out_proj = Linear(cfg.d_q, cfg.d_dec, rng)
+        self.out_proj = Linear(cfg.d_q, d_dec, rng)
         self.cfg = cfg
 
-    def forward_batch(self, acoustic: Tensor, counts: list[int]) -> Tensor:
+    def forward_batch(self, acoustic: Tensor,
+                      counts: list[int]) -> tuple[Tensor, list[int]]:
         """(sum of counts, d_enc) packed tokens, clip i's counts[i] rows
-        contiguous and in order, -> the (sum of ceil(counts[i] / window),
-        d_dec) rows of every clip, packed the same way.
+        contiguous and in order, -> the (sum of windows, d_dec) rows of
+        every clip, packed the same way, and `windows`, each clip's row
+        count ceil(counts[i] / window).
 
         One gather collects every clip's windows from its rows; the slots
         past a clip's end repeat its last token and are masked out of the
@@ -101,8 +103,8 @@ class QueryBridge(Module):
         q = nn.reshape(q, (len(clip), -1))
         for block in self.self_blocks:
             q = block(q, mask=same_clip)
-        return self.out_proj(nn.rms_norm(q, self.out_gain))
+        return self.out_proj(nn.rms_norm(q, self.out_gain)), windows
 
     def __call__(self, acoustic: Tensor) -> Tensor:
         """(n, d_enc) acoustic tokens -> (ceil(n / window), d_dec)."""
-        return self.forward_batch(acoustic, [acoustic.data.shape[0]])
+        return self.forward_batch(acoustic, [acoustic.data.shape[0]])[0]

@@ -27,7 +27,7 @@ from .decoder import Vocabulary
 from .model import CaptionModel, PipelineConfig, build_model
 
 MAGIC = b"LOAE"
-VERSION = 2
+VERSION = 3
 
 
 class CorruptCheckpoint(ValueError):
@@ -113,7 +113,7 @@ def deserialize(blob: bytes) -> CaptionModel:
         if header["version"] != version:
             raise VersionMismatch("header version disagrees with binary field")
         cfg = PipelineConfig.from_dict(header["config"])
-        vocab = Vocabulary.from_tokens(header["vocab"])
+        vocab = Vocabulary(header["vocab"])
         mean, std = (header["feature_stats"][k] for k in ("mean", "std"))
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                    and math.isfinite(v) for v in (mean, std)) or std <= 0:

@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     except FloatingPointError as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -243,10 +243,9 @@ class StageConfig:
     warmup_epochs: int
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.warmup_epochs) < 1:
-            raise ValueError("stage values must be > 0")
-        if self.peak_lr <= 0:
-            raise ValueError("stage values must be > 0")
+        nn.require_at_least(1, self, "epochs", "batch_size", "warmup_epochs")
+        if not self.peak_lr > 0:  # NaN fails too
+            raise ValueError(f"StageConfig.peak_lr must be > 0, got {self.peak_lr}")
 
 
 @dataclass
@@ -289,8 +288,7 @@ def extract_features(entries: list[ManifestEntry], base_dir,
     base = Path(base_dir)
     feats = {}
     for e in entries:
-        wave_ = load_wav(base / e.audio)
-        feats[e.id] = wave_to_patches(wave_, cfg)
+        feats[e.id] = wave_to_patches(load_wav(base / e.audio), cfg)
     return feats
 
 

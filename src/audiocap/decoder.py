@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,13 +56,24 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class Vocabulary:
+    """Tokens by id, the specials at ids 0-3; it builds its own `index`."""
+
     tokens: list[str]
-    index: dict[str, int] = field(repr=False)
 
     BOS = 0
     EOS = 1
     PAD = 2
     UNK = 3
+
+    def __post_init__(self):
+        if list(self.tokens[:4]) != list(SPECIAL_TOKENS):
+            raise ValueError("special tokens must occupy ids 0-3")
+        if not all(isinstance(t, str) for t in self.tokens):
+            raise ValueError("every token must be a string")
+        self.tokens = list(self.tokens)
+        self.index = {t: i for i, t in enumerate(self.tokens)}
+        if len(self.index) != len(self.tokens):
+            raise ValueError(f"{len(self.tokens) - len(self.index)} duplicate tokens")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -78,17 +89,6 @@ class Vocabulary:
             words.append(self.tokens[i])
         return " ".join(words)
 
-    @classmethod
-    def from_tokens(cls, tokens: list[str]) -> "Vocabulary":
-        if list(tokens[:4]) != list(SPECIAL_TOKENS):
-            raise ValueError("special tokens must occupy ids 0-3")
-        if not all(isinstance(t, str) for t in tokens):
-            raise ValueError("every token must be a string")
-        index = {t: i for i, t in enumerate(tokens)}
-        if len(index) != len(tokens):
-            raise ValueError(f"{len(tokens) - len(index)} duplicate tokens")
-        return cls(tokens=list(tokens), index=index)
-
 
 def build_vocab(captions) -> Vocabulary:
     words: set[str] = set()
@@ -102,7 +102,7 @@ def build_vocab(captions) -> Vocabulary:
         words.update(tokenize(part))  # instruction words must encode in-vocab
     words -= set(LITERAL_TOKENS)
     tokens = list(SPECIAL_TOKENS) + list(LITERAL_TOKENS) + sorted(words)
-    return Vocabulary.from_tokens(tokens)
+    return Vocabulary(tokens)
 
 
 @dataclass
@@ -252,8 +252,9 @@ class CaptionDecoder(Module):
             if not live or best > norm(totals.max(), self.cfg.max_caption):
                 break
             n = x.shape[1]
-            if start + n >= self.cfg.max_seq:
-                raise SequenceTooLong(f"decode length {start + n} hit the cap")
+            if start + n > self.cfg.max_seq:  # positions 0..max_seq-1 fit
+                raise SequenceTooLong(f"decode length {start + n} exceeds "
+                                      f"{self.cfg.max_seq}")
             rows = self.logits(Tensor(x), caches, start).data[:, -1]
             start += n
             logp = _log_softmax(rows)

@@ -188,6 +188,10 @@ def correct_external(text: str, cfg: CorrectorConfig) -> str:
             raise MalformedResponse(str(e)) from e
         if not isinstance(content, str):
             raise MalformedResponse("completion content is not a string")
+        try:
+            content.encode("utf-8")
+        except UnicodeEncodeError as e:  # a lone surrogate, such as "\ud800"
+            raise MalformedResponse("completion content is not text") from e
         return _strip_quotes(content)
     raise last
 

@@ -1,10 +1,11 @@
 """Waveform loading, log-mel features, and 16x16 patch extraction.
 
-WAV input is strict: RIFF/WAVE, PCM16, mono, 16 kHz, little-endian. The
-feature chain is a 25 ms / 10 ms Hann STFT (512-point FFT), 64 triangular
-HTK-mel filters over 0-8000 Hz, and a natural log with a 1e-10 floor,
-giving 100 frames per second. Patches tile the spectrogram into
-non-overlapping 16x16 blocks, time-major with frequency ascending.
+WAV input is strict: RIFF/WAVE, PCM16, mono, 16 kHz, little-endian, and
+loads as a plain float64 sample array; 16 kHz (`SAMPLE_RATE`) is the one
+rate. The feature chain is a 25 ms / 10 ms Hann STFT (512-point FFT), 64
+triangular HTK-mel filters over 0-8000 Hz, and a natural log with a
+1e-10 floor, giving 100 frames per second. Patches tile the spectrogram
+into non-overlapping 16x16 blocks, time-major with frequency ascending.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ SAMPLE_RATE = 16000  # the only rate `load_wav` reads; there is no resampling
 
 @dataclass(frozen=True)
 class FrontendConfig:
-    sample_rate: int = SAMPLE_RATE
     window: int = 400
     hop: int = 160
     n_fft: int = 512
@@ -44,17 +44,14 @@ class FrontendConfig:
     patch: int = 16
 
     def __post_init__(self):
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"sample_rate must be {SAMPLE_RATE}, "
-                             f"got {self.sample_rate}")
         if self.patch < 1 or self.n_mels < self.patch or self.n_mels % self.patch:
             raise ValueError(f"n_mels {self.n_mels} is not a positive multiple "
                              f"of patch {self.patch}")
         if not (1 <= self.window <= self.n_fft and self.hop >= 1):
             raise ValueError(f"need 1 <= window <= n_fft and hop >= 1, got window "
                              f"{self.window}, n_fft {self.n_fft}, hop {self.hop}")
-        if not 0.0 <= self.f_min < self.f_max <= self.sample_rate / 2:
-            raise ValueError(f"need 0 <= f_min < f_max <= {self.sample_rate / 2}"
+        if not 0.0 <= self.f_min < self.f_max <= SAMPLE_RATE / 2:
+            raise ValueError(f"need 0 <= f_min < f_max <= {SAMPLE_RATE / 2}"
                              f", got f_min {self.f_min}, f_max {self.f_max}")
         if not 0.0 < self.log_floor < np.inf:  # NaN fails too
             raise ValueError(f"log_floor must be finite and > 0, got {self.log_floor}")
@@ -62,12 +59,6 @@ class FrontendConfig:
         if empty:
             raise ValueError(f"{empty} of {self.n_mels} mel bands cover no FFT bin "
                              f"at n_fft {self.n_fft}; lower n_mels or raise n_fft")
-
-
-@dataclass
-class Waveform:
-    samples: np.ndarray
-    sample_rate: int
 
 
 @dataclass
@@ -80,8 +71,8 @@ class PatchSequence:
         return self.patches.shape[0]
 
 
-def load_wav(path) -> Waveform:
-    """Read a PCM16 mono 16 kHz RIFF/WAVE file, scaling samples by 1/32768."""
+def load_wav(path) -> np.ndarray:
+    """Read a PCM16 mono 16 kHz RIFF/WAVE file's samples, scaled by 1/32768."""
     try:
         with wave.open(str(path), "rb") as f:
             channels = f.getnchannels()
@@ -102,7 +93,7 @@ def load_wav(path) -> Waveform:
     ints = np.frombuffer(raw, dtype="<i2")
     if ints.size == 0:
         raise UnsupportedFormat(f"{path}: empty audio payload")
-    return Waveform(samples=ints.astype(np.float64) / 32768.0, sample_rate=rate)
+    return ints.astype(np.float64) / 32768.0
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -121,7 +112,7 @@ def mel_to_hz(m):
 def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     """(n_mels, n_fft//2+1) triangular HTK-mel filters with unit peaks."""
     n_bins = cfg.n_fft // 2 + 1
-    bin_hz = np.arange(n_bins) * (cfg.sample_rate / cfg.n_fft)
+    bin_hz = np.arange(n_bins) * (SAMPLE_RATE / cfg.n_fft)
     pts = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max),
                                 cfg.n_mels + 2))
     lo, ctr, hi = pts[:-2, None], pts[1:-1, None], pts[2:, None]
@@ -139,9 +130,9 @@ def _analysis(cfg: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def compute_log_mel(w: Waveform, cfg: FrontendConfig) -> np.ndarray:
-    """The (frames, n_mels) log-mel spectrogram of `w`."""
-    x = np.asarray(w.samples, dtype=np.float64)
+def compute_log_mel(samples: np.ndarray, cfg: FrontendConfig) -> np.ndarray:
+    """The (frames, n_mels) log-mel spectrogram of `samples`."""
+    x = np.asarray(samples, dtype=np.float64)
     if x.size < cfg.window:
         raise InputTooShort(f"need at least {cfg.window} samples, got {x.size}")
     window, filterbank = _analysis(cfg)
@@ -165,5 +156,5 @@ def patchify(values: np.ndarray, cfg: FrontendConfig) -> PatchSequence:
     return PatchSequence(patches=patches, grid=(time_patches, freq_patches))
 
 
-def wave_to_patches(w: Waveform, cfg: FrontendConfig) -> PatchSequence:
-    return patchify(compute_log_mel(w, cfg), cfg)
+def wave_to_patches(samples: np.ndarray, cfg: FrontendConfig) -> PatchSequence:
+    return patchify(compute_log_mel(samples, cfg), cfg)

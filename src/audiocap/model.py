@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
+
+import numpy as np
 
 from . import nn
-from .bridge import BridgeConfig, QueryBridge, output_count
+from .bridge import BridgeConfig, QueryBridge
 from .decoder import CaptionDecoder, DecoderConfig, Vocabulary
 from .encoder import EncoderConfig, PatchEncoder
-from .frontend import FrontendConfig, PatchSequence, Waveform, wave_to_patches
+from .frontend import FrontendConfig, PatchSequence, wave_to_patches
 from .lora import LoraConfig, TrainStrategy, apply_strategy
 from .nn import Module, Tensor
 
@@ -26,8 +28,6 @@ class PipelineConfig:
 
     def __post_init__(self):
         nn.require_at_least(0, self, "seed")
-        if self.bridge.d_dec != self.decoder.d_dec:
-            raise ValueError("bridge output width must match decoder width")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -42,21 +42,20 @@ class PipelineConfig:
         never for a number. Values are kept as given, never coerced.
         """
         kwargs = {}
-        sections = {"frontend": FrontendConfig, "encoder": EncoderConfig,
-                    "bridge": BridgeConfig, "decoder": DecoderConfig,
-                    "lora": LoraConfig, "strategy": TrainStrategy}
+        known = {f.name: f for f in fields(cls)}
         for key, val in _json_object("config", d).items():
-            if key in sections:
-                defaults = {f.name: f.default for f in fields(sections[key])}
-                for name, v in _json_object(f"config section {key!r}", val).items():
-                    if name not in defaults:
-                        raise ValueError(f"unknown {key} field {name!r}")
-                    _check_type(f"{key}.{name}", defaults[name], v)
-                kwargs[key] = sections[key](**val)
-            elif key == "seed":
-                kwargs[key] = _check_type(key, 0, val)
-            else:
+            if key not in known:
                 raise ValueError(f"unknown config section {key!r}")
+            section = known[key].default_factory  # a config class; none for seed
+            if section is MISSING:
+                kwargs[key] = _check_type(key, known[key].default, val)
+                continue
+            defaults = {f.name: f.default for f in fields(section)}
+            for name, v in _json_object(f"config section {key!r}", val).items():
+                if name not in defaults:
+                    raise ValueError(f"unknown {key} field {name!r}")
+                _check_type(f"{key}.{name}", defaults[name], v)
+            kwargs[key] = section(**val)
         return cls(**kwargs)
 
 
@@ -86,7 +85,7 @@ class CaptionModel(Module):
         fe = cfg.frontend
         self.encoder = PatchEncoder(cfg.encoder, nn.rng_from_seed([cfg.seed, 1]),
                                     fe.patch ** 2, fe.n_mels // fe.patch)
-        self.bridge = QueryBridge(cfg.bridge, cfg.encoder.d_enc,
+        self.bridge = QueryBridge(cfg.bridge, cfg.encoder.d_enc, cfg.decoder.d_dec,
                                   nn.rng_from_seed([cfg.seed, 2]))
         self.decoder = CaptionDecoder(cfg.decoder, vocab,
                                       nn.rng_from_seed([cfg.seed, 3]))
@@ -99,12 +98,10 @@ class CaptionModel(Module):
         if not batch:
             raise nn.EmptyTargetSet("empty batch")
         patches = [p for p, _ in batch]
-        acoustic = self.bridge.forward_batch(self.encoder.forward_batch(patches),
-                                             [p.count for p in patches])
-        window = self.cfg.bridge.window
-        return self.decoder.forward_loss(
-            acoustic, [output_count(p.count, window) for p in patches],
-            [caption for _, caption in batch])
+        acoustic, counts = self.bridge.forward_batch(
+            self.encoder.forward_batch(patches), [p.count for p in patches])
+        return self.decoder.forward_loss(acoustic, counts,
+                                         [caption for _, caption in batch])
 
     def caption_patches(self, patches: PatchSequence, beam: int = 1) -> str:
         with nn.no_grad():
@@ -113,8 +110,8 @@ class CaptionModel(Module):
                 return self.decoder.greedy_decode(acoustic)
             return self.decoder.beam_decode(acoustic, beam)
 
-    def caption_wave(self, wave: Waveform, beam: int = 1) -> str:
-        return self.caption_patches(wave_to_patches(wave, self.cfg.frontend), beam)
+    def caption_wave(self, samples: np.ndarray, beam: int = 1) -> str:
+        return self.caption_patches(wave_to_patches(samples, self.cfg.frontend), beam)
 
 
 def build_model(cfg: PipelineConfig, vocab: Vocabulary) -> CaptionModel:

@@ -16,7 +16,7 @@ def tiny_config(seed=0, strategy=None, **over):
         encoder=EncoderConfig(d_enc=32, layers=1, heads=2, ffn_mult=2,
                               max_time_patches=64),
         bridge=BridgeConfig(window=17, d_q=32, heads=2, cross_layers=1,
-                            self_layers=1, d_dec=32, max_windows=16),
+                            self_layers=1, max_windows=16),
         decoder=DecoderConfig(d_dec=32, layers=1, heads=2, ffn_mult=2,
                               max_seq=128, max_caption=30),
         lora=LoraConfig(rank=2, alpha=4.0),

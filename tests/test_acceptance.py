@@ -21,7 +21,7 @@ from audiocap.bridge import BridgeConfig, QueryBridge, output_count
 from audiocap.decoder import (ACOUSTIC_SLOT, CAPTION_INSTRUCTION,
                               CaptionDecoder, DecoderConfig, build_vocab)
 from audiocap.encoder import EncoderConfig
-from audiocap.frontend import Waveform, wave_to_patches
+from audiocap.frontend import wave_to_patches
 from audiocap.lora import TrainStrategy, trainable_parameters
 from audiocap.model import PipelineConfig, build_model
 from conftest import tiny_config, tiny_vocab
@@ -67,7 +67,7 @@ def micro_model():
         encoder=EncoderConfig(d_enc=64, layers=2, heads=4,
                               max_time_patches=32),
         bridge=BridgeConfig(d_q=64, heads=4, cross_layers=1, self_layers=1,
-                            d_dec=64, max_windows=8),
+                            max_windows=8),
         decoder=DecoderConfig(d_dec=64, layers=2, heads=4, max_seq=64),
         seed=11,
     )
@@ -76,7 +76,7 @@ def micro_model():
     batch = []
     captions = []
     for ev in events:
-        wave = Waveform(data.render_events(ev, rng), 16000)
+        wave = data.render_events(ev, rng)
         batch.append(wave_to_patches(wave, cfg.frontend))
         captions.append(data.caption_for_events(ev))
     model = build_model(cfg, build_vocab(captions)).astype(np.float64)
@@ -130,7 +130,7 @@ def test_criterion_02_lora_identity_and_adaptation():
               if not p.requires_grad}
     assert frozen
     patches = wave_to_patches(
-        Waveform(data.render_events([0, 1], nn.rng_from_seed(3)), 16000),
+        data.render_events([0, 1], nn.rng_from_seed(3)),
         model.cfg.frontend)
     opt = nn.AdamW(trainable_parameters(model), lr=1e-3)
     for _ in range(10):
@@ -156,8 +156,8 @@ def test_criterion_03_compression_arithmetic():
     for n, expected in table.items():
         assert output_count(n, 17) == expected
     cfg = BridgeConfig(window=17, d_q=16, heads=2, cross_layers=1,
-                       self_layers=1, d_dec=16, max_windows=89)
-    bridge = QueryBridge(cfg, 24, nn.rng_from_seed(0))
+                       self_layers=1, max_windows=89)
+    bridge = QueryBridge(cfg, 24, 16, nn.rng_from_seed(0))
     r = nn.rng_from_seed(1)
     for n, expected in table.items():
         toks = nn.Tensor(r.normal(0, 1, (n, 24)).astype(np.float32))

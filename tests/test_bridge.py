@@ -12,9 +12,8 @@ from _grad_check import grad_check, tsum
 def make_bridge(seed=0, window=17, self_layers=1, max_windows=128, d_enc=24,
                 dtype=np.float32):
     cfg = br.BridgeConfig(window=window, d_q=16, heads=2, cross_layers=1,
-                          self_layers=self_layers, d_dec=16,
-                          max_windows=max_windows)
-    return br.QueryBridge(cfg, d_enc, nn.rng_from_seed(seed)).astype(dtype)
+                          self_layers=self_layers, max_windows=max_windows)
+    return br.QueryBridge(cfg, d_enc, 16, nn.rng_from_seed(seed)).astype(dtype)
 
 
 def tokens(n, d_enc=24, seed=1, dtype=np.float32):

@@ -50,7 +50,7 @@ def reference_serialize(model) -> bytes:
 
 
 def sealed(body: bytes) -> bytes:
-    """`body` with the CRC-32 trailer of a version-2 checkpoint."""
+    """`body` with the CRC-32 trailer of a checkpoint."""
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -75,11 +75,20 @@ def swap_matrix_shape(header):
     entry["shape"].reverse()
 
 
-def as_version_1(blob: bytes) -> bytes:
-    """The version-1 file of the same model: no checksum trailer."""
+def as_old_version(blob: bytes, version: int) -> bytes:
+    """The same model's file in format 1 or 2: its header also names
+    `bridge.d_dec` and `frontend.sample_rate`, and a version-1 file has no
+    checksum trailer."""
     (n,) = struct.unpack_from("<Q", blob, 8)
-    header = blob[16:16 + n].replace(b'"version":2', b'"version":1')
-    return blob[:4] + struct.pack("<I", 1) + blob[8:16] + header + blob[16 + n:-4]
+    header = json.loads(blob[16:16 + n])
+    config = header["config"]
+    config["bridge"]["d_dec"] = config["decoder"]["d_dec"]
+    config["frontend"]["sample_rate"] = 16000
+    header["version"] = version
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = (blob[:4] + struct.pack("<IQ", version, len(raw)) + raw
+            + blob[16 + n:-4])
+    return body if version == 1 else sealed(body)
 
 
 class TestRoundTrip:
@@ -165,13 +174,17 @@ class TestRoundTrip:
             assert p.data.dtype == np.float32 and p.data.flags.c_contiguous, name
 
     def test_version_1_is_refused(self, tmp_path):
-        # a version-1 file has no checksum trailer, so it cannot be checked
-        blob = as_version_1(ckpt.serialize(fresh_model()))
-        (tmp_path / "m.ckpt").write_bytes(blob)
-        for load in (lambda: ckpt.deserialize(blob),
-                     lambda: ckpt.load_checkpoint(tmp_path / "m.ckpt")):
-            with pytest.raises(ckpt.VersionMismatch, match="version 1"):
-                load()
+        # a version-1 file has no checksum trailer, so it cannot be checked;
+        # a version-2 file names two fields this format dropped, and is
+        # refused by its version, not as a corrupt header
+        for version in (1, 2):
+            blob = as_old_version(ckpt.serialize(fresh_model()), version)
+            (tmp_path / "m.ckpt").write_bytes(blob)
+            for load in (lambda: ckpt.deserialize(blob),
+                         lambda: ckpt.load_checkpoint(tmp_path / "m.ckpt")):
+                with pytest.raises(ckpt.VersionMismatch,
+                                   match=f"version {version}"):
+                    load()
 
     def test_lora_wrapped_model_round_trips(self):
         model = fresh_model(strategy=TrainStrategy("lora", "lora"))

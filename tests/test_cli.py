@@ -12,7 +12,7 @@ from audiocap.data import parse_manifest
 from audiocap.model import CaptionModel
 from conftest import tiny_config
 from test_checkpoint import swap_matrix_shape, with_header
-from test_fluency import BAD_ENDPOINTS, completion
+from test_fluency import BAD_ENDPOINTS, StubServer, completion
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,36 @@ class TestTrain:
                        "--wav", str(workdir["corpus"] / "clip_0000.wav")])
         assert rc == 0
 
+
+    def test_decoder_width_is_set_once(self, workdir, tmp_path, capsys):
+        # the bridge projects to the decoder's width, which the config
+        # states once; with a second copy, a width but 128 exited 2
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"decoder": {"d_dec": 130, "heads": 2}}))
+        ckpt = tmp_path / "x.ckpt"
+        rc = cli.main(["train", "--manifest",
+                       str(workdir["corpus"] / "manifest.jsonl"),
+                       "--config", str(cfg), "--out", str(ckpt),
+                       "--max-steps", "1"])
+        assert rc == 0
+        rc = cli.main(["caption", "--ckpt", str(ckpt),
+                       "--wav", str(workdir["corpus"] / "clip_0000.wav")])
+        assert rc == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("section,name,value", [
+        ("bridge", "d_dec", 128), ("frontend", "sample_rate", 16000)])
+    def test_dropped_fields_are_unknown(self, workdir, tmp_path, capsys,
+                                        section, name, value):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({section: {name: value}}))
+        rc = cli.main(["train", "--manifest",
+                       str(workdir["corpus"] / "manifest.jsonl"),
+                       "--config", str(cfg), "--out", str(tmp_path / "x.ckpt"),
+                       "--max-steps", "1"])
+        assert rc == 2
+        assert (capsys.readouterr().err
+                == f"data error: unknown {section} field {name!r}\n")
 
     @pytest.mark.parametrize("doc", [
         {"frontend": {"patch": "16"}}, {"encoder": {"d_enc": "64"}},
@@ -650,6 +680,107 @@ class TestJsonlReaders:
     def test_score_references(self, corpus, text):
         rc, err = self.score(corpus, references=text)
         assert rc == 0 or (rc == 2 and self.SCORE_ERROR.match(err)), err
+
+
+# -- the chat-completions reply on generated bodies ----------------------------
+
+NESTED = RawJson("[" * 50_000 + "]" * 50_000)  # valid, past the parser's depth
+LONE_SURROGATE = RawJson('"\\ud800"')
+# a reply, {"choices": [{"message": {"content": text}}]}, built inside out
+WRAPS = (lambda v: {"choices": v}, lambda v: [v], lambda v: {"message": v},
+         lambda v: {"content": v})
+
+
+def reply(level: int, value, content: str):
+    """A reply holding `content`, with `value` in place of the whole reply
+    (level 0), `choices` (1), `choices[0]` (2), `message` (3) or `content`
+    (4); level 5 replaces nothing."""
+    node = content
+    for depth in range(len(WRAPS), -1, -1):
+        if depth == level:
+            node = value
+        if depth:
+            node = WRAPS[depth - 1](node)
+    return node
+
+
+REPLY_JSON = st.builds(
+    reply, st.integers(0, 5), JSON_VALUES | st.just(NESTED),
+    st.text(max_size=12) | st.just(LONE_SURROGATE)).map(
+        lambda v: to_json(v).encode("utf-8"))
+
+
+def insert_byte(raw: bytes, at: int, bad: bytes) -> bytes:
+    at %= len(raw) + 1
+    return raw[:at] + bad + raw[at:]
+
+
+# a reply body: JSON of the reply's shape with any value at any level, the
+# same with a byte that is not UTF-8 (or a UTF-8-coded surrogate) put in,
+# or any bytes at all
+REPLIES = st.one_of(
+    REPLY_JSON,
+    st.builds(insert_byte, REPLY_JSON, st.integers(0, 10 ** 6),
+              st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"])),
+    st.binary(max_size=40))
+
+
+class TestChatReply:
+    """The external corrector returns text or raises only its documented
+    errors on any reply, and `correct --mode external` exits 0 or 4."""
+
+    @pytest.fixture(scope="class")
+    def server(self):
+        with pytest.MonkeyPatch.context() as m, StubServer([]) as srv:
+            m.setenv("AUDIOCAP_API_KEY", "sk-test")
+            m.setattr(fluency, "RETRIES", 0)
+            yield srv
+
+    @staticmethod
+    def correct(server, raw):
+        """`correct --mode external` answered by `raw`, printing to a
+        strict UTF-8 stdout, as a terminal's is."""
+        server.script.append((200, raw))
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["correct", "--text", "a man speaks and", "--mode",
+                           "external", "--endpoint", server.endpoint])
+        out.flush()
+        return rc, out.buffer.getvalue().decode("utf-8"), err.getvalue()
+
+    @given(raw=REPLIES)
+    @example(raw=to_json(reply(5, None, "a man speaks")).encode())
+    @example(raw=to_json(reply(4, PAST_THE_DIGIT_LIMIT, "")).encode())
+    @example(raw=to_json(reply(5, None, LONE_SURROGATE)).encode())
+    @settings(max_examples=150, deadline=None)
+    def test_correct_external(self, server, raw):
+        server.script.append((200, raw))
+        cfg = fluency.CorrectorConfig(mode="external", endpoint=server.endpoint)
+        try:
+            text = fluency.correct_external("a man speaks and", cfg)
+        except (fluency.MalformedResponse, fluency.HttpError, fluency.Timeout):
+            return
+        text.encode("utf-8")  # a string, and text that can be printed
+
+    @given(raw=REPLIES)
+    @example(raw=to_json(reply(5, None, "a man speaks")).encode())
+    @example(raw=to_json(reply(4, PAST_THE_DIGIT_LIMIT, "")).encode())
+    @example(raw=to_json(reply(5, None, LONE_SURROGATE)).encode())
+    @settings(max_examples=150, deadline=None)
+    def test_cli_exits_0_or_4(self, server, raw):
+        rc, out, err = self.correct(server, raw)
+        assert rc in (0, 4), err
+        assert (rc == 4) == err.startswith("external service error: "), err
+
+    @pytest.mark.parametrize("raw", [
+        b'{"choices": [{"message": {"content": "\\ud800"}}]}',
+        b'{"choices": [{"message": {"content": "a \xed\xa0\x80 b"}}]}',
+    ], ids=["escaped", "utf-8-coded"])
+    def test_lone_surrogate_content_is_external_error(self, server, raw):
+        # the reply parsed to a str that no stdout can print: `correct`
+        # failed writing it and exited 2, a data error of the user's input
+        rc, _, err = self.correct(server, raw)
+        assert rc == 4 and "not text" in err
 
 
 class TestCorrect:

@@ -141,7 +141,7 @@ class TestSyntheticCorpus:
             w = load_wav(tmp_path / e.audio)
             n_events = len(e.captions[0].split(" followed by "))
             assert 2 <= n_events <= 5
-            assert w.samples.size == n_events * EVENT_SAMPLES
+            assert w.size == n_events * EVENT_SAMPLES
 
     def test_caption_matches_event_grammar(self, tmp_path):
         entries = synthesize_corpus(8, seed=5, out_dir=tmp_path)
@@ -253,10 +253,14 @@ class TestSchedule:
             lr_at_step(stage, 0, 1)
 
     def test_stage_validation(self):
-        with pytest.raises(ValueError):
-            StageConfig(0, 8, 1e-3, 2)
-        with pytest.raises(ValueError):
-            StageConfig(1, 8, 0.0, 2)
+        # each error names its field (all once read "stage values must be
+        # > 0"), and a NaN peak_lr, which once passed, fails too
+        for args, name in [
+                ((0, 8, 1e-3, 2), "epochs"), ((1, 0, 1e-3, 2), "batch_size"),
+                ((1, 8, 1e-3, 0), "warmup_epochs"), ((1, 8, 0.0, 2), "peak_lr"),
+                ((1, 8, math.nan, 2), "peak_lr")]:
+            with pytest.raises(ValueError, match=f"StageConfig.{name} must be"):
+                StageConfig(*args)
 
 
 class TestTraining:

@@ -96,8 +96,9 @@ def stream_loss(model, items):
 def reference_step_logits(model, acoustic, generated):
     """Next-token logits from re-splicing and re-running the whole stream."""
     x = reference_stream(model, [(acoustic, generated)])
-    if x.shape[1] >= model.cfg.max_seq:
-        raise dec.SequenceTooLong(f"decode length {x.shape[1]} hit the cap")
+    if x.shape[1] > model.cfg.max_seq:  # positions 0..max_seq-1 fit
+        raise dec.SequenceTooLong(f"decode length {x.shape[1]} exceeds "
+                                  f"{model.cfg.max_seq}")
     return full_logits(model, x).data[0, -1]
 
 
@@ -211,7 +212,7 @@ class TestTokenizer:
         vocab = tiny_vocab()
         assert vocab.tokens[:4] == ["<bos>", "<eos>", "<pad>", "<unk>"]
         with pytest.raises(ValueError):
-            Vocabulary.from_tokens(["<eos>", "<bos>", "<pad>", "<unk>", "a"])
+            Vocabulary(["<eos>", "<bos>", "<pad>", "<unk>", "a"])
 
     @pytest.mark.parametrize("rest", [[5], ["a", "a"], ["a", "<pad>"],
                                       ["a", None], [["a"]]],
@@ -219,7 +220,7 @@ class TestTokenizer:
                                   "none", "list"])
     def test_from_tokens_rejects_non_string_and_duplicate_tokens(self, rest):
         with pytest.raises(ValueError):
-            Vocabulary.from_tokens(list(dec.SPECIAL_TOKENS) + rest)
+            Vocabulary(list(dec.SPECIAL_TOKENS) + rest)
 
     def test_literals_present_once(self):
         vocab = tiny_vocab()
@@ -670,14 +671,35 @@ class TestDecoding:
             lambda: reference_greedy(model, acoustic, vocab),
             lambda: reference_beam(model, acoustic, vocab, 2)]
         for decode in decoders:
-            model.cfg.max_caption = 2
-            assert decode() == "<unk> <unk>"  # the third step would hit 20
             model.cfg.max_caption = 3
-            with pytest.raises(dec.SequenceTooLong):
+            # the third step scores position 19, the last of 20
+            assert decode() == "<unk> <unk> <unk>"
+            model.cfg.max_caption = 4
+            with pytest.raises(dec.SequenceTooLong):  # position 20
                 decode()
         model.cfg.max_caption = 30
         with pytest.raises(dec.SequenceTooLong):
             model.greedy_decode(acoustic)
+
+    def test_a_caption_that_fits_is_not_refused(self, monkeypatch):
+        # the prompt fills positions 0-15 and "low" position 16, the last
+        # of max_seq 17; the step there picks <eos>, so "low" fits
+        vocab = tiny_vocab()
+        model = make_decoder(vocab, max_seq=17)
+        acoustic = acoustic_block(n=3)  # 8 + 3 + 5 = 16 prompt positions
+        real = CaptionDecoder.logits
+        for beam in (1, 2):
+            picks = iter([vocab.index["low"], Vocabulary.EOS])
+
+            def steered(self, x, *args, **kwargs):
+                rows = real(self, x, *args, **kwargs)  # the real step runs
+                out = np.zeros_like(rows.data)
+                out[..., next(picks)] = 1.0
+                return Tensor(out)
+
+            monkeypatch.setattr(CaptionDecoder, "logits", steered)
+            assert model.beam_decode(acoustic, beam) == "low"
+            assert next(picks, None) is None
 
 
 class TestCachedDecoding:

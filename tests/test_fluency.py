@@ -41,7 +41,8 @@ class StubServer:
     """
 
     def __init__(self, script, stall=0.0):
-        self.script = list(script)  # [(status, body_dict_or_str), ...]
+        self.script = list(script)  # [(status, body), ...]: a JSON value,
+        # or a str or bytes sent as they are
         self.requests = []  # (path, headers dict, parsed json body)
         outer = self
 
@@ -54,8 +55,9 @@ class StubServer:
                     time.sleep(stall)
                 status, payload = (outer.script.pop(0) if outer.script
                                    else (500, {"error": "script exhausted"}))
-                raw = (payload if isinstance(payload, str)
-                       else json.dumps(payload)).encode()
+                if not isinstance(payload, (str, bytes)):
+                    payload = json.dumps(payload)
+                raw = payload.encode() if isinstance(payload, str) else payload
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(raw)))

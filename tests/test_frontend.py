@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audiocap import frontend
-from audiocap.frontend import FrontendConfig, Waveform
+from audiocap.frontend import SAMPLE_RATE, FrontendConfig
 
 
 def write_pcm16(path, ints, rate=16000, channels=1, width=2):
@@ -28,7 +28,7 @@ def frame_count(n_samples, cfg):
 def reference_filterbank(cfg):
     """The filterbank built one band at a time."""
     n_bins = cfg.n_fft // 2 + 1
-    bin_hz = np.arange(n_bins) * (cfg.sample_rate / cfg.n_fft)
+    bin_hz = np.arange(n_bins) * (SAMPLE_RATE / cfg.n_fft)
     pts = frontend.mel_to_hz(np.linspace(frontend.hz_to_mel(cfg.f_min),
                                          frontend.hz_to_mel(cfg.f_max),
                                          cfg.n_mels + 2))
@@ -55,8 +55,8 @@ class TestLoadWav:
         path = tmp_path / "a.wav"
         write_pcm16(path, ints)
         w = frontend.load_wav(path)
-        assert w.sample_rate == 16000
-        assert np.array_equal(w.samples, ints.astype(np.float64) / 32768.0)
+        assert w.dtype == np.float64
+        assert np.array_equal(w, ints.astype(np.float64) / 32768.0)
 
     def test_rejects_stereo(self, tmp_path):
         path = tmp_path / "s.wav"
@@ -155,18 +155,18 @@ class TestFraming:
     ])
     def test_frame_count(self, n, expected):
         cfg = FrontendConfig()
-        mel = frontend.compute_log_mel(Waveform(np.zeros(n), 16000), cfg)
+        mel = frontend.compute_log_mel(np.zeros(n), cfg)
         assert frame_count(n, cfg) == expected == mel.shape[0]
 
     def test_too_short(self):
-        w = Waveform(np.zeros(399), 16000)
+        w = np.zeros(399)
         with pytest.raises(frontend.InputTooShort):
             frontend.compute_log_mel(w, FrontendConfig())
 
     @given(st.integers(400, 20000))
     @settings(max_examples=30, deadline=None)
     def test_spectrogram_shape_matches_count(self, n):
-        w = Waveform(np.zeros(n), 16000)
+        w = np.zeros(n)
         m = frontend.compute_log_mel(w, FrontendConfig())
         assert m.shape[0] == 1 + (n - 400) // 160
         assert m.shape[1] == 64
@@ -208,11 +208,11 @@ class TestMelAnalysis:
             monkeypatch.setattr(frontend, name,
                                 lambda *a, real=real: built.append(1) or real(*a))
         t = np.arange(4000) / 16000.0
-        w = Waveform(0.5 * np.sin(2 * np.pi * 440.0 * t), 16000)
+        w = 0.5 * np.sin(2 * np.pi * 440.0 * t)
         first = frontend.compute_log_mel(w, cfg)
         again = frontend.compute_log_mel(w, equal)
         assert len(built) == 2 and np.array_equal(first, again)
-        frames = np.lib.stride_tricks.sliding_window_view(w.samples, 400)[::160]
+        frames = np.lib.stride_tricks.sliding_window_view(w, 400)[::160]
         spec = np.fft.rfft(frames * frontend.hann_window(400), n=512)
         power = spec.real ** 2 + spec.imag ** 2
         fresh = np.log(np.maximum(power @ frontend.mel_filterbank(cfg).T, 1e-10))
@@ -220,13 +220,12 @@ class TestMelAnalysis:
         assert not any(t.flags.writeable for t in frontend._analysis(cfg))
 
     def test_silence_hits_log_floor(self):
-        m = frontend.compute_log_mel(Waveform(np.zeros(16000), 16000),
-                                     FrontendConfig())
+        m = frontend.compute_log_mel(np.zeros(16000), FrontendConfig())
         assert np.all(m == math.log(1e-10))
 
     def test_1khz_tone_band(self):
         t = np.arange(16000) / 16000.0
-        w = Waveform(0.5 * np.sin(2 * np.pi * 1000.0 * t), 16000)
+        w = 0.5 * np.sin(2 * np.pi * 1000.0 * t)
         m = frontend.compute_log_mel(w, FrontendConfig())
         band = int(np.argmax(m.mean(axis=0)))
         cfg = FrontendConfig()
@@ -240,7 +239,7 @@ class TestMelAnalysis:
         t = np.arange(16000) / 16000.0
         bands = []
         for hz in (220.0, 1000.0, 1760.0):
-            w = Waveform(0.5 * np.sin(2 * np.pi * hz * t), 16000)
+            w = 0.5 * np.sin(2 * np.pi * hz * t)
             m = frontend.compute_log_mel(w, FrontendConfig())
             bands.append(int(np.argmax(m.mean(axis=0))))
         assert bands[0] < bands[1] < bands[2]
@@ -278,7 +277,7 @@ class TestPatchify:
         assert frontend.patchify(values, FrontendConfig()).count == 752
 
     def test_wave_to_patches_chain(self):
-        w = Waveform(np.zeros(16000), 16000)
+        w = np.zeros(16000)
         p = frontend.wave_to_patches(w, FrontendConfig())
         # 98 frames -> ceil(98/16)=7 time patches x 4 freq patches
         assert p.count == 28

@@ -163,9 +163,11 @@ class TestBatchedLoss:
                 alone = model.encoder(p).data
                 assert np.allclose(batched.data[start:start + p.count], alone,
                                    rtol=1e-5, atol=1e-6)
-            rows = model.bridge.forward_batch(batched, [p.count for p in clips])
+            rows, counts = model.bridge.forward_batch(batched,
+                                                      [p.count for p in clips])
             window = model.cfg.bridge.window
-            ends = np.cumsum([output_count(p.count, window) for p in clips])
+            assert counts == [output_count(p.count, window) for p in clips]
+            ends = np.cumsum(counts)
             assert rows.shape[0] == ends[-1]
             for end, p in zip(ends, clips):
                 alone = model.bridge(model.encoder(p)).data
