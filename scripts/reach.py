@@ -122,8 +122,7 @@ def run_commands(tmp: Path, clips: int, steps: int) -> None:
          "--seed", str(CORPUS_SEED)])
     run(["train", "--dump-config", "--strategy", "lora", "--seed", "1"])
     config = tmp / "config.json"
-    config.write_text(json.dumps({"strategy": {"encoder": "full_finetune",
-                                               "decoder": "full_finetune"}}))
+    config.write_text(json.dumps({"strategy": "full_finetune"}))
     for name, flags in [("full", ["--config", str(config)]),
                         ("lora", ["--strategy", "lora"]),
                         ("frozen", ["--strategy", "frozen"]),

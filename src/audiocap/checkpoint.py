@@ -1,13 +1,13 @@
 """Binary checkpoint container.
 
-Layout: magic "LOAE", u32 version, u64 header length, JSON header
-(config, vocabulary, feature stats, tensor table), raw little-endian f32
-tensor blobs in header-declared order, then a u32 CRC-32 of every byte
-before it. The checksum guards against corruption, not tampering. Only
-`VERSION` loads, so every loaded file has passed its checksum; any other
-version raises `VersionMismatch`. The header is serialized with sorted
-keys and the tensor table sorted by name, so save -> load -> save
-round-trips byte-identically.
+Layout: magic "LOAE", u32 version, u64 header length, JSON header (config,
+vocabulary, feature stats, tensor table of names and shapes), raw
+little-endian f32 tensor blobs in header-declared order, then a u32 CRC-32
+of every byte before it. The checksum guards against corruption, not
+tampering. Only `VERSION` loads, so every loaded file has passed its
+checksum; any other version raises `VersionMismatch`. The header is
+serialized with sorted keys and the tensor table sorted by name, so
+save -> load -> save round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .decoder import Vocabulary
 from .model import CaptionModel, PipelineConfig, build_model
 
 MAGIC = b"LOAE"
-VERSION = 3
+VERSION = 4
 
 
 class CorruptCheckpoint(ValueError):
@@ -48,12 +48,11 @@ def serialize(model: CaptionModel) -> bytearray:
     """The checkpoint file's bytes, written into one buffer of its size."""
     table = _tensor_table(model)
     header = {
-        "version": VERSION,
         "config": model.cfg.to_dict(),
         "vocab": model.vocab.tokens,
         "feature_stats": {"mean": model.encoder.feat_mean,
                           "std": model.encoder.feat_std},
-        "tensors": [{"name": name, "dtype": "f32", "shape": list(arr.shape)}
+        "tensors": [{"name": name, "shape": list(arr.shape)}
                     for name, arr in table],
     }
     header_bytes = json.dumps(header, sort_keys=True,
@@ -110,24 +109,19 @@ def deserialize(blob: bytes) -> CaptionModel:
     except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or too many digits
         raise CorruptCheckpoint(f"unreadable header ({e})") from e
     try:
-        if header["version"] != version:
-            raise VersionMismatch("header version disagrees with binary field")
         cfg = PipelineConfig.from_dict(header["config"])
         vocab = Vocabulary(header["vocab"])
         mean, std = (header["feature_stats"][k] for k in ("mean", "std"))
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                    and math.isfinite(v) for v in (mean, std)) or std <= 0:
             raise ValueError(f"feature stats mean {mean!r}, std {std!r}")
-        tensors = [(t["name"], _shape(t["shape"]), t["dtype"])
-                   for t in header["tensors"]]
+        tensors = [(t["name"], _shape(t["shape"])) for t in header["tensors"]]
         with nn.no_init():  # every weight is read from the blob below
             model = build_model(cfg, vocab)  # a LoRA rank past a layer's width raises
-    except VersionMismatch:
-        raise
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CorruptCheckpoint(f"invalid header contents ({e})") from e
 
-    end = body_start + sum(4 * math.prod(shape) for _, shape, _ in tensors)
+    end = body_start + sum(4 * math.prod(shape) for _, shape in tensors)
     if len(blob) < end + 4:
         raise CorruptCheckpoint("truncated tensor data")
     if len(blob) > end + 4:
@@ -137,13 +131,11 @@ def deserialize(blob: bytes) -> CaptionModel:
 
     model.encoder.set_feature_stats(mean, std)
     params = model.named_parameters()
-    if [name for name, _, _ in tensors] != sorted(params.keys()):
+    if [name for name, _ in tensors] != sorted(params.keys()):
         raise CorruptCheckpoint("tensor table does not match the model")
 
     offset = body_start
-    for name, shape, dtype in tensors:
-        if dtype != "f32":
-            raise CorruptCheckpoint(f"unsupported dtype for {name}")
+    for name, shape in tensors:
         param = params[name]
         if param.data.shape != shape:
             raise CorruptCheckpoint(

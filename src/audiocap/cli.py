@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import data, decoder, fluency, frontend, metrics
-from .lora import TrainStrategy
 from .model import PipelineConfig, build_model
 
 EXIT_OK = 0
@@ -103,7 +102,7 @@ def _load_config(args) -> PipelineConfig:
     if args.strategy:
         mode = {"frozen": "frozen", "full": "full_finetune",
                 "lora": "lora"}[args.strategy]
-        cfg = dataclasses.replace(cfg, strategy=TrainStrategy(mode, mode))
+        cfg = dataclasses.replace(cfg, strategy=mode)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)  # checks the seed
     return cfg

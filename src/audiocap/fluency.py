@@ -10,7 +10,9 @@ endpoint with a fixed revision prompt.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -26,6 +28,7 @@ REVISION_PROMPT = ("Revise the sentence to make it more correct and idiomatic: "
 TEXT_SLOT = "<Text>"
 
 MODES = ("rules", "external", "external_with_rules_fallback")
+MODEL = "gpt-3.5-turbo"  # the chat model every revision request names
 
 # the external client's policy: a request timeout, then up to RETRIES more
 # attempts after BACKOFF_S, 2 * BACKOFF_S, ... seconds
@@ -65,7 +68,6 @@ class CorrectorConfig:
     threshold: float = FLUENCY_GATE
     mode: str = "rules"
     endpoint: str = ""
-    model: str = "gpt-3.5-turbo"
     api_key_env: str = "AUDIOCAP_API_KEY"
 
     def __post_init__(self):
@@ -77,16 +79,17 @@ class CorrectorConfig:
 
 def _loop(tokens: list[str], sizes) -> tuple[int, int, int] | None:
     """The first (start, n, k) where tokens[start:start+n] occurs k >= 3
-    times in a row, trying the unit sizes in the order given, then starts.
+    times in a row, trying the unit sizes in the order given, then starts:
+    a run of r positions j with tokens[j] == tokens[j + n] from `start`
+    is the unit at `start` repeated 1 + r // n times.
     """
     for n in sizes:
-        for i in range(len(tokens) - 3 * n + 1):
-            unit = tokens[i:i + n]
-            k = 1
-            while tokens[i + k * n:i + (k + 1) * n] == unit:
-                k += 1
-            if k >= 3:
-                return i, n, k
+        start = 0
+        for same, run in itertools.groupby(map(operator.eq, tokens, tokens[n:])):
+            r = sum(1 for _ in run)
+            if same and r >= 2 * n:
+                return start, n, 1 + r // n
+            start += r
     return None
 
 
@@ -134,9 +137,9 @@ def _strip_quotes(text: str) -> str:
     return out
 
 
-def build_revision_request(text: str, cfg: CorrectorConfig) -> dict:
+def build_revision_request(text: str) -> dict:
     """Chat-completions request body carrying the revision prompt."""
-    return {"model": cfg.model,
+    return {"model": MODEL,
             "messages": [{"role": "user",
                           "content": REVISION_PROMPT.replace(TEXT_SLOT, text)}],
             "temperature": 0}
@@ -154,7 +157,7 @@ def correct_external(text: str, cfg: CorrectorConfig) -> str:
         if key is None:
             raise MissingApiKey(f"environment variable {cfg.api_key_env} unset")
         headers["Authorization"] = f"Bearer {key}"
-    body = json.dumps(build_revision_request(text, cfg)).encode("utf-8")
+    body = json.dumps(build_revision_request(text)).encode("utf-8")
     try:
         request = urllib.request.Request(cfg.endpoint, data=body,
                                          headers=headers)

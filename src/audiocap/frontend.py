@@ -2,10 +2,10 @@
 
 WAV input is strict: RIFF/WAVE, PCM16, mono, 16 kHz, little-endian, and
 loads as a plain float64 sample array; 16 kHz (`SAMPLE_RATE`) is the one
-rate. The feature chain is a 25 ms / 10 ms Hann STFT (512-point FFT), 64
-triangular HTK-mel filters over 0-8000 Hz, and a natural log with a
-1e-10 floor, giving 100 frames per second. Patches tile the spectrogram
-into non-overlapping 16x16 blocks, time-major with frequency ascending.
+rate. The feature chain is fixed: a 25 ms / 10 ms Hann STFT (512-point
+FFT), HTK-mel filters over 0-8000 Hz and a natural log with a 1e-10 floor,
+giving 100 frames per second. Only the band count and the patch size are
+settable. Patches tile the spectrogram time-major, frequency ascending.
 """
 
 from __future__ import annotations
@@ -30,35 +30,26 @@ class InputTooShort(ValueError):
 
 
 SAMPLE_RATE = 16000  # the only rate `load_wav` reads; there is no resampling
+WINDOW = 400  # 25 ms
+HOP = 160  # 10 ms
+N_FFT = 512
+F_MAX = SAMPLE_RATE / 2  # the mel bands span 0 Hz to Nyquist
+LOG_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
 class FrontendConfig:
-    window: int = 400
-    hop: int = 160
-    n_fft: int = 512
     n_mels: int = 64
-    f_min: float = 0.0
-    f_max: float = 8000.0
-    log_floor: float = 1e-10
     patch: int = 16
 
     def __post_init__(self):
         if self.patch < 1 or self.n_mels < self.patch or self.n_mels % self.patch:
             raise ValueError(f"n_mels {self.n_mels} is not a positive multiple "
                              f"of patch {self.patch}")
-        if not (1 <= self.window <= self.n_fft and self.hop >= 1):
-            raise ValueError(f"need 1 <= window <= n_fft and hop >= 1, got window "
-                             f"{self.window}, n_fft {self.n_fft}, hop {self.hop}")
-        if not 0.0 <= self.f_min < self.f_max <= SAMPLE_RATE / 2:
-            raise ValueError(f"need 0 <= f_min < f_max <= {SAMPLE_RATE / 2}"
-                             f", got f_min {self.f_min}, f_max {self.f_max}")
-        if not 0.0 < self.log_floor < np.inf:  # NaN fails too
-            raise ValueError(f"log_floor must be finite and > 0, got {self.log_floor}")
         empty = int((mel_filterbank(self).max(axis=1) == 0).sum())
         if empty:
             raise ValueError(f"{empty} of {self.n_mels} mel bands cover no FFT bin "
-                             f"at n_fft {self.n_fft}; lower n_mels or raise n_fft")
+                             f"at n_fft {N_FFT}; lower n_mels")
 
 
 @dataclass
@@ -110,11 +101,10 @@ def mel_to_hz(m):
 
 
 def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
-    """(n_mels, n_fft//2+1) triangular HTK-mel filters with unit peaks."""
-    n_bins = cfg.n_fft // 2 + 1
-    bin_hz = np.arange(n_bins) * (SAMPLE_RATE / cfg.n_fft)
-    pts = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max),
-                                cfg.n_mels + 2))
+    """(n_mels, N_FFT//2+1) triangular HTK-mel filters with unit peaks."""
+    n_bins = N_FFT // 2 + 1
+    bin_hz = np.arange(n_bins) * (SAMPLE_RATE / N_FFT)
+    pts = mel_to_hz(np.linspace(0.0, hz_to_mel(F_MAX), cfg.n_mels + 2))
     lo, ctr, hi = pts[:-2, None], pts[1:-1, None], pts[2:, None]
     rising = (bin_hz - lo) / (ctr - lo)
     falling = (hi - bin_hz) / (hi - ctr)
@@ -124,7 +114,7 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _analysis(cfg: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
     """The Hann window and mel filterbank of `cfg`, built once, read-only."""
-    tables = hann_window(cfg.window), mel_filterbank(cfg)
+    tables = hann_window(WINDOW), mel_filterbank(cfg)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -133,23 +123,23 @@ def _analysis(cfg: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
 def compute_log_mel(samples: np.ndarray, cfg: FrontendConfig) -> np.ndarray:
     """The (frames, n_mels) log-mel spectrogram of `samples`."""
     x = np.asarray(samples, dtype=np.float64)
-    if x.size < cfg.window:
-        raise InputTooShort(f"need at least {cfg.window} samples, got {x.size}")
+    if x.size < WINDOW:
+        raise InputTooShort(f"need at least {WINDOW} samples, got {x.size}")
     window, filterbank = _analysis(cfg)
-    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window)[::cfg.hop]
-    spec = np.fft.rfft(frames * window, n=cfg.n_fft)
+    frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP]
+    spec = np.fft.rfft(frames * window, n=N_FFT)
     power = spec.real ** 2 + spec.imag ** 2
     mel = power @ filterbank.T
-    return np.log(np.maximum(mel, cfg.log_floor))
+    return np.log(np.maximum(mel, LOG_FLOOR))
 
 
 def patchify(values: np.ndarray, cfg: FrontendConfig) -> PatchSequence:
-    """Tile (frames, n_mels) into 16x16 patches, right-padding time with
-    the log floor."""
+    """Tile (frames, n_mels) into patch x patch blocks, right-padding time
+    with the log floor."""
     p = cfg.patch
     freq_patches = cfg.n_mels // p
     time_patches = -(-values.shape[0] // p)  # ceil
-    padded = np.full((time_patches * p, cfg.n_mels), np.log(cfg.log_floor))
+    padded = np.full((time_patches * p, cfg.n_mels), np.log(LOG_FLOOR))
     padded[:values.shape[0]] = values
     patches = (padded.reshape(time_patches, p, freq_patches, p)
                .swapaxes(1, 2).reshape(-1, p * p))

@@ -2,10 +2,10 @@
 
 A LoraLinear keeps the frozen base projection and adds a scaled low-rank
 residual (alpha/r) * B(Ax). B starts at zero so a freshly wrapped layer is
-exactly the base layer. Strategies assign one of frozen / full_finetune /
-lora to the encoder and decoder; adapters attach to the q and v
-projections of every attention layer, and the bridge stays fully
-trainable under every strategy.
+exactly the base layer. A strategy is one of `MODES`, frozen /
+full_finetune / lora, and applies to the encoder and the decoder alike;
+adapters attach to the q and v projections of every attention layer, and
+the bridge stays fully trainable under every strategy.
 """
 
 from __future__ import annotations
@@ -35,20 +35,6 @@ class LoraConfig:
         nn.require_at_least(1, self, "rank")
         if not math.isfinite(self.alpha):
             raise ValueError(f"LoraConfig.alpha must be finite, got {self.alpha}")
-
-
-@dataclass
-class TrainStrategy:
-    encoder: str = "full_finetune"
-    decoder: str = "full_finetune"
-
-    def __post_init__(self):
-        for component, mode in self.modes().items():
-            if mode not in MODES:
-                raise ValueError(f"{component}: unknown mode {mode!r}")
-
-    def modes(self) -> dict[str, str]:
-        return {"encoder": self.encoder, "decoder": self.decoder}
 
 
 class LoraLinear(Module):
@@ -106,8 +92,8 @@ def set_trainable(module: Module, flag: bool) -> None:
 def apply_mode(component: Module, mode: str, cfg: LoraConfig, seed) -> None:
     """Set requires_grad flags for one component, wrapping q/v under lora.
 
-    `mode` comes from a validated `TrainStrategy`, and `build_model`
-    applies it once to an unwrapped component.
+    `mode` is one of `MODES`, checked by `PipelineConfig`, and
+    `build_model` applies it once to an unwrapped component.
     """
     set_trainable(component, mode == "full_finetune")
     if mode != "lora":
@@ -119,12 +105,10 @@ def apply_mode(component: Module, mode: str, cfg: LoraConfig, seed) -> None:
                                            nn.rng_from_seed([seed, i, j])))
 
 
-def apply_strategy(model, strategy: TrainStrategy, cfg: LoraConfig,
-                   seed: int) -> None:
-    """Assign per-component trainability; bridge is always fully trainable."""
-    for component, mode in strategy.modes().items():
-        apply_mode(getattr(model, component), mode, cfg,
-                   [seed, component == "decoder"])
+def apply_strategy(model, mode: str, cfg: LoraConfig, seed: int) -> None:
+    """Give the encoder and the decoder `mode`; the bridge always trains."""
+    apply_mode(model.encoder, mode, cfg, [seed, False])
+    apply_mode(model.decoder, mode, cfg, [seed, True])
     set_trainable(model.bridge, True)
 
 

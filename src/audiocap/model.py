@@ -12,7 +12,7 @@ from .bridge import BridgeConfig, QueryBridge
 from .decoder import CaptionDecoder, DecoderConfig, Vocabulary
 from .encoder import EncoderConfig, PatchEncoder
 from .frontend import FrontendConfig, PatchSequence, wave_to_patches
-from .lora import LoraConfig, TrainStrategy, apply_strategy
+from .lora import MODES, LoraConfig, apply_strategy
 from .nn import Module, Tensor
 
 
@@ -23,11 +23,13 @@ class PipelineConfig:
     bridge: BridgeConfig = field(default_factory=BridgeConfig)
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
     lora: LoraConfig = field(default_factory=LoraConfig)
-    strategy: TrainStrategy = field(default_factory=TrainStrategy)
+    strategy: str = "full_finetune"  # one of lora.MODES, for encoder and decoder
     seed: int = 0
 
     def __post_init__(self):
         nn.require_at_least(0, self, "seed")
+        if self.strategy not in MODES:
+            raise ValueError(f"strategy {self.strategy!r} is not one of {MODES}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -46,7 +48,7 @@ class PipelineConfig:
         for key, val in _json_object("config", d).items():
             if key not in known:
                 raise ValueError(f"unknown config section {key!r}")
-            section = known[key].default_factory  # a config class; none for seed
+            section = known[key].default_factory  # MISSING for strategy, seed
             if section is MISSING:
                 kwargs[key] = _check_type(key, known[key].default, val)
                 continue

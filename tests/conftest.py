@@ -7,7 +7,7 @@ from audiocap.bridge import BridgeConfig
 from audiocap.decoder import DecoderConfig, build_vocab
 from audiocap.encoder import EncoderConfig
 from audiocap.frontend import PatchSequence
-from audiocap.lora import LoraConfig, TrainStrategy
+from audiocap.lora import LoraConfig
 from audiocap.model import PipelineConfig
 
 

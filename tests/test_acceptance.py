@@ -22,7 +22,7 @@ from audiocap.decoder import (ACOUSTIC_SLOT, CAPTION_INSTRUCTION,
                               CaptionDecoder, DecoderConfig, build_vocab)
 from audiocap.encoder import EncoderConfig
 from audiocap.frontend import wave_to_patches
-from audiocap.lora import TrainStrategy, trainable_parameters
+from audiocap.lora import trainable_parameters
 from audiocap.model import PipelineConfig, build_model
 from conftest import tiny_config, tiny_vocab
 from test_fluency import StubServer, completion, external_cfg
@@ -123,7 +123,7 @@ def test_criterion_02_lora_identity_and_adaptation():
            / np.linalg.norm(merged_out, axis=1))
     assert rel.max() < 1e-5, f"merge relative error {rel.max():.3e}"
 
-    model = build_model(tiny_config(strategy=TrainStrategy("lora", "lora")),
+    model = build_model(tiny_config(strategy="lora"),
                         tiny_vocab())
     frozen = {n: p.data.tobytes()
               for n, p in model.named_parameters().items()

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from audiocap import cli, data, fluency, metrics
+from audiocap.checkpoint import load_checkpoint
 from audiocap.data import parse_manifest
 from audiocap.model import CaptionModel
 from conftest import tiny_config
@@ -70,7 +71,7 @@ class TestTrain:
                        "--seed", "9"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["strategy"] == {"encoder": "lora", "decoder": "lora"}
+        assert doc["strategy"] == "lora"
         assert doc["seed"] == 9
         assert doc["bridge"]["window"] == 17
 
@@ -153,8 +154,27 @@ class TestTrain:
         assert rc == 0
         capsys.readouterr()
 
+    def test_config_strategy_trains_and_captions(self, workdir, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"strategy": "lora"}))
+        ckpt = tmp_path / "x.ckpt"
+        rc = cli.main(["train", "--manifest",
+                       str(workdir["corpus"] / "manifest.jsonl"),
+                       "--config", str(cfg), "--out", str(ckpt),
+                       "--max-steps", "1"])
+        assert rc == 0
+        model = load_checkpoint(ckpt)
+        assert model.cfg.strategy == "lora"
+        assert any(n.endswith("lora_b") for n in model.named_parameters())
+        rc = cli.main(["caption", "--ckpt", str(ckpt),
+                       "--wav", str(workdir["corpus"] / "clip_0000.wav")])
+        assert rc == 0
+        capsys.readouterr()
+
     @pytest.mark.parametrize("section,name,value", [
-        ("bridge", "d_dec", 128), ("frontend", "sample_rate", 16000)])
+        ("bridge", "d_dec", 128), ("frontend", "sample_rate", 16000),
+        ("frontend", "hop", 160)])
     def test_dropped_fields_are_unknown(self, workdir, tmp_path, capsys,
                                         section, name, value):
         cfg = tmp_path / "config.json"
@@ -171,6 +191,7 @@ class TestTrain:
         {"frontend": {"patch": "16"}}, {"encoder": {"d_enc": "64"}},
         {"bridge": {"window": 2.5}}, {"frontend": []}, [],
         {"frontend": {"sample_rate": 22050}},
+        {"strategy": {"encoder": "lora", "decoder": "lora"}},
     ])
     def test_config_value_of_wrong_type_is_data_error(self, workdir, tmp_path,
                                                       capsys, doc):
@@ -252,8 +273,7 @@ class TestTrain:
     @pytest.mark.parametrize("doc", [
         {"encoder": {"layers": -2}}, {"decoder": {"layers": -1}},
         {"bridge": {"cross_layers": -1}}, {"bridge": {"self_layers": -1}},
-        {"lora": {"alpha": float("nan")},
-         "strategy": {"encoder": "lora", "decoder": "lora"}},
+        {"lora": {"alpha": float("nan")}, "strategy": "lora"},
         {"lora": {"alpha": 10 ** 400}}, {"lora": {"alpha": -10 ** 400}},
         {"frontend": {"log_floor": 10 ** 400}},
     ], ids=["encoder-layers", "decoder-layers", "cross_layers", "self_layers",

@@ -15,7 +15,7 @@ from audiocap.data import (EVENT_NAMES, EVENT_SAMPLES, ManifestEntry,
                            make_batches, parse_manifest, render_events,
                            run_schedule, synthesize_corpus, write_manifest)
 from audiocap.frontend import FrontendConfig, load_wav
-from audiocap.lora import TrainStrategy, trainable_parameters
+from audiocap.lora import trainable_parameters
 from audiocap.decoder import build_vocab
 from audiocap.model import PipelineConfig, build_model
 from conftest import tiny_config
@@ -266,8 +266,7 @@ class TestSchedule:
 class TestTraining:
     def _corpus_and_model(self, tmp_path, n=4):
         entries = synthesize_corpus(n, seed=21, out_dir=tmp_path)
-        cfg = tiny_config(strategy=TrainStrategy("full_finetune",
-                                                 "full_finetune"))
+        cfg = tiny_config(strategy="full_finetune")
         vocab = build_vocab([e.captions[0] for e in entries])
         return entries, build_model(cfg, vocab)
 

@@ -176,6 +176,41 @@ class TestRuleCorrector:
         assert "R2" not in post.triggered_rules
 
 
+def parent_loop(tokens, sizes):
+    """`fluency._loop` as it compared list slices before the run scan; its
+    oracle. Cubic in the token count."""
+    for n in sizes:
+        for i in range(len(tokens) - 3 * n + 1):
+            unit = tokens[i:i + n]
+            k = 1
+            while tokens[i + k * n:i + (k + 1) * n] == unit:
+                k += 1
+            if k >= 3:
+                return i, n, k
+    return None
+
+
+def loop_size_orders(tokens):
+    """The unit-size orders of R1, R4 and `correct_with_rules`."""
+    return (range(3, len(tokens) // 3 + 1), (1,),
+            range(len(tokens) // 3, 0, -1))
+
+
+class TestLoopScan:
+    @given(st.lists(st.sampled_from(["a", "b", "c", "and", "then", "dog",
+                                     "runs", "the"]), max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_slice_oracle(self, tokens):
+        for sizes in loop_size_orders(tokens):
+            assert fl._loop(tokens, sizes) == parent_loop(tokens, sizes)
+
+    def test_matches_slice_oracle_on_3200_distinct_words(self):
+        # the oracle's worst case: no loop, so every size and start is tried
+        tokens = [f"w{i}" for i in range(3200)]
+        sizes = loop_size_orders(tokens)[0]
+        assert fl._loop(tokens, sizes) == parent_loop(tokens, sizes) is None
+
+
 class TestPipelineGate:
     def test_clean_text_passes_through_identically(self):
         text = "rain falls on a tin roof"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from audiocap import nn
 from audiocap.bridge import output_count
 from audiocap.decoder import CaptionDecoder
-from audiocap.lora import TrainStrategy
 from audiocap.model import build_model
 from conftest import random_patches, tiny_config, tiny_vocab
 
@@ -193,8 +192,7 @@ class TestBatchedLoss:
 
 class TestAstype:
     def test_cast_keeps_parameters_and_flags(self):
-        lora = TrainStrategy(encoder="lora", decoder="lora")
-        model = build_model(tiny_config(seed=4, strategy=lora), tiny_vocab())
+        model = build_model(tiny_config(seed=4, strategy="lora"), tiny_vocab())
         assert {p.dtype for p in model.parameters()} == {np.dtype(np.float32)}
         before = {k: (p, p.requires_grad)
                   for k, p in model.named_parameters().items()}
