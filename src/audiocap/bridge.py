@@ -5,10 +5,9 @@ be short). Each window gets a single learned query, offset by a learned
 window-index embedding, which cross-attends over that window's tokens
 (plus within-window position embeddings). A batch's clips arrive as
 the encoder packs them, row after row; all windows of all clips attend
-in one call, the slots past a clip's end masked out. A
-self-attention stage then mixes the per-window queries of each clip
-before projection to decoder width, so a clip's output length is always
-ceil(T / window).
+in one call, each over its own tokens. A self-attention stage then
+mixes the per-window queries of each clip before projection to decoder
+width, so a clip's output length is always ceil(T / window).
 """
 
 from __future__ import annotations
@@ -72,10 +71,10 @@ class QueryBridge(Module):
         every clip, packed the same way, and `windows`, each clip's row
         count ceil(counts[i] / window).
 
-        One gather collects every clip's windows from its rows; the slots
-        past a clip's end repeat its last token and are masked out of the
-        cross-attention, and a block-diagonal mask keeps the
-        self-attention within each clip.
+        A clip's windows are contiguous runs of its rows, so the packed
+        tokens are already the cross-attention's keys, window after window.
+        `nn.Packing` lays them out: each window's query attends over its
+        own run of tokens, and the self-attention over its clip's queries.
         """
         w = self.cfg.window
         windows = [output_count(n, w) for n in counts]
@@ -84,25 +83,16 @@ class QueryBridge(Module):
         if max(windows) > self.cfg.max_windows:
             raise ValueError(f"{max(windows)} windows exceeds max_windows "
                              f"{self.cfg.max_windows}")
-        counts = np.asarray(counts)
-        clip = np.repeat(np.arange(len(counts)), windows)
-        index = np.concatenate([np.arange(c) for c in windows])
-        slot = index[:, None] * w + np.arange(w)  # token position in its clip
-        first = np.cumsum(counts) - counts  # each clip's first packed row
-        kv = acoustic[first[clip, None]
-                      + np.minimum(slot, counts[clip, None] - 1)]
-        kv = kv + self.token_pos
-        dtype = acoustic.dtype
-        pad = np.where(slot < counts[clip, None], 0.0, -np.inf)
-        pad = pad.astype(dtype)[:, None, None, :]
-        same_clip = np.where(clip[:, None] == clip, 0.0, -np.inf).astype(dtype)
-        q = self.query + self.window_pos[index]
-        q = nn.reshape(q, (len(clip), 1, -1))
+        runs = [min(w, n - start) for n in counts for start in range(0, n, w)]
+        tokens = nn.Packing(runs, causal=False, head=0)
+        queries = nn.Packing([1] * len(runs), causal=False, head=0)
+        clips = nn.Packing(windows, causal=False, head=0)
+        kv = acoustic + self.token_pos[tokens.pos]
+        q = self.query + self.window_pos[clips.pos]
         for block in self.cross_blocks:
-            q = block(q, context=kv, mask=pad)
-        q = nn.reshape(q, (len(clip), -1))
+            q = block(q, context=kv, mask=(queries, tokens))
         for block in self.self_blocks:
-            q = block(q, mask=same_clip)
+            q = block(q, mask=clips)
         return self.out_proj(nn.rms_norm(q, self.out_gain)), windows
 
     def __call__(self, acoustic: Tensor) -> Tensor:

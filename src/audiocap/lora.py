@@ -76,10 +76,6 @@ class LoraLinear(Module):
                                    self.base.bias.data.copy())
 
 
-def wrap_linear(layer: Linear, rank: int, alpha: float, seed) -> LoraLinear:
-    return LoraLinear(layer, rank, alpha, nn.rng_from_seed(seed))
-
-
 def iter_attention_layers(root: Module) -> list[MultiHeadAttention]:
     return [m for m in root.modules() if isinstance(m, MultiHeadAttention)]
 

@@ -2,11 +2,10 @@
 
 Provides the Tensor graph, the op set needed by the captioning pipeline
 (affine, attention, RMS norm, GELU, cross-entropy, the residual add,
-indexing gathers, concat and reshape), the `Packing` layout in which a
-training batch's items share one 2-D block of rows, and the AdamW
-optimizer with decoupled weight decay. Modules build in float32; the
-tests' gradient checks cast a built module to float64 with
-`Module.astype`.
+indexing gathers and concat), the `Packing` layout in which a batch's
+items share one 2-D block of rows, and the AdamW optimizer with
+decoupled weight decay. Modules build in float32; the tests' gradient
+checks cast a built module to float64 with `Module.astype`.
 """
 
 from __future__ import annotations
@@ -79,12 +78,11 @@ def require_at_least(low: int, cfg, *names: str) -> None:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
+    """Sum `grad` down to `shape`, of the same rank (inverse of numpy
+    broadcasting)."""
     if grad.shape == shape:
         return grad
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
+    assert grad.ndim == len(shape), "a broadcast operand needs the result's rank"
     keep = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if keep:
         grad = grad.sum(axis=keep, keepdims=True)
@@ -261,11 +259,6 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
                    backward)
 
 
-def reshape(t: Tensor, shape) -> Tensor:
-    return _result(t.data.reshape(shape), (t,),
-                   lambda g: t._accum(g.reshape(t.data.shape)))
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = tuple(tensors)
 
@@ -417,11 +410,11 @@ class Packing:
     scatters the rows into the padded (B, T, d) layout, T the longest
     item, with the head copied into every item and zero pad rows, and
     gathers the real rows back, the head's from item 0. `mask` is
-    additive over that layout's (B, heads, T, T) scores: causal, or else
-    the pad keys masked out (None when no item is padded). A causal mask
-    needs no key padding, as an item's pad keys follow all its real rows,
-    and a causal head sees only itself, so its rows come out the same in
-    every item.
+    additive over the (B, heads, Tq, T) scores of queries against this
+    layout's keys: causal, or else the pad keys masked out (None when no
+    item is padded). A causal mask needs no key padding, as an item's pad
+    keys follow all its real rows, and a causal head sees only itself, so
+    its rows come out the same in every item.
     """
 
     def __init__(self, lengths: Sequence[int], causal: bool, head: int):
@@ -513,50 +506,56 @@ def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-                         mask: np.ndarray | Packing | None = None) -> Tensor:
+                         mask: np.ndarray | Packing | tuple[Packing, Packing]
+                         | None = None) -> Tensor:
     """Scaled dot-product attention over token matrices (..., T, d).
 
     `mask` is an additive array broadcastable to (..., heads, Tq, Tk);
     masked positions carry -inf and so receive zero attention weight.
-    With a `Packing` instead, q, k and v are its packed (R, d) rows: they
-    attend within their item, in its padded layout under its mask, and
-    the output is packed rows again; a shared head attends once per item,
-    and its output rows are item 0's. One graph node: with P the attention
-    weights and dO the output gradient, the backward is dV = P^T dO,
-    dP = dO V^T, dS = P * (dP - rowsum(dP * P)), dQ = dS K / sqrt(dh) and
-    dK = dS^T Q / sqrt(dh), each packed by `Packing.adjoint`, which sums a
-    head row's gradient over its copies. The backward keeps only P: it
-    takes Q, K and V again from its parents, so packed rows are not also
-    held padded.
+    With a pair of `Packing`s (queries, keys) instead, q is the query
+    layout's packed (R, d) rows and k and v the key layout's, with the
+    same items: each item's queries attend over its keys, in the padded
+    layouts under the key layout's mask, and the output is packed query
+    rows again. One `Packing` is the same layout for both; a shared head
+    attends once per item, and its output rows are item 0's. One graph
+    node: with P the attention weights and dO the output gradient, the
+    backward is dV = P^T dO, dP = dO V^T, dS = P * (dP - rowsum(dP * P)),
+    dQ = dS K / sqrt(dh) and dK = dS^T Q / sqrt(dh), each packed by its
+    layout's `Packing.adjoint`, which sums a head row's gradient over its
+    copies. The backward keeps only P: it takes Q, K and V again from
+    its parents, so packed rows are not also held padded.
     """
     scale = np.asarray(1.0 / math.sqrt(q.data.shape[-1] // n_heads), dtype=q.dtype)
-    packing = mask if isinstance(mask, Packing) else None
-    if packing is not None:
-        mask = packing.mask
+    if isinstance(mask, Packing):
+        mask = (mask, mask)
+    queries, keys = mask if isinstance(mask, tuple) else (None, None)
+    if keys is not None:
+        mask = keys.mask
 
-    def padded(a):  # packed (R, d) rows -> (B, T, d); else `a` itself
-        return a if packing is None else packing.scatter(a)
+    def padded(a, layout):  # packed (R, d) rows -> (B, T, d); else `a` itself
+        return a if layout is None else layout.scatter(a)
 
-    def heads(a):
-        return _split_heads(padded(a), n_heads)
+    def heads(a, layout):
+        return _split_heads(padded(a, layout), n_heads)
 
-    out, p = attention_forward(padded(q.data), padded(k.data), padded(v.data),
-                               n_heads, mask)
+    out, p = attention_forward(padded(q.data, queries), padded(k.data, keys),
+                               padded(v.data, keys), n_heads, mask)
 
     def backward(g):
         # the output took its head rows from item 0: their dO goes there alone
-        go = _split_heads(g if packing is None else packing.place(g), n_heads)
-        ds = _softmax_grad(p, go @ np.swapaxes(heads(v.data), -1, -2), -1)
+        go = _split_heads(g if queries is None else queries.place(g), n_heads)
+        ds = _softmax_grad(p, go @ np.swapaxes(heads(v.data, keys), -1, -2), -1)
         ds *= scale
-        for t, grad in ((q, ds @ heads(k.data)),
-                        (k, np.swapaxes(ds, -1, -2) @ heads(q.data)),
-                        (v, np.swapaxes(p, -1, -2) @ go)):
+        for t, layout, grad in (
+                (q, queries, ds @ heads(k.data, keys)),
+                (k, keys, np.swapaxes(ds, -1, -2) @ heads(q.data, queries)),
+                (v, keys, np.swapaxes(p, -1, -2) @ go)):
             if t.requires_grad:
                 grad = _merge_heads(grad)
-                t._accum(_unbroadcast(grad, t.data.shape) if packing is None
-                         else packing.adjoint(grad))
+                t._accum(_unbroadcast(grad, t.data.shape) if layout is None
+                         else layout.adjoint(grad))
 
-    return _result(out if packing is None else packing.gather(out),
+    return _result(out if queries is None else queries.gather(out),
                    (q, k, v), backward)
 
 
@@ -708,7 +707,8 @@ class MultiHeadAttention(Module):
         self.o = Linear(d_model, d_model, rng)
 
     def __call__(self, query_input: Tensor, kv_input: Tensor,
-                 mask: np.ndarray | Packing | None = None) -> Tensor:
+                 mask: np.ndarray | Packing | tuple[Packing, Packing]
+                 | None = None) -> Tensor:
         ctx = multi_head_attention(self.q(query_input), self.k(kv_input),
                                    self.v(kv_input), self.n_heads, mask)
         return self.o(ctx)
@@ -734,7 +734,8 @@ class TransformerBlock(Module):
         self.ffn = FeedForward(d_model, ffn_mult, rng)
 
     def __call__(self, x: Tensor, context: Tensor | None = None,
-                 mask: np.ndarray | Packing | None = None) -> Tensor:
+                 mask: np.ndarray | Packing | tuple[Packing, Packing]
+                 | None = None) -> Tensor:
         h = rms_norm(x, self.attn_gain)
         kv = h if context is None else context
         x = add_into(x, self.attn(h, kv, mask))

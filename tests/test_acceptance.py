@@ -110,7 +110,7 @@ def test_criterion_02_lora_identity_and_adaptation():
                                   np.zeros(32, np.float32))
     x = nn.Tensor(r.normal(0, 1, (100, 32)).astype(np.float32))
     before = base(x).data.copy()
-    wrapped = lora.wrap_linear(base, rank=4, alpha=8.0, seed=2)
+    wrapped = lora.LoraLinear(base, 4, 8.0, nn.rng_from_seed(2))
     assert np.array_equal(wrapped(x).data, before)
 
     wrapped.lora_b.data = r.normal(0, 0.05,

@@ -163,6 +163,32 @@ class TestBatchedWindows:
         for k, g in grads.items():
             assert relative(g, ref_grads[k], floor) < 1e-5, k
 
+    def test_attention_stays_within_each_window_and_clip(self, monkeypatch):
+        # 8 clips of 2 windows each, the second short: the cross-attention
+        # keys are one window's tokens, the self-attention keys one clip's
+        # windows, and the key and value projections see each token once
+        model = make_bridge()
+        counts = [18 + i for i in range(8)]
+        cross = model.cross_blocks[0].attn
+        keys, kv_rows = [], []
+        attention_forward, affine = nn.attention_forward, nn.affine
+
+        def attention_spy(q, k, v, n_heads, mask):
+            keys.append(k.shape[-2])
+            return attention_forward(q, k, v, n_heads, mask)
+
+        def affine_spy(x, weight, bias=None):
+            if weight is cross.k.weight or weight is cross.v.weight:
+                kv_rows.append(x.data.shape[:-1])
+            return affine(x, weight, bias)
+
+        monkeypatch.setattr(nn, "attention_forward", attention_spy)
+        monkeypatch.setattr(nn, "affine", affine_spy)
+        rows, windows = model.forward_batch(tokens(sum(counts)), counts)
+        assert windows == [2] * 8 and rows.data.shape == (16, 16)
+        assert keys == [17, 2]
+        assert kv_rows == [(sum(counts),)] * 2
+
     def test_grad_check_with_short_last_window(self):
         model = make_bridge(window=5, dtype=np.float64)
         t = tokens(12, dtype=np.float64)

@@ -257,8 +257,7 @@ class TestCorruption:
         lambda h: h["feature_stats"].update(std=float("inf")),
         lambda h: h["feature_stats"].update(std=0.0),
         lambda h: h["config"]["bridge"].update(heads=0),
-        lambda h: h["config"]["frontend"].update(hop=-160),
-        lambda h: h["config"]["frontend"].update(f_max=12000.0),
+        lambda h: h["config"]["frontend"].update(hop=160),
         lambda h: h["config"].update(strategy={"encoder": "lora",
                                                "qformer": "frozen"}),
         lambda h: h["config"].update(strategy=1),
@@ -277,16 +276,15 @@ class TestCorruption:
         lambda h: h["feature_stats"].update(mean=10 ** 400),
         lambda h: h["feature_stats"].update(std=10 ** 400),
         lambda h: h["config"]["lora"].update(alpha=10 ** 400),
-        lambda h: h["config"]["frontend"].update(log_floor=10 ** 400),
     ], ids=["stats-empty", "no-shape", "stats-list", "entry-list",
             "tensors-object", "mean-string", "shape-string", "mean-nan",
-            "std-inf", "std-zero", "heads-zero", "hop-negative",
-            "f_max-past-nyquist", "strategy-unknown-component",
+            "std-inf", "std-zero", "heads-zero", "frontend-field-unknown",
+            "strategy-unknown-component",
             "strategy-mode-not-string", "max_caption-zero",
             "alpha-nan", "vocab-int-token", "vocab-duplicate-word",
             "shape-inf", "shape-fraction", "seed-negative",
             "lora-rank-zero", "lora-rank-past-width", "mean-past-float",
-            "std-past-float", "alpha-past-float", "log_floor-past-float"])
+            "std-past-float", "alpha-past-float"])
     def test_bad_header_field(self, edit):
         with pytest.raises(ckpt.CorruptCheckpoint):
             ckpt.deserialize(with_header(edit))

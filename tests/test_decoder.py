@@ -69,7 +69,7 @@ def reference_stream(model, items):
             pad_ids = np.full(max(lengths) - n, Vocabulary.PAD, dtype=np.int64)
             segments.append(model.embed[pad_ids])
         x = nn.concat(segments, axis=0)
-        rows.append(nn.reshape(x, (1,) + x.shape))
+        rows.append(x[None])
     return nn.concat(rows, axis=0)
 
 

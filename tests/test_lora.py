@@ -19,11 +19,11 @@ class TestLoraLinear:
         layer = make_linear()
         x = nn.Tensor(nn.rng_from_seed(1).normal(0, 1, (20, 16)).astype(np.float32))
         before = layer(x).data.copy()
-        wrapped = lora.wrap_linear(layer, rank=4, alpha=8.0, seed=2)
+        wrapped = LoraLinear(layer, 4, 8.0, nn.rng_from_seed(2))
         assert np.array_equal(wrapped(x).data, before)
 
     def test_merge_matches_adapter_on_100_inputs(self):
-        wrapped = lora.wrap_linear(make_linear(), rank=4, alpha=8.0, seed=2)
+        wrapped = LoraLinear(make_linear(), 4, 8.0, nn.rng_from_seed(2))
         r = nn.rng_from_seed(3)
         wrapped.lora_b.data = r.normal(0, 0.05, wrapped.lora_b.data.shape).astype(
             np.float32)
@@ -34,21 +34,21 @@ class TestLoraLinear:
         assert np.allclose(a, b, rtol=1e-5, atol=1e-6)
 
     def test_merge_copies_bias(self):
-        wrapped = lora.wrap_linear(make_linear(), rank=2, alpha=4.0, seed=0)
+        wrapped = LoraLinear(make_linear(), 2, 4.0, nn.rng_from_seed(0))
         merged = wrapped.merge()
         assert np.array_equal(merged.bias.data, wrapped.base.bias.data)
         assert merged.bias.data is not wrapped.base.bias.data
 
     def test_rank_too_large(self):
         with pytest.raises(lora.RankTooLarge):
-            lora.wrap_linear(make_linear(8, 8), rank=9, alpha=8.0, seed=0)
+            LoraLinear(make_linear(8, 8), 9, 8.0, nn.rng_from_seed(0))
 
     def test_rank_must_be_positive(self):
         with pytest.raises(ValueError):
-            lora.wrap_linear(make_linear(), rank=0, alpha=8.0, seed=0)
+            LoraLinear(make_linear(), 0, 8.0, nn.rng_from_seed(0))
 
     def test_wrap_freezes_base(self):
-        wrapped = lora.wrap_linear(make_linear(), rank=2, alpha=4.0, seed=0)
+        wrapped = LoraLinear(make_linear(), 2, 4.0, nn.rng_from_seed(0))
         assert not wrapped.base.weight.requires_grad
         assert not wrapped.base.bias.requires_grad
         assert wrapped.lora_a.requires_grad
@@ -57,7 +57,7 @@ class TestLoraLinear:
 
 class TestAdapterTraining:
     def _train_steps(self, steps):
-        wrapped = lora.wrap_linear(make_linear(), rank=4, alpha=8.0, seed=2)
+        wrapped = LoraLinear(make_linear(), 4, 8.0, nn.rng_from_seed(2))
         r = nn.rng_from_seed(5)
         x = nn.Tensor(r.normal(0, 1, (8, 16)).astype(np.float32))
         target = r.normal(0, 1, (8, 16)).astype(np.float32)
@@ -74,7 +74,7 @@ class TestAdapterTraining:
         return wrapped
 
     def test_base_bytes_identical_after_training(self):
-        wrapped = lora.wrap_linear(make_linear(), rank=4, alpha=8.0, seed=2)
+        wrapped = LoraLinear(make_linear(), 4, 8.0, nn.rng_from_seed(2))
         w0 = wrapped.base.weight.data.tobytes()
         b0 = wrapped.base.bias.data.tobytes()
         trained = self._train_steps(10)
@@ -85,7 +85,7 @@ class TestAdapterTraining:
     def test_down_projection_moves_on_second_step(self):
         # B starts at zero, so dL/dA is exactly zero on the first step; A
         # can only move once B has left the origin
-        fresh = lora.wrap_linear(make_linear(), rank=4, alpha=8.0, seed=2)
+        fresh = LoraLinear(make_linear(), 4, 8.0, nn.rng_from_seed(2))
         a0 = fresh.lora_a.data.copy()
         one = self._train_steps(1)
         assert np.array_equal(one.lora_a.data, a0)
@@ -170,7 +170,7 @@ class TestStrategy:
             with nn.no_grad():
                 acoustic = mdl.acoustic_tokens(patches)
                 x, _ = dec.embed_stream(acoustic, [len(acoustic.data)], [[]])
-                x = nn.reshape(x, (1,) + x.shape)  # the decode prompt
+                x = x[None]  # the decode prompt
                 caches = [nn.KVCache(1, x.shape[1] + 1, dec.cfg.d_dec, x.dtype)
                           for _ in dec.blocks]
                 first = dec.logits(x, caches, 0).data

@@ -451,8 +451,23 @@ class TestFusedOps:
     def test_attention_packed_shared_head(self):
         self.attention_case((6, 8), (6, 8), nn.Packing([3, 2, 5], True, 2))
 
+    def test_attention_packed_queries_and_keys(self):
+        # each item's queries attend over its own keys alone; items 1 and 2
+        # hold fewer keys than the padded width, as a clip's last window
+        # holds fewer tokens
+        layouts = (nn.Packing([2, 1, 2], False, 0),
+                   nn.Packing([4, 3, 1], False, 0))
+        self.attention_case((5, 8), (8, 8), layouts)
+        r = nn.rng_from_seed(1)
+        q, k, v = (nn.Tensor(r.normal(0, 1, (n, 8))) for n in (5, 8, 8))
+        out = nn.multi_head_attention(q, k, v, 2, layouts).data
+        for qi, ki in zip(np.split(np.arange(5), [2, 3]),
+                          np.split(np.arange(8), [4, 7])):
+            alone = nn.multi_head_attention(q[qi], k[ki], v[ki], 2).data
+            assert np.allclose(out[qi], alone, rtol=1e-12, atol=1e-12)
+
     def test_attention_broadcast_query(self):
-        self.attention_case((3, 8), (2, 4, 8))
+        self.attention_case((1, 3, 8), (2, 4, 8))
 
     def test_cross_attention_kv_dim_differs(self):
         r = nn.rng_from_seed(4)
