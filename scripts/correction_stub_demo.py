@@ -8,11 +8,12 @@ Usage: python scripts/correction_stub_demo.py
 """
 
 import json
+import os
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
-from audiocap.fluency import CorrectorConfig, correction_pipeline
+from audiocap.fluency import API_KEY_ENV, CorrectorConfig, correction_pipeline
 
 
 class StubHandler(BaseHTTPRequestHandler):
@@ -41,7 +42,8 @@ def main() -> int:
     thread.start()
     endpoint = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
 
-    cfg = CorrectorConfig(mode="external", endpoint=endpoint, api_key_env="")
+    os.environ.setdefault(API_KEY_ENV, "sk-demo")  # the stub ignores the token
+    cfg = CorrectorConfig(mode="external", endpoint=endpoint)
     text = "a man speaks and a horse gallops and a man speaks and"
     result = correction_pipeline(text, cfg)
     print("-- input: ", text)

@@ -49,7 +49,7 @@ def serialize(model: CaptionModel) -> bytearray:
     table = _tensor_table(model)
     header = {
         "config": model.cfg.to_dict(),
-        "vocab": model.vocab.tokens,
+        "vocab": model.decoder.vocab.tokens,
         "feature_stats": {"mean": model.encoder.feat_mean,
                           "std": model.encoder.feat_std},
         "tensors": [{"name": name, "shape": list(arr.shape)}

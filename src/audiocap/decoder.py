@@ -163,29 +163,29 @@ class CaptionDecoder(Module):
             slot += n
         return nn.concat([self.embed, acoustic])[np.array(ids)], lengths
 
-    def logits(self, x: Tensor, caches: list[nn.KVCache] | None = None,
-               at: int | nn.Packing = 0) -> Tensor:
-        """Logits for embeddings x in one of two modes.
+    def logits(self, x: Tensor, layout: nn.Packing | list[nn.KVCache]) -> Tensor:
+        """Logits for embeddings x in the mode its layout selects.
 
-        Packed (training): x is a batch's streams packed as (R, d), `at`
+        Packed (training): x is a batch's streams packed as (R, d), `layout`
         their `nn.Packing`, which gives each row's position, and every row
-        is scored: (R, V). Cached (decoding): x is (batch, n, d) at
-        positions at..at+n-1, with one cache per block; the rows attend
-        causally over the keys and values the caches hold (`at` of them)
-        plus their own, the caches keep theirs, and only the last row is
-        scored: (batch, 1, V). That step runs on arrays
-        (`TransformerBlock.cached_step`), and the result has no graph.
+        is scored: (R, V). Cached (decoding): x is (batch, n, d), `layout`
+        one cache per block; the caches hold the keys and values of the
+        first `filled` positions, the rows attend causally over those plus
+        their own, at the positions that follow, the caches keep theirs,
+        and only the last row is scored: (batch, 1, V). That step runs on
+        arrays (`TransformerBlock.cached_step`), and the result has no
+        graph.
         """
-        if isinstance(at, nn.Packing):
-            x = x + self.pos[at.pos]
+        if isinstance(layout, nn.Packing):
+            x = x + self.pos[layout.pos]
             for block in self.blocks:
-                x = block(x, mask=at)
+                x = block(x, mask=layout)
             return self.head(nn.rms_norm(x, self.out_gain))
-        n = x.data.shape[-2]
+        n, at = x.data.shape[-2], layout[0].filled
         # one row per hypothesis sees every cached key: its mask is all zeros
         mask = nn.causal_mask(n, at) if n > 1 else None
         h = x.data + self.pos.data[at:at + n]
-        for block, cache in zip(self.blocks, caches):
+        for block, cache in zip(self.blocks, layout):
             h = block.cached_step(h, mask, cache)
         h = nn.rms_norm_forward(h[..., -1:, :], self.out_gain.data)[0]
         return Tensor(self.head.forward_array(h))
@@ -206,15 +206,14 @@ class CaptionDecoder(Module):
         x, lengths = self.embed_stream(acoustic, counts, targets)
         if max(lengths) > self.cfg.max_seq:
             raise SequenceTooLong(f"batch length {max(lengths)} exceeds {self.cfg.max_seq}")
-        packing = nn.Packing(lengths, causal=True, head=len(self.prompt_head))
-        logits = self.logits(x, at=packing)
-        # an item's row p predicts its row p + 1, so the rows that count are
-        # those just before a caption position; an item's first row never is
-        items = np.concatenate([np.full(len(t), i) for i, t in enumerate(targets)])
-        positions = np.concatenate([np.arange(n - len(t), n)
-                                    for n, t in zip(lengths, targets)])
-        return nn.cross_entropy(logits[packing.row(items, positions - 1)],
-                                np.concatenate(targets))
+        head = len(self.prompt_head)
+        logits = self.logits(x, nn.Packing(lengths, causal=True, head=head))
+        # a row predicts the next: item i's caption and <eos> end its own
+        # rows at ends[i], and the rows that count are the ones just before
+        ends = head + np.cumsum([n - head for n in lengths])
+        rows = np.concatenate([np.arange(end - len(t) - 1, end - 1)
+                               for end, t in zip(ends, targets)])
+        return nn.cross_entropy(logits[rows], np.concatenate(targets))
 
     def greedy_decode(self, acoustic: Tensor) -> str:
         """Beam search of width 1; the benchmark's layer table binds this name."""
@@ -237,7 +236,7 @@ class CaptionDecoder(Module):
         if beam < 1:
             raise ValueError("beam width must be >= 1")
         stream, _ = self.embed_stream(acoustic, [acoustic.shape[0]], [[]])
-        x, start = stream.data[None], 0  # the prompt, (1, T, d)
+        x = stream.data[None]  # the prompt, (1, T, d)
         caches = [nn.KVCache(beam, x.shape[1] + self.cfg.max_caption,
                              self.cfg.d_dec, x.dtype) for _ in self.blocks]
         live: list[list[int]] = [[]]
@@ -251,12 +250,11 @@ class CaptionDecoder(Module):
         for step in range(self.cfg.max_caption):
             if not live or best > norm(totals.max(), self.cfg.max_caption):
                 break
-            n = x.shape[1]
-            if start + n > self.cfg.max_seq:  # positions 0..max_seq-1 fit
-                raise SequenceTooLong(f"decode length {start + n} exceeds "
+            end = caches[0].filled + x.shape[1]
+            if end > self.cfg.max_seq:  # positions 0..max_seq-1 fit
+                raise SequenceTooLong(f"decode length {end} exceeds "
                                       f"{self.cfg.max_seq}")
-            rows = self.logits(Tensor(x), caches, start).data[:, -1]
-            start += n
+            rows = self.logits(Tensor(x), caches).data[:, -1]
             logp = _log_softmax(rows)
             cand_totals = (totals[:, None] + logp).ravel()
             scores = cand_totals / ((step + 1) ** LENGTH_NORM)

@@ -29,6 +29,7 @@ TEXT_SLOT = "<Text>"
 
 MODES = ("rules", "external", "external_with_rules_fallback")
 MODEL = "gpt-3.5-turbo"  # the chat model every revision request names
+API_KEY_ENV = "AUDIOCAP_API_KEY"  # holds the bearer token every request sends
 
 # the external client's policy: a request timeout, then up to RETRIES more
 # attempts after BACKOFF_S, 2 * BACKOFF_S, ... seconds
@@ -68,7 +69,6 @@ class CorrectorConfig:
     threshold: float = FLUENCY_GATE
     mode: str = "rules"
     endpoint: str = ""
-    api_key_env: str = "AUDIOCAP_API_KEY"
 
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
@@ -151,12 +151,11 @@ def correct_external(text: str, cfg: CorrectorConfig) -> str:
     import http.client
     import urllib.error
     import urllib.request  # only this path loads an HTTP client (~6 MB)
-    headers = {"Content-Type": "application/json"}
-    if cfg.api_key_env:
-        key = os.environ.get(cfg.api_key_env)
-        if key is None:
-            raise MissingApiKey(f"environment variable {cfg.api_key_env} unset")
-        headers["Authorization"] = f"Bearer {key}"
+    key = os.environ.get(API_KEY_ENV)
+    if key is None:
+        raise MissingApiKey(f"environment variable {API_KEY_ENV} unset")
+    headers = {"Content-Type": "application/json",
+               "Authorization": f"Bearer {key}"}
     body = json.dumps(build_revision_request(text)).encode("utf-8")
     try:
         request = urllib.request.Request(cfg.endpoint, data=body,

@@ -83,7 +83,6 @@ class CaptionModel(Module):
 
     def __init__(self, cfg: PipelineConfig, vocab: Vocabulary):
         self.cfg = cfg
-        self.vocab = vocab
         fe = cfg.frontend
         self.encoder = PatchEncoder(cfg.encoder, nn.rng_from_seed([cfg.seed, 1]),
                                     fe.patch ** 2, fe.n_mels // fe.patch)

@@ -259,20 +259,17 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
                    backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """The tensors' rows, one tensor after another (axis 0)."""
     tensors = tuple(tensors)
 
     def backward(g):
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
+        offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accum(g[tuple(idx)])
+                t._accum(g[lo:hi])
 
-    return _result(np.concatenate([t.data for t in tensors], axis=axis),
-                   tensors, backward)
+    return _result(np.concatenate([t.data for t in tensors]), tensors, backward)
 
 
 def add_into(x: Tensor, y: Tensor) -> Tensor:
@@ -430,19 +427,12 @@ class Packing:
         # rows, the head's in item 0
         self.index = np.concatenate(
             [np.arange(head)] + [i * t + p for i, p in enumerate(own)])
-        # the packed row of item i's own position `head` is starts[i] + head
-        self.starts = np.cumsum([0] + [n - head for n in lengths[:-1]])
         self.mask = None
         if causal:
             self.mask = causal_mask(t)
         elif self.index.size < b * t:
             self.mask = np.where(np.arange(t) < lengths[:, None], 0.0,
                                  -np.inf).astype(np.float32)[:, None, None, :]
-
-    def row(self, item: np.ndarray, position: np.ndarray) -> np.ndarray:
-        """The packed row of item `item[j]`'s row `position[j]`, for each j."""
-        return np.where(position < self.head, position,
-                        self.starts[item] + position)
 
     def place(self, rows: np.ndarray) -> np.ndarray:
         """(R, d) packed rows -> (B, T, d), each row once, the head in item

@@ -1,14 +1,21 @@
 """Shared helpers: tiny configurations sized for fast unit tests."""
 
 import numpy as np
+import pytest
 
-from audiocap import nn
+from audiocap import fluency, nn
 from audiocap.bridge import BridgeConfig
 from audiocap.decoder import DecoderConfig, build_vocab
 from audiocap.encoder import EncoderConfig
 from audiocap.frontend import PatchSequence
 from audiocap.lora import LoraConfig
 from audiocap.model import PipelineConfig
+
+
+@pytest.fixture(autouse=True)
+def api_key(monkeypatch):
+    """The external corrector's bearer token, so a request can be sent."""
+    monkeypatch.setenv(fluency.API_KEY_ENV, "sk-test")
 
 
 def tiny_config(seed=0, strategy=None, **over):

@@ -32,7 +32,7 @@ def reference_bridge(model, acoustic):
         for block in model.cross_blocks:
             q = block(q, context=kv)
         rows.append(q)
-    q = nn.concat(rows, axis=0)
+    q = nn.concat(rows)
     for block in model.self_blocks:
         q = block(q)
     return model.out_proj(nn.rms_norm(q, model.out_gain))

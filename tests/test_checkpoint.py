@@ -29,7 +29,7 @@ def reference_serialize(model) -> bytes:
     table = ckpt._tensor_table(model)
     header = {
         "config": model.cfg.to_dict(),
-        "vocab": model.vocab.tokens,
+        "vocab": model.decoder.vocab.tokens,
         "feature_stats": {"mean": model.encoder.feat_mean,
                           "std": model.encoder.feat_std},
         "tensors": [{"name": name, "shape": list(arr.shape)}
@@ -152,7 +152,7 @@ class TestRoundTrip:
     def test_vocab_and_config_restored(self):
         model = fresh_model()
         loaded = ckpt.deserialize(ckpt.serialize(model))
-        assert loaded.vocab.tokens == model.vocab.tokens
+        assert loaded.decoder.vocab.tokens == model.decoder.vocab.tokens
         assert loaded.cfg.to_dict() == model.cfg.to_dict()
 
     @pytest.mark.parametrize("kind", ["fresh", "lora", "float64"])

@@ -68,9 +68,9 @@ def reference_stream(model, items):
         if max(lengths) > n:
             pad_ids = np.full(max(lengths) - n, Vocabulary.PAD, dtype=np.int64)
             segments.append(model.embed[pad_ids])
-        x = nn.concat(segments, axis=0)
+        x = nn.concat(segments)
         rows.append(x[None])
-    return nn.concat(rows, axis=0)
+    return nn.concat(rows)
 
 
 def full_logits(model, x):
@@ -153,9 +153,10 @@ class ReferenceCache:
 
 def reference_cached_logits(model, x, caches, at):
     """`CaptionDecoder.logits` with caches, as it ran on the autograd ops:
-    `nn.affine`, `rms_norm`, `gelu`, `multi_head_attention` and `concat`,
-    and `LoraLinear.__call__` for an adapted projection. The bit oracle of
-    the array step."""
+    `nn.affine`, `rms_norm`, `gelu` and `multi_head_attention`, and
+    `LoraLinear.__call__` for an adapted projection, with each cache grown
+    by `np.concatenate` along the positions. The bit oracle of the array
+    step; it tracks its own position `at`."""
     def project(layer, h):
         if isinstance(layer, LoraLinear):
             return layer(h)
@@ -169,8 +170,9 @@ def reference_cached_logits(model, x, caches, at):
         h = nn.rms_norm(x, block.attn_gain)
         keys, values = project(attn.k, h), project(attn.v, h)
         if cache.keys is not None:
-            keys = nn.concat([cache.keys, keys], axis=-2)
-            values = nn.concat([cache.values, values], axis=-2)
+            keys = nn.Tensor(np.concatenate([cache.keys.data, keys.data], axis=-2))
+            values = nn.Tensor(np.concatenate([cache.values.data, values.data],
+                                              axis=-2))
         cache.keys, cache.values = keys, values
         ctx = nn.multi_head_attention(project(attn.q, h), keys, values,
                                       attn.n_heads, mask)
@@ -456,7 +458,7 @@ def unshared_loss(model, acoustic, counts, captions):
                    for n, end, t in zip(counts, ends, targets)])
     refs = [reference_ids(model.vocab, n, t) for n, t in zip(counts, targets)]
     packing = nn.Packing([len(ids) for ids, _ in refs], True, 0)
-    logits = model.logits(x, at=packing)
+    logits = model.logits(x, packing)
     ids = np.concatenate([ids for ids, _ in refs])
     scored = np.flatnonzero(np.concatenate([mask for _, mask in refs]))
     rows = logits[scored - 1]
@@ -711,17 +713,15 @@ class TestCachedDecoding:
         model = make_decoder(vocab, seed=seed, layers=2)
         acoustic = acoustic_block(n=4, seed=seed)
         prompt = reference_stream(model, [(acoustic, [])])
-        start = prompt.shape[1]
         ids = vocab.encode(self.CAPTION)
-        caches = [nn.KVCache(3, start + len(ids) + 1, 32, np.float32)
+        caches = [nn.KVCache(3, prompt.shape[1] + len(ids) + 1, 32, np.float32)
                   for _ in model.blocks]
         rows = model.logits(prompt, caches)
         want = reference_step_logits(model, acoustic, [])
         assert relative_error(rows.data[0, -1], want) < 1e-5
         for i, tok in enumerate(ids):
             x = model.embed[np.array([[tok]])]
-            row = model.logits(x, caches, start).data[0, -1]
-            start += 1
+            row = model.logits(x, caches).data[0, -1]
             want = reference_step_logits(model, acoustic, ids[:i + 1])
             assert relative_error(row, want) < 1e-5
         # fan the one row out into three hypotheses with different next tokens
@@ -729,7 +729,7 @@ class TestCachedDecoding:
             cache.select(np.array([0, 0, 0]))
         branch = [vocab.EOS, ids[0], ids[-1]]
         x = model.embed[np.array(branch)[:, None]]
-        rows = model.logits(x, caches, start).data[:, -1]
+        rows = model.logits(x, caches).data[:, -1]
         for row, tok in zip(rows, branch):
             want = reference_step_logits(model, acoustic, ids + [tok])
             assert relative_error(row, want) < 1e-5
@@ -757,7 +757,7 @@ class TestCachedDecoding:
             references = [ReferenceCache() for _ in model.blocks]
             at = 0
             for _ in range(1 + steps):
-                got = model.logits(x, caches, at)
+                got = model.logits(x, caches)
                 want = reference_cached_logits(model, x, references, at)
                 assert got.dtype == want.dtype and got.shape == (len(x.data), 1, len(vocab))
                 assert np.array_equal(got.data, want)

@@ -89,9 +89,7 @@ def completion(text):
 
 
 def external_cfg(endpoint, mode="external", **over):
-    kw = dict(mode=mode, endpoint=endpoint, api_key_env="")
-    kw.update(over)
-    return CorrectorConfig(**kw)
+    return CorrectorConfig(mode=mode, endpoint=endpoint, **over)
 
 
 @pytest.fixture(autouse=True)
@@ -299,20 +297,18 @@ class TestExternalCorrector:
         assert "rain is falling on a tin roof ==> " \
                "rain is falling on the tin roof" in content
         assert content.endswith(f"{LOOP} ==>")
-        assert "Authorization" not in headers
+        assert headers["Authorization"] == "Bearer sk-test"
 
     def test_bearer_header_from_env(self, monkeypatch):
-        monkeypatch.setenv("TEST_CORRECTOR_KEY", "sk-test-123")
-        cfg = external_cfg("", api_key_env="TEST_CORRECTOR_KEY")
+        monkeypatch.setenv(fl.API_KEY_ENV, "sk-test-123")
         with StubServer([(200, completion("ok caption"))]) as srv:
-            cfg.endpoint = srv.endpoint
-            correct_external("a dog barks", cfg)
+            correct_external("a dog barks", external_cfg(srv.endpoint))
         _, headers, _ = srv.requests[0]
         assert headers["Authorization"] == "Bearer sk-test-123"
 
     def test_missing_api_key(self, monkeypatch):
-        monkeypatch.delenv("NO_SUCH_KEY_VAR", raising=False)
-        cfg = external_cfg("http://127.0.0.1:9/v1", api_key_env="NO_SUCH_KEY_VAR")
+        monkeypatch.delenv(fl.API_KEY_ENV)
+        cfg = external_cfg("http://127.0.0.1:9/v1")
         with pytest.raises(fl.MissingApiKey):
             correct_external("a dog barks", cfg)
 

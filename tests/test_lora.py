@@ -173,8 +173,8 @@ class TestStrategy:
                 x = x[None]  # the decode prompt
                 caches = [nn.KVCache(1, x.shape[1] + 1, dec.cfg.d_dec, x.dtype)
                           for _ in dec.blocks]
-                first = dec.logits(x, caches, 0).data
+                first = dec.logits(x, caches).data
                 step = dec.logits(dec.embed[np.array([[first.argmax()]])],
-                                  caches, x.shape[1]).data
+                                  caches).data
             logits.append((first, step))
         assert all(np.array_equal(a, b) for a, b in zip(*logits))

@@ -135,7 +135,7 @@ class TestBatchedLoss:
         # <bos> + 7 instruction words, the bridged rows, 5 tail tokens, the
         # caption and <eos>
         lengths = [8 + output_count(p.count, window) + 5
-                   + len(model.vocab.encode(caption)) + 1
+                   + len(model.decoder.vocab.encode(caption)) + 1
                    for p, caption in batch]
         assert len(set(lengths)) > 1  # padded, the parent would score more
         shapes = []

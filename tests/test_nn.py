@@ -188,7 +188,6 @@ class TestPacking:
             own = padded[i, :n] - 1
             assert np.array_equal(own[:head], np.arange(head))
             assert np.array_equal(packing.pos[own], np.arange(n))
-            assert np.array_equal(packing.row(np.full(n, i), np.arange(n)), own)
             assert not padded[i, n:].any()
         assert np.array_equal(packing.gather(padded[..., None])[:, 0],
                               np.arange(1, rows + 1))
