@@ -24,11 +24,17 @@ for N steps (default 80), captions its 8 clips, and prints
                 METEOR-lite's chunk search
   census        `scripts/design_census.py`'s counts
   blas_threads  the BLAS thread count, pinned to 1
+  blas_core     the name of the CPU core whose kernels OpenBLAS runs
+                (`scipy_openblas_get_corename64_`), or null where numpy's
+                BLAS has no such symbol
 
 Two trees whose objects differ only in `census` train, save and caption
 bit-identically; two whose `first_step` agree compute the same first
 forward pass. Results depend on the BLAS thread count, so it is pinned
-before numpy loads, as `deskbench/run.py` pins it.
+before numpy loads, as `deskbench/run.py` pins it. They also depend on
+the kernels OpenBLAS picks for the CPU: small products, such as a decode
+step's, round differently on another core, so compare two fingerprints
+only where their `blas_core` agrees.
 """
 
 import os
@@ -37,6 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import ctypes
 import hashlib
 import json
 import sys
@@ -46,6 +53,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
+import numpy as np  # noqa: E402
+
 from audiocap import checkpoint, data, decoder, fluency, metrics, model, nn  # noqa: E402
 from design_census import PACKAGE, census  # noqa: E402
 
@@ -54,6 +63,19 @@ DESK_CLIPS, DESK_SEED = 8, 7
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def blas_core() -> str | None:
+    """OpenBLAS's core name, read from the library numpy ships, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                       .glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
 
 
 def fingerprint(steps: int) -> tuple[dict, str]:
@@ -114,6 +136,7 @@ def fingerprint(steps: int) -> tuple[dict, str]:
             for c in greedy for e in entries)),
         "census": census(PACKAGE),
         "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
+        "blas_core": blas_core(),
     }, curve
 
 

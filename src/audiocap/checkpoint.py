@@ -2,12 +2,12 @@
 
 Layout: magic "LOAE", u32 version, u64 header length, JSON header (config,
 vocabulary, feature stats, tensor table of names and shapes), raw
-little-endian f32 tensor blobs in header-declared order, then a u32 CRC-32
-of every byte before it. The checksum guards against corruption, not
-tampering. Only `VERSION` loads, so every loaded file has passed its
-checksum; any other version raises `VersionMismatch`. The header is
-serialized with sorted keys and the tensor table sorted by name, so
-save -> load -> save round-trips byte-identically.
+little-endian f32 tensor blobs in header-declared order, each weight as
+(d_in, d_out), then a u32 CRC-32 of every byte before it. The checksum
+guards against corruption, not tampering. Only `VERSION` loads, so every
+loaded file has passed its checksum; any other version raises
+`VersionMismatch`. The header is serialized with sorted keys and the tensor
+table sorted by name, so save -> load -> save round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .decoder import Vocabulary
 from .model import CaptionModel, PipelineConfig, build_model
 
 MAGIC = b"LOAE"
-VERSION = 4
+VERSION = 5
 
 
 class CorruptCheckpoint(ValueError):

@@ -187,8 +187,8 @@ class CaptionDecoder(Module):
         h = x.data + self.pos.data[at:at + n]
         for block, cache in zip(self.blocks, layout):
             h = block.cached_step(h, mask, cache)
-        h = nn.rms_norm_forward(h[..., -1:, :], self.out_gain.data)[0]
-        return Tensor(self.head.forward_array(h))
+        h = nn.rms_norm_forward(h[:, -1], self.out_gain.data)[0]
+        return Tensor(self.head.forward_array(h)[:, None])
 
     def forward_loss(self, acoustic: Tensor, counts: list[int],
                      captions: list[str]) -> Tensor:

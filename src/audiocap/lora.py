@@ -1,11 +1,11 @@
 """Low-rank adaptation of linear projections and training-strategy wiring.
 
 A LoraLinear keeps the frozen base projection and adds a scaled low-rank
-residual (alpha/r) * B(Ax). B starts at zero so a freshly wrapped layer is
-exactly the base layer. A strategy is one of `MODES`, frozen /
-full_finetune / lora, and applies to the encoder and the decoder alike;
-adapters attach to the q and v projections of every attention layer, and
-the bridge stays fully trainable under every strategy.
+residual (alpha/r) * (x @ A) @ B, A (d_in, r) and B (r, d_out). B starts at
+zero so a freshly wrapped layer is exactly the base layer. A strategy is one
+of `MODES`, frozen / full_finetune / lora, and applies to the encoder and
+the decoder alike; adapters attach to the q and v projections of every
+attention layer, and the bridge stays fully trainable under every strategy.
 """
 
 from __future__ import annotations
@@ -40,14 +40,14 @@ class LoraConfig:
 class LoraLinear(Module):
     def __init__(self, base: Linear, rank: int, alpha: float,
                  rng: np.random.Generator):
-        d_out, d_in = base.weight.data.shape
+        d_in, d_out = base.weight.data.shape
         if rank < 1:
             raise ValueError("rank must be >= 1")
         if rank > min(d_in, d_out):
             raise RankTooLarge(f"rank {rank} exceeds min({d_in}, {d_out})")
         self.base = base
-        self.lora_a = nn.parameter(rng.normal(0.0, 0.02, (rank, d_in)))
-        self.lora_b = nn.parameter(np.zeros((d_out, rank)))
+        self.lora_a = nn.parameter(rng.normal(0.0, 0.02, (rank, d_in)).T)
+        self.lora_b = nn.parameter(np.zeros((rank, d_out)))
         self.rank = rank
         self.alpha = alpha
         set_trainable(base, False)
@@ -70,8 +70,8 @@ class LoraLinear(Module):
         return y
 
     def merge(self) -> Linear:
-        """Fold the adapter into a plain layer: W' = W + (alpha/r) * B A."""
-        delta = self.scaling * (self.lora_b.data @ self.lora_a.data)
+        """Fold the adapter into a plain layer: W' = W + (alpha/r) * A @ B."""
+        delta = self.scaling * (self.lora_a.data @ self.lora_b.data)
         return Linear.from_weights(self.base.weight.data + delta,
                                    self.base.bias.data.copy())
 

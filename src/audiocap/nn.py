@@ -224,22 +224,22 @@ def parameter(data) -> Tensor:
 
 def affine_forward(x: np.ndarray, weight: np.ndarray,
                    bias: np.ndarray | None) -> np.ndarray:
-    """x @ weight.T (+ bias): `affine`'s forward, on arrays."""
-    y = x @ weight.T
+    """x @ weight (+ bias): `affine`'s forward, on arrays."""
+    y = x @ weight
     if bias is not None:
         y += bias
     return y
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ weight.T (+ bias) over the last axis; weight is (d_out, d_in).
+    """x @ weight (+ bias) over the last axis; weight is (d_in, d_out).
 
-    The forward keeps numpy's batched product on 3-D input, so an
-    inference layer computes the same bits as before it became one node;
-    training's packed rows are 2-D, one GEMM. The backward flattens the
-    rows to 2-D, so dW = g.T @ x is a single GEMM.
+    Stored that way, every projection is the plain product, which BLAS
+    runs faster than x @ W.T at the few rows decoding has. The backward
+    flattens the rows to 2-D, so dx = g @ W.T and dW = x.T @ g are one
+    GEMM each.
     """
-    d_out, d_in = weight.data.shape
+    d_in, d_out = weight.data.shape
     if x.data.shape[-1] != d_in:
         raise DimensionMismatch(
             f"linear expects last dim {d_in}, got {x.data.shape}")
@@ -248,10 +248,10 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward(g):
         g = g.reshape(-1, d_out)
         if x.requires_grad:
-            dx = g @ weight.data  # fresh: `_accum` keeps it without a copy
+            dx = g @ weight.data.T  # fresh: `_accum` keeps it without a copy
             x._accum(dx if dx.shape == x.data.shape else dx.reshape(x.data.shape))
         if weight.requires_grad:
-            weight._accum(g.T @ x.data.reshape(-1, d_in))
+            weight._accum(x.data.reshape(-1, d_in).T @ g)
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=0))
 
@@ -628,7 +628,8 @@ class Module:
 
 class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
-        self.weight = parameter(rng.normal(0.0, 0.02, (d_out, d_in)))
+        # the (d_out, d_in) draw, transposed: every seed keeps its function
+        self.weight = parameter(rng.normal(0.0, 0.02, (d_out, d_in)).T)
         self.bias = parameter(np.zeros(d_out))
 
     @classmethod
@@ -739,18 +740,21 @@ class TransformerBlock(Module):
         plus their own, which it keeps.
 
         Arrays in, array out, no graph: the ops of `__call__`, each through
-        the same array function, in the same order, so the bits match.
+        the same array function, in the same order, on one (batch * n, d)
+        block of rows; only the cache and attention see (batch, n, d).
         """
         attn, ffn = self.attn, self.ffn
+        shape, x = x.shape, x.reshape(-1, x.shape[-1])
         h = rms_norm_forward(x, self.attn_gain.data)[0]
-        keys, values = cache.extend(attn.k.forward_array(h), attn.v.forward_array(h))
-        ctx = attention_forward(attn.q.forward_array(h), keys, values,
-                                attn.n_heads, mask)[0]
-        y = attn.o.forward_array(ctx)
+        keys, values = cache.extend(attn.k.forward_array(h).reshape(shape),
+                                    attn.v.forward_array(h).reshape(shape))
+        ctx = attention_forward(attn.q.forward_array(h).reshape(shape), keys,
+                                values, attn.n_heads, mask)[0]
+        y = attn.o.forward_array(ctx.reshape(x.shape))
         x = np.add(x, y, out=y)
         h = rms_norm_forward(x, self.ffn_gain.data)[0]
         y = ffn.down.forward_array(gelu_forward(ffn.up.forward_array(h))[0])
-        return np.add(x, y, out=y)
+        return np.add(x, y, out=y).reshape(shape)
 
 
 # -- optimizer -------------------------------------------------------------

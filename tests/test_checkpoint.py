@@ -74,29 +74,40 @@ def swap_matrix_shape(header):
 
 
 def as_old_version(blob: bytes, version: int) -> bytes:
-    """The same model's file in format 1, 2 or 3.
+    """The same model's file in format 1, 2, 3 or 4.
 
-    A format-3 header also holds its version, each tensor's dtype, the six
-    STFT/log frontend values and a per-component strategy; formats 1 and 2
-    also name `bridge.d_dec` and `frontend.sample_rate`; a version-1 file
-    has no checksum trailer.
+    A format-4 file stores each `Linear` weight and LoRA factor (d_out,
+    d_in), the transpose of today's; a format-3 header also holds its
+    version, each tensor's dtype, the six STFT/log frontend values and a
+    per-component strategy; formats 1 and 2 also name `bridge.d_dec` and
+    `frontend.sample_rate`; a version-1 file has no checksum trailer.
     """
     (n,) = struct.unpack_from("<Q", blob, 8)
     header = json.loads(blob[16:16 + n])
-    config = header["config"]
-    config["frontend"].update(window=400, hop=160, n_fft=512, f_min=0.0,
-                              f_max=8000.0, log_floor=1e-10)
-    config["strategy"] = {"encoder": config["strategy"],
-                          "decoder": config["strategy"]}
+    tensors, offset = [], 16 + n
     for entry in header["tensors"]:
-        entry["dtype"] = "f32"
-    header["version"] = version
+        size = int(np.prod(entry["shape"]))
+        arr = np.frombuffer(blob, "<f4", size, offset).reshape(entry["shape"])
+        if entry["name"].endswith((".weight", ".lora_a", ".lora_b")):
+            arr = arr.T
+            entry["shape"].reverse()
+        tensors.append(arr.tobytes())
+        offset += 4 * size
+    config = header["config"]
+    if version < 4:
+        config["frontend"].update(window=400, hop=160, n_fft=512, f_min=0.0,
+                                  f_max=8000.0, log_floor=1e-10)
+        config["strategy"] = {"encoder": config["strategy"],
+                              "decoder": config["strategy"]}
+        for entry in header["tensors"]:
+            entry["dtype"] = "f32"
+        header["version"] = version
     if version < 3:
         config["bridge"]["d_dec"] = config["decoder"]["d_dec"]
         config["frontend"]["sample_rate"] = 16000
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     body = (blob[:4] + struct.pack("<IQ", version, len(raw)) + raw
-            + blob[16 + n:-4])
+            + b"".join(tensors))
     return body if version == 1 else sealed(body)
 
 
@@ -183,9 +194,10 @@ class TestRoundTrip:
 
     def test_version_1_is_refused(self, tmp_path):
         # a version-1 file has no checksum trailer, so it cannot be checked;
-        # version-2 and -3 files hold fields this format dropped, and are
-        # refused by their version, not as a corrupt header
-        for version in (1, 2, 3):
+        # version-2 and -3 files hold fields this format dropped, and a
+        # version-4 file's square weights would load transposed with no
+        # shape error: each is refused by its version, not as corrupt
+        for version in (1, 2, 3, 4):
             blob = as_old_version(ckpt.serialize(fresh_model()), version)
             (tmp_path / "m.ckpt").write_bytes(blob)
             for load in (lambda: ckpt.deserialize(blob),

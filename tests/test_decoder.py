@@ -152,34 +152,43 @@ class ReferenceCache:
 
 
 def reference_cached_logits(model, x, caches, at):
-    """`CaptionDecoder.logits` with caches, as it ran on the autograd ops:
+    """`CaptionDecoder.logits` with caches, as it runs on the autograd ops:
     `nn.affine`, `rms_norm`, `gelu` and `multi_head_attention`, and
     `LoraLinear.__call__` for an adapted projection, with each cache grown
-    by `np.concatenate` along the positions. The bit oracle of the array
-    step; it tracks its own position `at`."""
+    by `np.concatenate` along the positions. The row-wise ops see the
+    (B * n, d) rows, and attention and the caches (B, n, d). The bit oracle
+    of the array step; it tracks its own position `at`."""
     def project(layer, h):
         if isinstance(layer, LoraLinear):
             return layer(h)
         return nn.affine(h, layer.weight, layer.bias)
 
-    n = x.shape[-2]
-    x = x + model.pos[at:at + n]
+    b, n, d = x.shape
+
+    def rows(t):  # (B, n, d) -> (B * n, d), the same values
+        return nn.Tensor(t.data.reshape(-1, d))
+
+    def items(t):  # (B * n, d) -> (B, n, d)
+        return nn.Tensor(t.data.reshape(b, n, d))
+
+    x = rows(x + model.pos[at:at + n])
     mask = nn.causal_mask(n, at) if n > 1 else None
     for block, cache in zip(model.blocks, caches):
         attn, ffn = block.attn, block.ffn
         h = nn.rms_norm(x, block.attn_gain)
-        keys, values = project(attn.k, h), project(attn.v, h)
+        keys, values = items(project(attn.k, h)), items(project(attn.v, h))
         if cache.keys is not None:
             keys = nn.Tensor(np.concatenate([cache.keys.data, keys.data], axis=-2))
             values = nn.Tensor(np.concatenate([cache.values.data, values.data],
                                               axis=-2))
         cache.keys, cache.values = keys, values
-        ctx = nn.multi_head_attention(project(attn.q, h), keys, values,
+        ctx = nn.multi_head_attention(items(project(attn.q, h)), keys, values,
                                       attn.n_heads, mask)
-        x = x + project(attn.o, ctx)
+        x = x + project(attn.o, rows(ctx))
         h = nn.gelu(project(ffn.up, nn.rms_norm(x, block.ffn_gain)))
         x = x + project(ffn.down, h)
-    return project(model.head, nn.rms_norm(x[..., -1:, :], model.out_gain)).data
+    last = nn.rms_norm(items(x)[:, -1], model.out_gain)
+    return project(model.head, last).data[:, None]
 
 
 def relative_error(a, b):
@@ -766,6 +775,27 @@ class TestCachedDecoding:
                 for cache in caches + references:
                     cache.select(rows)
                 x = model.embed[r.integers(0, len(vocab), size=(width, 1))]
+
+    @pytest.mark.parametrize("adapted", [False, True], ids=["plain", "lora"])
+    def test_a_step_projects_its_rows_as_one_2d_block(self, monkeypatch,
+                                                      adapted):
+        # numpy multiplies (3, 1, d) rows by a weight as one product per
+        # hypothesis; one (3, d) block is one GEMM
+        vocab = tiny_vocab()
+        model = make_decoder(vocab, seed=0, layers=2, max_caption=6)
+        if adapted:
+            lora.apply_mode(model, "lora", LoraConfig(rank=2, alpha=4.0), 5)
+        real, inputs = nn.affine_forward, []
+
+        def spy(x, weight, bias):
+            inputs.append(x.shape)
+            return real(x, weight, bias)
+
+        monkeypatch.setattr(nn, "affine_forward", spy)
+        with nn.no_grad():
+            model.beam_decode(acoustic_block(n=4, seed=0), beam=3)
+        assert inputs and all(len(shape) == 2 for shape in inputs)
+        assert (3, 32) in inputs  # a token step of three hypotheses
 
     @pytest.mark.parametrize("seed,zero_head", [
         (0, False), (1, False), (2, False), (3, False), (4, False),

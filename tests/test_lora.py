@@ -9,7 +9,7 @@ from conftest import random_patches, tiny_config, tiny_vocab
 
 
 def make_linear(d_in=16, d_out=16, seed=0):
-    weight = nn.rng_from_seed(seed).normal(0, 0.1, (d_out, d_in))
+    weight = nn.rng_from_seed(seed).normal(0, 0.1, (d_out, d_in)).T
     return nn.Linear.from_weights(weight.astype(np.float32),
                                   np.zeros(d_out, np.float32))
 
@@ -38,6 +38,18 @@ class TestLoraLinear:
         merged = wrapped.merge()
         assert np.array_equal(merged.bias.data, wrapped.base.bias.data)
         assert merged.bias.data is not wrapped.base.bias.data
+
+    def test_factor_shapes(self):
+        # A is drawn (r, d_in) and stored transposed, as `Linear` stores W
+        wrapped = LoraLinear(make_linear(16, 12), 4, 8.0, nn.rng_from_seed(2))
+        drawn = nn.rng_from_seed(2).normal(0.0, 0.02, (4, 16)).astype(np.float32)
+        assert wrapped.base.weight.shape == (16, 12)
+        assert np.array_equal(wrapped.lora_a.data, drawn.T)
+        assert wrapped.lora_b.shape == (4, 12) and not wrapped.lora_b.data.any()
+        wrapped.lora_b.data = np.ones((4, 12), dtype=np.float32)
+        merged = wrapped.merge().weight.data
+        assert np.array_equal(merged, wrapped.base.weight.data
+                              + 2.0 * (drawn.T @ wrapped.lora_b.data))
 
     def test_rank_too_large(self):
         with pytest.raises(lora.RankTooLarge):

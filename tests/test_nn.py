@@ -380,7 +380,7 @@ class TestBackwardOps:
             (t * 2.0).backward()
 
     def test_affine_checks_the_input_width(self):
-        w = nn.Tensor(np.ones((3, 4)), requires_grad=True)
+        w = nn.Tensor(np.ones((4, 3)), requires_grad=True)
         with pytest.raises(nn.DimensionMismatch, match="last dim 4"):
             nn.affine(nn.Tensor(np.ones((2, 5))), w)
 
@@ -484,7 +484,7 @@ class TestFusedOps:
     def test_affine(self, x_shape, bias):
         r = nn.rng_from_seed(5)
         x = nn.Tensor(r.normal(0, 1, x_shape), requires_grad=True)
-        w = nn.Tensor(r.normal(0, 1, (3, 4)), requires_grad=True)
+        w = nn.Tensor(r.normal(0, 1, (4, 3)), requires_grad=True)
         b = nn.Tensor(r.normal(0, 1, 3), requires_grad=True) if bias else None
         out_w = r.normal(0, 1, x_shape[:-1] + (3,))
         self.check(lambda: tsum(nn.affine(x, w, b) * out_w),
@@ -668,6 +668,16 @@ class TestModule:
             "ffn.up.weight", "ffn.up.bias", "ffn.down.weight", "ffn.down.bias",
         ]
 
+    def test_linear_stores_its_draw_as_d_in_by_d_out(self):
+        layer = nn.Linear(4, 3, nn.rng_from_seed(0))
+        # the (d_out, d_in) draw layers took before, transposed: same function
+        drawn = nn.rng_from_seed(0).normal(0.0, 0.02, (3, 4)).astype(np.float32)
+        assert layer.weight.data.shape == (4, 3)
+        assert layer.weight.data.flags.c_contiguous
+        assert np.array_equal(layer.weight.data, drawn.T)
+        x = np.ones((2, 4), dtype=np.float32)
+        assert np.array_equal(layer.forward_array(x), x @ drawn.T)
+
     def test_linear_from_weights(self):
         w = np.eye(3, dtype=np.float32)
         layer = nn.Linear.from_weights(w, np.zeros(3, dtype=np.float32))
@@ -688,7 +698,7 @@ class TestNoInit:
             assert layer.weight.data.dtype == np.float32
             assert not layer.weight.data.any()
         want = nn.rng_from_seed(0).normal(0.0, 0.02, (3, 4)).astype(np.float32)
-        assert np.array_equal(drawn.weight.data, want)
+        assert np.array_equal(drawn.weight.data, want.T)
 
 
 class TestNoGrad:

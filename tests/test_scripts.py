@@ -65,6 +65,8 @@ def test_fingerprint_repeats_itself(tmp_path):
     assert runs[0].stdout == runs[1].stdout
     printed = json.loads(runs[0].stdout)
     assert printed["steps"] == 3 and printed["blas_threads"] == 1
+    core = printed["blas_core"]  # null where numpy's BLAS is not OpenBLAS
+    assert core is None or (isinstance(core, str) and core)
     assert printed["census"] == run_census()
     assert printed["checkpoint"]["bytes"] > 0
     # the curve file holds the lines whose digest is `loss_curve`
